@@ -2,17 +2,21 @@
 
 Dense complex matrices with checked structure, Gibbs states computed via
 eigendecomposition, a midpoint exponential-product propagator for
-time-dependent Hamiltonians, and the first-order interaction-picture
-amplitude for the curvature-driven oscillator.
+time-dependent Hamiltonians with solvers for the two structured path shapes
+(affine h0 + f(tau) x and rescaled z(tau) h), and the first-order
+interaction-picture amplitude for the curvature-driven oscillator.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 from scipy import integrate
+from scipy.linalg import eigh_tridiagonal
 
 from .errors import InputError, NumericError
 
@@ -178,21 +182,108 @@ def x_squared_matrix(mass: float, omega: float, dim: int) -> HermitianOperator:
     return HermitianOperator((m / (2.0 * mass * omega)).astype(complex))
 
 
-def propagator(hamiltonian_path, tau0: float, tau1: float, steps: int) -> UnitaryOperator:
-    """Time-ordered propagator by the midpoint exponential-product rule.
+def _exp_factor(w, v, t):
+    """exp(-i H t) from the eigenpairs (w, v) of H."""
+    return (v * np.exp(-1j * w * t)) @ v.conj().T
 
-    U = prod_j exp(-i H(tau_j + dt/2) dt) applied right to left; each factor
-    is exactly unitary (Hermitian eigendecomposition), global error O(dt^2).
+
+def _parity_sectors(h0: np.ndarray, x: np.ndarray):
+    """Per-parity tridiagonal bands of h0 + f x, or None unless the path is parity-banded.
+
+    Banded means h0 real diagonal and x real symmetric with nonzeros only on
+    diagonals 0 and +-2; then even and odd indices never couple.  Each sector
+    is (indices, diagonal of h0, diagonal of x, the +-2 diagonal of x).
     """
-    if tau1 <= tau0:
-        raise InputError(f"need tau1 > tau0, got [{tau0}, {tau1}]")
-    if steps < 1:
-        raise InputError(f"steps must be at least 1, got {steps}")
-    dt = (tau1 - tau0) / steps
+    i, j = np.indices(h0.shape)
+    gap = np.abs(i - j)
+    if (np.any(h0.imag) or np.any(x.imag) or np.any(h0[gap != 0])
+            or np.any(x[(gap != 0) & (gap != 2)]) or np.any(x != x.T)):
+        return None
+    h0, x = h0.real, x.real
+    sectors = []
+    for parity in (0, 1):
+        idx = np.arange(parity, h0.shape[0], 2)
+        if idx.size:
+            sectors.append((idx, np.diag(h0)[idx], np.diag(x)[idx], x[idx[:-1], idx[1:]]))
+    return tuple(sectors)
+
+
+def _sector_eigh(sector, value):
+    _, d0, dx, ex = sector
+    return eigh_tridiagonal(d0 + value * dx, value * ex)
+
+
+@dataclass(frozen=True)
+class ParitySpectrum:
+    """Eigensystem of a parity-banded Hamiltonian: (indices, w, v) per parity sector."""
+
+    dim: int
+    sectors: tuple
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        """Eigenvalues of both sectors merged in ascending order."""
+        return np.sort(np.concatenate([w for _, w, _ in self.sectors]))
+
+    def evolution(self, t: float) -> np.ndarray:
+        """exp(-i H t); entries between the even and odd sectors are exactly zero."""
+        u = np.zeros((self.dim, self.dim), dtype=complex)
+        for idx, w, v in self.sectors:
+            u[np.ix_(idx, idx)] = _exp_factor(w, v, t)
+        return u
+
+
+@dataclass(frozen=True)
+class AffinePath:
+    """Hamiltonian path H(tau) = h0 + f(tau) x, with real-valued f."""
+
+    h0: HermitianOperator
+    x: HermitianOperator
+    f: Callable[[float], float]
+
+    def __post_init__(self):
+        if self.h0.dim != self.x.dim:
+            raise InputError(f"dimension mismatch: {self.h0.dim} != {self.x.dim}")
+
+    def __call__(self, tau: float) -> HermitianOperator:
+        return HermitianOperator(self.h0.entries + self.f(tau) * self.x.entries)
+
+    @cached_property
+    def sectors(self):
+        """Parity sectors when the path is parity-banded, else None."""
+        return _parity_sectors(self.h0.entries, self.x.entries)
+
+    def spectrum(self, value: float) -> ParitySpectrum:
+        """Eigensystem of h0 + value x by one tridiagonal solve per parity sector."""
+        if self.sectors is None:
+            raise InputError("spectrum needs a parity-banded path")
+        return ParitySpectrum(self.h0.dim, tuple(
+            (sector[0], *_sector_eigh(sector, value)) for sector in self.sectors))
+
+
+@dataclass(frozen=True)
+class ScaledPath:
+    """Hamiltonian path H(tau) = z(tau) h, with real-valued z."""
+
+    h: HermitianOperator
+    z: Callable[[float], float]
+
+    def __call__(self, tau: float) -> HermitianOperator:
+        return HermitianOperator(self.z(tau) * self.h.entries)
+
+
+def _midpoint_values(fn, mids) -> np.ndarray:
+    values = np.array([fn(tau) for tau in mids], dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise InputError("non-finite path coefficient at a propagator midpoint")
+    return values
+
+
+def _dense_product(hamiltonian_path, mids, dt):
     u = None
     dim = None
-    for j in range(steps):
-        h = hamiltonian_path(tau0 + (j + 0.5) * dt)
+    for tau in mids:
+        h = hamiltonian_path(tau)
         if not isinstance(h, HermitianOperator):
             h = HermitianOperator(h)
         if dim is None:
@@ -201,8 +292,53 @@ def propagator(hamiltonian_path, tau0: float, tau1: float, steps: int) -> Unitar
         elif h.dim != dim:
             raise InputError(f"dimension changed along the path: {h.dim} != {dim}")
         w, v = np.linalg.eigh(h.entries)
-        factor = (v * np.exp(-1j * w * dt)) @ v.conj().T
-        u = factor @ u
+        u = _exp_factor(w, v, dt) @ u
+    return u
+
+
+def _parity_product(path: AffinePath, mids, dt, duration):
+    values = _midpoint_values(path.f, mids)
+    if np.all(values == values[0]):
+        return path.spectrum(values[0]).evolution(duration)
+    u = np.zeros((path.h0.dim, path.h0.dim), dtype=complex)
+    for sector in path.sectors:
+        idx = sector[0]
+        block = np.eye(idx.size, dtype=complex)
+        for value in values:
+            block = _exp_factor(*_sector_eigh(sector, value), dt) @ block
+        u[np.ix_(idx, idx)] = block
+    return u
+
+
+def _scaled_product(path: ScaledPath, mids, dt):
+    phase = float(np.sum(_midpoint_values(path.z, mids))) * dt
+    w, v = np.linalg.eigh(path.h.entries)
+    return _exp_factor(w, v, phase)
+
+
+def propagator(hamiltonian_path, tau0: float, tau1: float, steps: int) -> UnitaryOperator:
+    """Time-ordered propagator by the midpoint exponential-product rule.
+
+    U = prod_j exp(-i H(tau_j + dt/2) dt) applied right to left; each factor
+    is exactly unitary (Hermitian eigendecomposition), global error O(dt^2).
+    The shape of the path picks the solver.  A ScaledPath's factors commute,
+    so one eigendecomposition of h gives the whole product.  A parity-banded
+    AffinePath takes one real tridiagonal solve per parity sector and step,
+    or one per sector in all when f is equal at every midpoint.  Any other
+    callable returning Hermitian matrices takes one dense solve per step.
+    """
+    if tau1 <= tau0:
+        raise InputError(f"need tau1 > tau0, got [{tau0}, {tau1}]")
+    if steps < 1:
+        raise InputError(f"steps must be at least 1, got {steps}")
+    dt = (tau1 - tau0) / steps
+    mids = [tau0 + (j + 0.5) * dt for j in range(steps)]
+    if isinstance(hamiltonian_path, ScaledPath):
+        u = _scaled_product(hamiltonian_path, mids, dt)
+    elif isinstance(hamiltonian_path, AffinePath) and hamiltonian_path.sectors is not None:
+        u = _parity_product(hamiltonian_path, mids, dt, tau1 - tau0)
+    else:
+        u = _dense_product(hamiltonian_path, mids, dt)
     if not np.all(np.isfinite(u)):
         raise NumericError("non-finite propagator entries")
     return UnitaryOperator(u)

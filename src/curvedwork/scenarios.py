@@ -19,7 +19,9 @@ from . import __version__
 from .errors import ConfigError, ConvergenceError, InputError
 from .frame import FrameData, FramePoint, time_dilation, validate_frame
 from .quantum import (
+    AffinePath,
     HermitianOperator,
+    ScaledPath,
     UnitaryOperator,
     identity_unitary,
     perturbative_amplitude,
@@ -271,11 +273,8 @@ def _oscillator_protocol(config, riemann_tt, metadata):
     omega0 = float(config.system["omega0"])
     dim = int(config.system.get("dim", DEFAULT_OSCILLATOR_DIM))
     h0 = qho_hamiltonian(mass, omega0, dim)
-    x2 = x_squared_matrix(mass, omega0, dim)
-
-    def path(tau):
-        return HermitianOperator(h0.entries + 0.5 * mass * riemann_tt(tau) * x2.entries)
-
+    path = AffinePath(h0, x_squared_matrix(mass, omega0, dim),
+                      lambda tau: 0.5 * mass * riemann_tt(tau))
     u = propagator(path, 0.0, config.duration, config.steps)
 
     # truncation guard: evolved thermal populations must not reach the cutoff
@@ -293,7 +292,7 @@ def _oscillator_protocol(config, riemann_tt, metadata):
         "truncation_leakage": leak,
         "unitarity_defect": u.unitarity_defect,
     }
-    return h0, u, fwd, rev, report
+    return path, u, fwd, rev, report
 
 
 def run_desitter(config: ScenarioConfig) -> RunArtifacts:
@@ -316,36 +315,29 @@ def run_desitter(config: ScenarioConfig) -> RunArtifacts:
     frame = desitter_frame(hubble)
 
     metadata = _base_metadata(config)
-    h0, u, fwd, rev, report = _oscillator_protocol(
+    path, u, fwd, rev, report = _oscillator_protocol(
         config, lambda tau: frame.riemann_titj(tau)[0, 0], metadata
     )
-    dim = int(config.system.get("dim", DEFAULT_OSCILLATOR_DIM))
+    dim = path.h0.dim
+    # the tidal term is tau-independent, so one eigensystem serves the
+    # effective-frequency diagnostic and the exact transition curve
+    spectrum = path.spectrum(0.5 * mass * (-hubble ** 2))
 
     # effective-frequency diagnostic on the lowest half of the spectrum
-    heff = HermitianOperator(h0.entries + 0.5 * mass * (-hubble ** 2) * x_squared_matrix(
-        mass, omega0, dim).entries)
-    evals = np.linalg.eigvalsh(heff.entries)
     omega_eff = math.sqrt(omega0 ** 2 - hubble ** 2)
-    spacings = np.diff(evals)[: dim // 2]
+    spacings = np.diff(spectrum.eigenvalues)[: dim // 2]
     metadata["effective_frequency"] = {
         "expected": omega_eff,
         "max_spacing_deviation": float(np.max(np.abs(spacings - omega_eff))),
     }
     metadata["hubble_ratio"] = hubble / omega0
 
-    wh, vh = np.linalg.eigh(heff.entries)
     times = np.linspace(0.0, config.duration, config.curve_points)
     p_exact = np.empty_like(times)
     p_pert = np.empty_like(times)
     p_formula = np.empty_like(times)
     for i, t in enumerate(times):
-        if t == 0.0:
-            ut = np.eye(dim, dtype=complex)
-        else:
-            # the curvature history is tau-independent here, so the ordered
-            # product collapses to a single exponential
-            ut = (vh * np.exp(-1j * wh * t)) @ vh.conj().T
-        p_exact[i] = abs(ut[2, 0]) ** 2
+        p_exact[i] = abs(spectrum.evolution(t)[2, 0]) ** 2
         p_pert[i] = abs(perturbative_amplitude(
             mass, omega0, lambda _tau: -hubble ** 2, 2, 0, t)) ** 2
         p_formula[i] = transition_probability_formula(mass, omega0, hubble, 2, 0, t) \
@@ -362,6 +354,19 @@ def run_desitter(config: ScenarioConfig) -> RunArtifacts:
     }
     return RunArtifacts(report=report, forward=fwd, reverse=rev, curves=curves,
                         metadata=metadata)
+
+
+def _interp_rows(taus, rows, tau):
+    """np.interp(tau, taus, rows[:, k]) for every column k at once, by np.interp's formula."""
+    if math.isnan(tau):
+        return np.full(rows.shape[1], math.nan)
+    j = int(np.searchsorted(taus, tau, side="right")) - 1
+    if j < 0:
+        return rows[0].copy()
+    if j >= taus.size - 1 or taus[j] == tau:
+        return rows[j].copy()
+    slope = (rows[j + 1] - rows[j]) / (taus[j + 1] - taus[j])
+    return slope * (tau - taus[j]) + rows[j]
 
 
 def _frame_from_tables(tables: dict, tolerances: dict) -> FrameData:
@@ -384,13 +389,8 @@ def _frame_from_tables(tables: dict, tolerances: dict) -> FrameData:
 
     def interp(key):
         arr = arrays[key]
-
-        def f(tau):
-            flat = arr.reshape(taus.size, -1)
-            out = np.array([np.interp(tau, taus, flat[:, j]) for j in range(flat.shape[1])])
-            return out.reshape(arr.shape[1:])
-
-        return f
+        flat = arr.reshape(taus.size, -1)
+        return lambda tau: _interp_rows(taus, flat, tau).reshape(arr.shape[1:])
 
     frame = FrameData(
         accel=interp("accel"),
@@ -445,13 +445,9 @@ def run_custom(config: ScenarioConfig) -> RunArtifacts:
             s = tau / duration
             return time_dilation(frame, FramePoint(tau=tau, x=s * x_end), s * p_end, sysmass)
 
-        def path(tau):
-            return HermitianOperator(zfactor(tau) * h_int.entries)
-
+        path = ScaledPath(h_int, zfactor)
         u = propagator(path, 0.0, duration, config.steps)
-        h_start = HermitianOperator(zfactor(0.0) * h_int.entries)
-        h_end = HermitianOperator(zfactor(duration) * h_int.entries)
-        fwd, rev, report = _protocol_outputs(h_start, h_end, u, config)
+        fwd, rev, report = _protocol_outputs(path(0.0), path(duration), u, config)
         metadata["custom"] = {
             "zfactor_initial": zfactor(0.0),
             "zfactor_final": zfactor(duration),

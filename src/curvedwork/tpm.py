@@ -99,10 +99,10 @@ class ProtocolReport:
     def __post_init__(self):
         scale = max(1.0, abs(self.mean_work), abs(self.delta_F))
         if abs(self.dissipated_work - (self.mean_work - self.delta_F)) > 1e-12 * scale:
-            raise InputError("dissipated_work must equal mean_work - delta_F")
+            raise NumericError("dissipated_work must equal mean_work - delta_F")
         sscale = max(1.0, abs(self.entropy_production))
         if abs(self.entropy_production - self.beta * self.dissipated_work) > 1e-12 * sscale:
-            raise InputError("entropy_production must equal beta * dissipated_work")
+            raise NumericError("entropy_production must equal beta * dissipated_work")
 
 
 def default_merge_tol(*spectra) -> float:

@@ -16,6 +16,7 @@ import numpy as np
 from .frame import FrameData, FramePoint, metric_components, redshift_exact, \
     redshift_weakfield, time_dilation
 from .quantum import (
+    AffinePath,
     HermitianOperator,
     propagator,
     qho_hamiltonian,
@@ -146,11 +147,7 @@ def criterion_effective_frequency(level="full"):
     worst = 0.0
     for ratio in (0.1, 0.3, 0.5):
         hubble = ratio * omega0
-        heff = HermitianOperator(
-            qho_hamiltonian(mass, omega0, dim).entries
-            - 0.5 * mass * hubble ** 2 * x_squared_matrix(mass, omega0, dim).entries
-        )
-        evals = np.linalg.eigvalsh(heff.entries)
+        evals = _constant_oscillator(mass, omega0, hubble, dim).eigenvalues
         spacings = np.diff(evals)[:30]
         expected = math.sqrt(omega0 ** 2 - hubble ** 2)
         worst = max(worst, float(np.max(np.abs(spacings - expected))))
@@ -162,24 +159,18 @@ def criterion_effective_frequency(level="full"):
     )]
 
 
-def _constant_oscillator_u(mass, omega0, hubble, dim):
-    heff = HermitianOperator(
-        qho_hamiltonian(mass, omega0, dim).entries
-        - 0.5 * mass * hubble ** 2 * x_squared_matrix(mass, omega0, dim).entries
-    )
-    w, v = np.linalg.eigh(heff.entries)
-
-    def u_at(t):
-        return (v * np.exp(-1j * w * t)) @ v.conj().T
-
-    return u_at
+def _constant_oscillator(mass, omega0, hubble, dim):
+    """Parity spectrum of the oscillator under the de Sitter tidal term -(mass H^2/2) x^2."""
+    tidal = -0.5 * mass * hubble ** 2
+    return AffinePath(qho_hamiltonian(mass, omega0, dim), x_squared_matrix(mass, omega0, dim),
+                      lambda tau: tidal).spectrum(tidal)
 
 
 def criterion_perturbation_vs_propagator(level="full"):
     t0 = time.perf_counter()
     mass, omega0, dim = 1.0, 1.0, 40
     hubble = 0.01 * omega0
-    u_at = _constant_oscillator_u(mass, omega0, hubble, dim)
+    u_at = _constant_oscillator(mass, omega0, hubble, dim).evolution
     times = np.linspace(0.0, 10.0 / omega0, 50)
     formula = np.array([
         transition_probability_formula(mass, omega0, hubble, 2, 0, t) if t > 0 else 0.0
@@ -207,13 +198,8 @@ def criterion_propagator_quality(level="full"):
     mass, omega0, dim = 1.0, 1.0, 40
     hubble = 0.01
     frame = desitter_frame(hubble)
-    h0 = qho_hamiltonian(mass, omega0, dim)
-    x2 = x_squared_matrix(mass, omega0, dim)
-
-    def ds_path(tau):
-        return HermitianOperator(h0.entries + 0.5 * mass * frame.riemann_titj(tau)[0, 0]
-                                 * x2.entries)
-
+    ds_path = AffinePath(qho_hamiltonian(mass, omega0, dim), x_squared_matrix(mass, omega0, dim),
+                         lambda tau: 0.5 * mass * frame.riemann_titj(tau)[0, 0])
     defects["desitter_oscillator"] = propagator(ds_path, 0.0, 10.0, 200).unitarity_defect
     rng = np.random.default_rng(11)
     a = _random_symmetric(rng, 6, scale=0.5)
@@ -323,7 +309,7 @@ def criterion_scale_estimate(level="full"):
     peaks = []
     t_peak = math.pi / (2.0 * omega0)
     for hubble in sweep:
-        u_at = _constant_oscillator_u(mass, omega0, float(hubble), dim)
+        u_at = _constant_oscillator(mass, omega0, float(hubble), dim).evolution
         peaks.append(abs(u_at(t_peak)[2, 0]) ** 2)
     slope = float(np.polyfit(np.log(sweep), np.log(peaks), 1)[0])
     return [CriterionResult(

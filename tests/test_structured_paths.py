@@ -1,0 +1,135 @@
+"""Structured Hamiltonian paths: each specialised propagator against the dense loop."""
+
+import math
+
+import numpy as np
+import pytest
+
+from curvedwork.errors import InputError
+from curvedwork.quantum import (
+    AffinePath,
+    HermitianOperator,
+    ScaledPath,
+    propagator,
+    qho_hamiltonian,
+    x_squared_matrix,
+)
+
+DIMS = (2, 3, 7, 40)
+STEPS = (1, 50)
+
+
+def dense(path, tau0, tau1, steps):
+    """The same path as an opaque callable, which always takes the dense loop."""
+    return propagator(lambda tau: path(tau), tau0, tau1, steps).entries
+
+
+def banded_path(seed, dim, f):
+    """Random real diagonal h0 and real symmetric x on diagonals 0 and +-2."""
+    rng = np.random.default_rng(seed)
+    h0 = np.diag(np.sort(rng.uniform(0.0, 3.0, dim)))
+    x = np.diag(rng.normal(size=dim))
+    off = rng.normal(size=max(dim - 2, 0))
+    x += np.diag(off, 2) + np.diag(off, -2)
+    return AffinePath(HermitianOperator(h0), HermitianOperator(x), f)
+
+
+def random_hermitian(rng, dim):
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return HermitianOperator(0.25 * (m + m.conj().T))
+
+
+def smooth(tau):
+    return 0.4 + 0.3 * math.sin(1.7 * tau) - 0.2 * math.cos(0.6 * tau)
+
+
+def unitarity_defect(u):
+    return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
+
+
+@pytest.mark.parametrize("dim", DIMS)
+@pytest.mark.parametrize("steps", STEPS)
+class TestAgainstDenseLoop:
+    def test_affine_banded(self, dim, steps):
+        path = banded_path(dim + steps, dim, smooth)
+        assert path.sectors is not None
+        u = propagator(path, 0.2, 2.7, steps).entries
+        np.testing.assert_allclose(u, dense(path, 0.2, 2.7, steps), rtol=0, atol=1e-12)
+        assert unitarity_defect(u) < 1e-12
+
+    def test_affine_constant_f_collapses(self, dim, steps):
+        path = banded_path(7 * dim + steps, dim, lambda tau: -0.35)
+        u = propagator(path, 0.0, 3.0, steps).entries
+        np.testing.assert_allclose(u, dense(path, 0.0, 3.0, steps), rtol=0, atol=1e-11)
+        assert unitarity_defect(u) < 1e-12
+
+    def test_scaled(self, dim, steps):
+        rng = np.random.default_rng(3 * dim + steps)
+        path = ScaledPath(random_hermitian(rng, dim), lambda tau: 1.0 + 0.3 * math.sin(2.0 * tau))
+        u = propagator(path, 0.0, 2.0, steps).entries
+        np.testing.assert_allclose(u, dense(path, 0.0, 2.0, steps), rtol=0, atol=1e-12)
+        assert unitarity_defect(u) < 1e-12
+
+
+class TestFallback:
+    def test_non_banded_x_takes_the_dense_loop(self):
+        path = banded_path(1, 7, smooth)
+        x = path.x.entries.copy()
+        x[0, 1] = x[1, 0] = 0.1
+        path = AffinePath(path.h0, HermitianOperator(x), smooth)
+        assert path.sectors is None
+        np.testing.assert_array_equal(propagator(path, 0.0, 1.0, 20).entries,
+                                      dense(path, 0.0, 1.0, 20))
+
+    def test_complex_h0_takes_the_dense_loop(self):
+        path = banded_path(2, 7, smooth)
+        h0 = path.h0.entries.copy()
+        h0[0, 2], h0[2, 0] = 0.1j, -0.1j
+        path = AffinePath(HermitianOperator(h0), path.x, smooth)
+        assert path.sectors is None
+        np.testing.assert_array_equal(propagator(path, 0.0, 1.0, 20).entries,
+                                      dense(path, 0.0, 1.0, 20))
+
+    def test_spectrum_needs_a_banded_path(self):
+        rng = np.random.default_rng(4)
+        path = AffinePath(random_hermitian(rng, 4), random_hermitian(rng, 4), smooth)
+        with pytest.raises(InputError, match="parity-banded"):
+            path.spectrum(0.5)
+
+    def test_dimension_mismatch_rejected(self):
+        with pytest.raises(InputError, match="dimension mismatch"):
+            AffinePath(qho_hamiltonian(1.0, 1.0, 4), x_squared_matrix(1.0, 1.0, 5), smooth)
+
+
+class TestParitySelection:
+    @pytest.mark.parametrize("f", [smooth, lambda tau: -0.01], ids=["driven", "constant"])
+    def test_cross_parity_entries_exactly_zero(self, f):
+        dim = 40
+        path = AffinePath(qho_hamiltonian(1.0, 1.0, dim), x_squared_matrix(1.0, 1.0, dim), f)
+        u = propagator(path, 0.0, 5.0, 50).entries
+        parity = np.arange(dim) % 2
+        assert np.all(u[parity[:, None] != parity[None, :]] == 0.0)
+        assert unitarity_defect(u) < 1e-12
+
+    def test_spectrum_matches_dense_eigenvalues_and_evolution(self):
+        path = banded_path(5, 9, smooth)
+        spectrum = path.spectrum(0.7)
+        h = path.h0.entries + 0.7 * path.x.entries
+        np.testing.assert_allclose(spectrum.eigenvalues, np.linalg.eigvalsh(h), atol=1e-13)
+        w, v = np.linalg.eigh(h)
+        expected = (v * np.exp(-1j * w * 1.3)) @ v.conj().T
+        np.testing.assert_allclose(spectrum.evolution(1.3), expected, rtol=0, atol=1e-13)
+
+
+class TestNonFiniteCoefficient:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_affine(self, bad):
+        path = banded_path(6, 7, lambda tau: bad if tau > 0.5 else 0.1)
+        with pytest.raises(InputError, match="non-finite"):
+            propagator(path, 0.0, 1.0, 10)
+
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf])
+    def test_scaled(self, bad):
+        path = ScaledPath(qho_hamiltonian(1.0, 1.0, 3), lambda tau: bad if tau > 0.5 else 1.0)
+        with pytest.raises(InputError, match="non-finite"):
+            propagator(path, 0.0, 1.0, 10)

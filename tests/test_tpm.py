@@ -265,7 +265,8 @@ class TestWorkDistribution:
 
 class TestProtocolReport:
     def test_consistency_enforced(self):
-        with pytest.raises(InputError):
+        # an inconsistent report is a program fault (exit 2), not a user error
+        with pytest.raises(NumericError, match="entropy_production"):
             ProtocolReport(
                 beta=1.0,
                 delta_F=0.0,
@@ -276,6 +277,20 @@ class TestProtocolReport:
                 entropy_production=0.0,  # should be beta * dissipated_work = 1.0
                 dissipated_work=1.0,
             )
+
+    def test_dissipated_work_mismatch_is_a_program_fault(self):
+        with pytest.raises(NumericError, match="dissipated_work") as info:
+            ProtocolReport(
+                beta=1.0,
+                delta_F=0.5,
+                mean_work=1.0,
+                jarzynski_lhs=1.0,
+                jarzynski_rhs=1.0,
+                crooks_max_residual=0.0,
+                entropy_production=1.0,
+                dissipated_work=1.0,  # should be mean_work - delta_F = 0.5
+            )
+        assert not isinstance(info.value, InputError)
 
     def test_valid_report(self):
         report = ProtocolReport(
