@@ -184,14 +184,16 @@ def redshift_weakfield(frame: FrameData, point: FramePoint) -> float:
 def time_dilation(frame: FrameData, point: FramePoint, p, mass: float) -> float:
     """Non-relativistic time-dilation factor between the lab worldline and the system.
 
-    Returns 1 - p^2/(2 mass^2) + a.x + (1/2) R_{titj} x^i x^j.  Valid for
-    |p|/mass << 1 (not enforced).
+    Returns 1 - p^2/(2 mass^2) + a.x + (1/2) R_{titj} x^i x^j.  The point must
+    lie inside the expansion's validity bound, as for metric_components; the
+    condition |p|/mass << 1 is not enforced.
     """
     if mass <= 0:
         raise InputError(f"mass must be positive, got {mass}")
     p = np.asarray(p, dtype=float)
     if p.shape != (3,):
         raise InputError(f"momentum must be a 3-vector, got shape {p.shape}")
-    a, r_titj, _, _ = _eval_tensors(frame, point.tau)
+    a, r_titj, r_tjik, r_ikjl = _eval_tensors(frame, point.tau)
+    _check_validity(frame, point, a, (r_titj, r_tjik, r_ikjl))
     x = point.x
     return float(1.0 - (p @ p) / (2.0 * mass * mass) + a @ x + 0.5 * (x @ r_titj @ x))

@@ -23,6 +23,18 @@ from .errors import InputError, NumericError
 HERMITICITY_TOL = 1e-12
 UNITARITY_TOL = 1e-9
 DEGENERACY_RTOL = 1e-9
+# Complex entries per stack of midpoint Hamiltonians handed to one batched eigh;
+# bounds the dense propagator's working memory whatever the dimension or step count.
+DENSE_BATCH_ENTRIES = 2 ** 12
+
+
+def _check_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> None:
+    """Raise InputError unless every matrix in `m` (shape (..., d, d)) is finite and Hermitian."""
+    if not np.all(np.isfinite(m)):
+        raise InputError("non-finite operator entries")
+    dev = float(np.max(np.abs(m - np.swapaxes(m.conj(), -1, -2))))
+    if dev > tol:
+        raise InputError(f"matrix is not Hermitian: max deviation {dev:.3g}")
 
 
 @dataclass(frozen=True)
@@ -36,11 +48,7 @@ class HermitianOperator:
         m = np.asarray(self.entries, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InputError(f"operator must be square, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise InputError("non-finite operator entries")
-        dev = float(np.max(np.abs(m - m.conj().T)))
-        if dev > self.tol:
-            raise InputError(f"matrix is not Hermitian: max deviation {dev:.3g}")
+        _check_hermitian(m, self.tol)
         object.__setattr__(self, "entries", m)
 
     @property
@@ -104,6 +112,19 @@ class EnergyBasis:
             deg[1:] |= small
             object.__setattr__(self, "degenerate", deg)
 
+    @property
+    def dim(self) -> int:
+        return self.eigenvalues.size
+
+    def gibbs(self, beta: float) -> tuple[np.ndarray, float]:
+        """Gibbs populations of the eigenstates at beta and ln Z, shifted against overflow."""
+        if beta <= 0:
+            raise InputError(f"beta must be positive, got {beta}")
+        shift = float(self.eigenvalues[0])
+        boltz = np.exp(-beta * (self.eigenvalues - shift))
+        z_shifted = float(np.sum(boltz))
+        return boltz / z_shifted, math.log(z_shifted) - beta * shift
+
 
 def energy_basis(op: HermitianOperator) -> EnergyBasis:
     """Eigendecomposition of a Hermitian operator, checked for faithful reconstruction."""
@@ -124,18 +145,14 @@ class ThermalState:
     log_partition: float
 
 
-def thermal_state(op: HermitianOperator, beta: float) -> ThermalState:
-    """Thermal state of a Hamiltonian, overflow-safe via a spectral shift."""
-    if beta <= 0:
-        raise InputError(f"beta must be positive, got {beta}")
-    basis = energy_basis(op)
-    w, v = basis.eigenvalues, basis.eigenvectors
-    shift = float(w[0])
-    boltz = np.exp(-beta * (w - shift))
-    z_shifted = float(np.sum(boltz))
-    rho = (v * (boltz / z_shifted)) @ v.conj().T
+def thermal_state(op: HermitianOperator | EnergyBasis, beta: float) -> ThermalState:
+    """Thermal state of a Hamiltonian, or of the energy basis it was diagonalised into."""
+    basis = op if isinstance(op, EnergyBasis) else energy_basis(op)
+    populations, log_partition = basis.gibbs(beta)
+    v = basis.eigenvectors
+    rho = (v * populations) @ v.conj().T
     rho = 0.5 * (rho + rho.conj().T)
-    return ThermalState(beta=beta, density=rho, log_partition=math.log(z_shifted) - beta * shift)
+    return ThermalState(beta=beta, density=rho, log_partition=log_partition)
 
 
 def two_level_hamiltonian(eps: float) -> HermitianOperator:
@@ -183,8 +200,8 @@ def x_squared_matrix(mass: float, omega: float, dim: int) -> HermitianOperator:
 
 
 def _exp_factor(w, v, t):
-    """exp(-i H t) from the eigenpairs (w, v) of H."""
-    return (v * np.exp(-1j * w * t)) @ v.conj().T
+    """exp(-i H t) from the eigenpairs (w, v) of H, or of each H in a stack."""
+    return (v * np.exp(-1j * w * t)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
 
 
 def _parity_sectors(h0: np.ndarray, x: np.ndarray):
@@ -254,11 +271,15 @@ class AffinePath:
         return _parity_sectors(self.h0.entries, self.x.entries)
 
     def spectrum(self, value: float) -> ParitySpectrum:
-        """Eigensystem of h0 + value x by one tridiagonal solve per parity sector."""
+        """Eigensystem of h0 + value x by one tridiagonal solve per sector; the latest is kept."""
         if self.sectors is None:
             raise InputError("spectrum needs a parity-banded path")
-        return ParitySpectrum(self.h0.dim, tuple(
-            (sector[0], *_sector_eigh(sector, value)) for sector in self.sectors))
+        last = self.__dict__.get("_last_spectrum")
+        if last is None or last[0] != value:
+            last = (value, ParitySpectrum(self.h0.dim, tuple(
+                (sector[0], *_sector_eigh(sector, value)) for sector in self.sectors)))
+            object.__setattr__(self, "_last_spectrum", last)
+        return last[1]
 
 
 @dataclass(frozen=True)
@@ -279,20 +300,38 @@ def _midpoint_values(fn, mids) -> np.ndarray:
     return values
 
 
+def _dense_stacks(hamiltonian_path, mids):
+    """Checked midpoint Hamiltonians in (n, dim, dim) stacks of <= DENSE_BATCH_ENTRIES entries."""
+    if isinstance(hamiltonian_path, AffinePath):  # one vectorised pass per stack
+        h0, x = hamiltonian_path.h0.entries, hamiltonian_path.x.entries
+        values = _midpoint_values(hamiltonian_path.f, mids)
+        size = max(1, DENSE_BATCH_ENTRIES // h0.size)
+        for start in range(0, values.size, size):
+            stack = h0 + values[start:start + size, None, None] * x
+            _check_hermitian(stack)
+            yield stack
+        return
+    batch, dim = [], None
+    for tau in mids:  # any other callable: evaluated and validated one midpoint at a time
+        h = hamiltonian_path(tau)
+        h = h if isinstance(h, HermitianOperator) else HermitianOperator(h)
+        dim = h.dim if dim is None else dim
+        if h.dim != dim:
+            raise InputError(f"dimension changed along the path: {h.dim} != {dim}")
+        batch.append(h.entries)
+        if len(batch) == max(1, DENSE_BATCH_ENTRIES // h.entries.size):
+            yield np.stack(batch)
+            batch = []
+    if batch:
+        yield np.stack(batch)
+
+
 def _dense_product(hamiltonian_path, mids, dt):
     u = None
-    dim = None
-    for tau in mids:
-        h = hamiltonian_path(tau)
-        if not isinstance(h, HermitianOperator):
-            h = HermitianOperator(h)
-        if dim is None:
-            dim = h.dim
-            u = np.eye(dim, dtype=complex)
-        elif h.dim != dim:
-            raise InputError(f"dimension changed along the path: {h.dim} != {dim}")
-        w, v = np.linalg.eigh(h.entries)
-        u = _exp_factor(w, v, dt) @ u
+    for stack in _dense_stacks(hamiltonian_path, mids):
+        u = np.eye(stack.shape[-1], dtype=complex) if u is None else u
+        for factor in _exp_factor(*np.linalg.eigh(stack), dt):
+            u = factor @ u
     return u
 
 
@@ -325,7 +364,8 @@ def propagator(hamiltonian_path, tau0: float, tau1: float, steps: int) -> Unitar
     so one eigendecomposition of h gives the whole product.  A parity-banded
     AffinePath takes one real tridiagonal solve per parity sector and step,
     or one per sector in all when f is equal at every midpoint.  Any other
-    callable returning Hermitian matrices takes one dense solve per step.
+    path returning Hermitian matrices takes batched dense solves, one
+    np.linalg.eigh call per stack of DENSE_BATCH_ENTRIES matrix entries.
     """
     if tau1 <= tau0:
         raise InputError(f"need tau1 > tau0, got [{tau0}, {tau1}]")

@@ -22,7 +22,7 @@ from .quantum import (
     AffinePath,
     HermitianOperator,
     ScaledPath,
-    UnitaryOperator,
+    energy_basis,
     identity_unitary,
     perturbative_amplitude,
     propagator,
@@ -53,7 +53,7 @@ DEFAULT_OSCILLATOR_DIM = 40
 
 _TOP_KEYS = {
     "scenario", "beta", "system", "geometry", "position", "momentum",
-    "duration", "steps", "merge_tol", "tolerances", "output_path",
+    "duration", "steps", "merge_tol", "tolerances",
     "seed", "samples", "zfactor_grid", "curve_points",
 }
 _SYSTEM_KEYS = {
@@ -81,7 +81,6 @@ class ScenarioConfig:
     steps: int = 200
     merge_tol: float | None = None
     tolerances: dict = field(default_factory=dict)
-    output_path: str | None = None
     seed: int | None = None
     samples: int | None = None
     zfactor_grid: list | None = None
@@ -172,10 +171,11 @@ def _base_metadata(config: ScenarioConfig) -> dict:
     return {"config": config.to_dict(), "version": __version__}
 
 
-def _protocol_outputs(h_init, h_final, u, config):
-    fwd = forward_distribution(h_init, h_final, u, config.beta, merge_tol=config.merge_tol)
-    rev = reverse_distribution(h_init, h_final, u, config.beta, merge_tol=config.merge_tol)
-    df = delta_F(h_init, h_final, config.beta)
+def _protocol_outputs(b_init, b_final, u, config):
+    """Distributions and report of one protocol from the energy bases of its endpoints."""
+    fwd = forward_distribution(b_init, b_final, u, config.beta, merge_tol=config.merge_tol)
+    rev = reverse_distribution(b_init, b_final, u, config.beta, merge_tol=config.merge_tol)
+    df = delta_F(b_init, b_final, config.beta)
     residual = crooks_check(fwd, rev, config.beta, df)
     mw = mean_work(fwd)
     report = ProtocolReport(
@@ -224,7 +224,7 @@ def run_newtonian(config: ScenarioConfig) -> RunArtifacts:
     ht = HermitianOperator(zf * h0.entries)
     u = identity_unitary(2)
 
-    fwd, rev, report = _protocol_outputs(h0, ht, u, config)
+    fwd, rev, report = _protocol_outputs(energy_basis(h0), energy_basis(ht), u, config)
 
     zgrid = np.asarray(
         config.zfactor_grid if config.zfactor_grid is not None else np.linspace(0.5, 1.5, 41),
@@ -244,9 +244,8 @@ def run_newtonian(config: ScenarioConfig) -> RunArtifacts:
     p2 = float(np.asarray(config.momentum, dtype=float) @ np.asarray(config.momentum, dtype=float))
     metadata["newtonian"] = {
         "zfactor": zf,
-        # the general time-dilation expansion; the doubled weak-field convention
-        # (2gx, p^2/2m) that appears in some presentations is echoed for comparison
-        "zfactor_general": zf,
+        # the doubled weak-field convention (2gx, p^2/2m) that appears in some
+        # presentations is echoed for comparison with the general expansion
         "zfactor_doubled_convention": 1.0 + 2.0 * gx - p2 / (2.0 * sysmass),
         "entropy_closed_form": entropy_production_two_level(zf, config.beta * eps)
         if zf > 0 else None,
@@ -278,7 +277,8 @@ def _oscillator_protocol(config, riemann_tt, metadata):
     u = propagator(path, 0.0, config.duration, config.steps)
 
     # truncation guard: evolved thermal populations must not reach the cutoff
-    rho0 = thermal_state(h0, config.beta).density
+    b0 = energy_basis(h0)
+    rho0 = thermal_state(b0, config.beta).density
     rhot = u.entries @ rho0 @ u.entries.conj().T
     leak = float(np.real(rhot[dim - 1, dim - 1] + rhot[dim - 2, dim - 2]))
     if leak > LEAKAGE_LIMIT:
@@ -286,7 +286,7 @@ def _oscillator_protocol(config, riemann_tt, metadata):
             f"top-two-level population {leak:.3g} exceeds {LEAKAGE_LIMIT}; raise dim"
         )
 
-    fwd, rev, report = _protocol_outputs(h0, h0, u, config)
+    fwd, rev, report = _protocol_outputs(b0, b0, u, config)
     metadata["oscillator"] = {
         "dim": dim,
         "truncation_leakage": leak,
@@ -319,9 +319,10 @@ def run_desitter(config: ScenarioConfig) -> RunArtifacts:
         config, lambda tau: frame.riemann_titj(tau)[0, 0], metadata
     )
     dim = path.h0.dim
-    # the tidal term is tau-independent, so one eigensystem serves the
-    # effective-frequency diagnostic and the exact transition curve
-    spectrum = path.spectrum(0.5 * mass * (-hubble ** 2))
+    # the tidal term is tau-independent, so the eigensystem the propagator
+    # collapsed to also serves the effective-frequency diagnostic and the
+    # exact transition curve
+    spectrum = path.spectrum(path.f(0.0))
 
     # effective-frequency diagnostic on the lowest half of the spectrum
     omega_eff = math.sqrt(omega0 ** 2 - hubble ** 2)
@@ -447,7 +448,8 @@ def run_custom(config: ScenarioConfig) -> RunArtifacts:
 
         path = ScaledPath(h_int, zfactor)
         u = propagator(path, 0.0, duration, config.steps)
-        fwd, rev, report = _protocol_outputs(path(0.0), path(duration), u, config)
+        fwd, rev, report = _protocol_outputs(energy_basis(path(0.0)), energy_basis(path(duration)),
+                                             u, config)
         metadata["custom"] = {
             "zfactor_initial": zfactor(0.0),
             "zfactor_final": zfactor(duration),

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericError
-from .quantum import HermitianOperator, UnitaryOperator, energy_basis, thermal_state
+from .quantum import EnergyBasis, HermitianOperator, UnitaryOperator, energy_basis, thermal_state
 
 P_FLOOR = 1e-12
 MERGE_TOL_RELATIVE = 1e-9
@@ -48,7 +48,8 @@ class WorkDistribution:
         """Sort raw (work, probability) pairs and coalesce values within merge_tol.
 
         Merged work values are probability-weighted means, so the distribution
-        mean is preserved exactly.
+        mean is preserved exactly.  Each mean is clipped to its group's range
+        against rounding, so merged values stay more than merge_tol apart.
         """
         works = np.asarray(works, dtype=float).ravel()
         probs = np.asarray(probs, dtype=float).ravel()
@@ -58,29 +59,12 @@ class WorkDistribution:
             raise InputError("distribution has no support")
         order = np.argsort(works, kind="stable")
         works, probs = works[order], probs[order]
-        out_w, out_p = [], []
-        i = 0
-        while i < works.size:
-            j = i + 1
-            while j < works.size and works[j] - works[j - 1] <= merge_tol:
-                j += 1
-            p = float(np.sum(probs[i:j]))
-            w = float(np.sum(works[i:j] * probs[i:j]) / p)
-            out_w.append(w)
-            out_p.append(p)
-            i = j
-        return cls(np.array(out_w), np.array(out_p), merge_tol=merge_tol)
-
-    def probability_at(self, work: float) -> float | None:
-        """Probability of the support point matching `work` within merge_tol, or None."""
-        idx = np.searchsorted(self.works, work)
-        best, dist = None, math.inf
-        for k in (idx - 1, idx, idx + 1):
-            if 0 <= k < self.works.size and abs(self.works[k] - work) < dist:
-                best, dist = k, abs(self.works[k] - work)
-        if best is None or dist > self.merge_tol:
-            return None
-        return float(self.probs[best])
+        # a chain of neighbours each within merge_tol of the previous one is one group
+        starts = np.flatnonzero(np.concatenate(([True], ~(np.diff(works) <= merge_tol))))
+        p = np.add.reduceat(probs, starts)
+        w = np.add.reduceat(works * probs, starts) / p
+        w = np.clip(w, works[starts], works[np.append(starts[1:], works.size) - 1])
+        return cls(w, p, merge_tol=merge_tol)
 
 
 @dataclass(frozen=True)
@@ -110,20 +94,36 @@ def default_merge_tol(*spectra) -> float:
     return MERGE_TOL_RELATIVE * span if span > 0 else 1e-12
 
 
-def delta_F(h_init: HermitianOperator, h_final: HermitianOperator, beta: float) -> float:
+# A protocol endpoint: a Hamiltonian, or its energy basis, so that a caller
+# evaluating several quantities of one protocol diagonalises each endpoint once.
+Endpoint = HermitianOperator | EnergyBasis
+
+
+def _basis(h: Endpoint) -> EnergyBasis:
+    return h if isinstance(h, EnergyBasis) else energy_basis(h)
+
+
+def delta_F(h_init: Endpoint, h_final: Endpoint, beta: float) -> float:
     """Free-energy difference -(1/beta)(ln Z_T - ln Z_0) between the endpoint Hamiltonians."""
     if h_init.dim != h_final.dim:
         raise InputError(f"dimension mismatch: {h_init.dim} != {h_final.dim}")
-    lz0 = thermal_state(h_init, beta).log_partition
-    lzt = thermal_state(h_final, beta).log_partition
+    lz0 = _basis(h_init).gibbs(beta)[1]
+    lzt = _basis(h_final).gibbs(beta)[1]
     return -(lzt - lz0) / beta
 
 
+def _measured_work(first: EnergyBasis, second: EnergyBasis, u: np.ndarray, beta, merge_tol):
+    """TPM work distribution: Gibbs-weighted measurement in `first`, u, measurement in `second`."""
+    if merge_tol is None:
+        merge_tol = default_merge_tol(first.eigenvalues, second.eigenvalues)
+    amp = second.eigenvectors.conj().T @ u @ first.eigenvectors
+    joint = np.abs(amp) ** 2 * first.gibbs(beta)[0][None, :]
+    works = second.eigenvalues[:, None] - first.eigenvalues[None, :]
+    return WorkDistribution.from_raw(works, joint, merge_tol=merge_tol)
+
+
 def forward_distribution(
-    h_init: HermitianOperator,
-    h_final: HermitianOperator,
-    u: UnitaryOperator,
-    beta: float,
+    h_init: Endpoint, h_final: Endpoint, u: UnitaryOperator, beta: float,
     merge_tol: float | None = None,
 ) -> WorkDistribution:
     """Forward-protocol work distribution from exact outcome enumeration.
@@ -135,52 +135,36 @@ def forward_distribution(
         raise InputError("operator dimensions must match")
     if u.unitarity_defect > u.tol:
         raise InputError("propagator is not unitary within tolerance")
-    b0 = energy_basis(h_init)
-    bt = energy_basis(h_final)
-    if merge_tol is None:
-        merge_tol = default_merge_tol(b0.eigenvalues, bt.eigenvalues)
-    gibbs = np.exp(-beta * (b0.eigenvalues - b0.eigenvalues[0]))
-    gibbs /= np.sum(gibbs)
-    amp = bt.eigenvectors.conj().T @ u.entries @ b0.eigenvectors
-    joint = np.abs(amp) ** 2 * gibbs[None, :]  # p_{k,l}
-    works = bt.eigenvalues[:, None] - b0.eigenvalues[None, :]
-    return WorkDistribution.from_raw(works, joint, merge_tol=merge_tol)
+    return _measured_work(_basis(h_init), _basis(h_final), u.entries, beta, merge_tol)
+
+
+def _real_basis(name: str, h: Endpoint) -> EnergyBasis:
+    basis = _basis(h)
+    if float(np.max(np.abs(basis.eigenvectors.imag))) > 1e-12:
+        raise InputError(
+            f"{name} has complex eigenvectors; the reverse protocol assumes time-reversal "
+            "invariance, i.e. real-symmetric Hamiltonians in the computational basis"
+        )
+    return basis
 
 
 def reverse_distribution(
-    h_init: HermitianOperator,
-    h_final: HermitianOperator,
-    u: UnitaryOperator,
-    beta: float,
+    h_init: Endpoint, h_final: Endpoint, u: UnitaryOperator, beta: float,
     merge_tol: float | None = None,
 ) -> WorkDistribution:
     """Reverse-protocol distribution over the reverse work variable -W.
 
     The reverse propagator follows from micro-reversibility with the
     time-reversal operator taken as complex conjugation in the computational
-    basis, which requires real-symmetric endpoint Hamiltonians.
+    basis, which requires real-symmetric endpoint Hamiltonians; an endpoint
+    given as a basis must have real eigenvectors.
     """
     if h_init.dim != h_final.dim or u.dim != h_init.dim:
         raise InputError("operator dimensions must match")
-    for name, h in (("h_init", h_init), ("h_final", h_final)):
-        if float(np.max(np.abs(h.entries.imag))) > 1e-12:
-            raise InputError(
-                f"{name} has complex entries; the reverse protocol assumes time-reversal "
-                "invariance, i.e. real-symmetric Hamiltonians in the computational basis"
-            )
-    b0 = energy_basis(HermitianOperator(h_init.entries.real.astype(complex)))
-    bt = energy_basis(HermitianOperator(h_final.entries.real.astype(complex)))
-    if merge_tol is None:
-        merge_tol = default_merge_tol(b0.eigenvalues, bt.eigenvalues)
-    # conjugation-Theta micro-reversibility: Theta U^dagger Theta^dagger = U^T
-    u_rev = u.entries.T
-    gibbs = np.exp(-beta * (bt.eigenvalues - bt.eigenvalues[0]))
-    gibbs /= np.sum(gibbs)
+    b0 = _real_basis("h_init", h_init)
+    # conjugation-Theta micro-reversibility: Theta U^dagger Theta^dagger = U^T, and
     # Theta acts trivially on the real eigenvectors of the endpoint Hamiltonians
-    amp = b0.eigenvectors.conj().T @ u_rev @ bt.eigenvectors
-    joint = np.abs(amp) ** 2 * gibbs[None, :]  # p_{l,k}
-    rev_works = b0.eigenvalues[:, None] - bt.eigenvalues[None, :]  # -W_{k,l}
-    return WorkDistribution.from_raw(rev_works, joint, merge_tol=merge_tol)
+    return _measured_work(_real_basis("h_final", h_final), b0, u.entries.T, beta, merge_tol)
 
 
 def crooks_check(
@@ -190,20 +174,25 @@ def crooks_check(
     delta_f: float,
     p_floor: float = P_FLOOR,
 ) -> float:
-    """Maximum residual |ln(P_fwd(W)/P_rev(-W)) - beta (W - delta_F)| over matched support."""
-    residual = 0.0
-    matched = 0
-    for w, p in zip(fwd.works, fwd.probs):
-        if p <= p_floor:
-            continue
-        q = rev.probability_at(-w)
-        if q is None or q <= p_floor:
-            continue
-        matched += 1
-        residual = max(residual, abs(math.log(p / q) - beta * (w - delta_f)))
-    if matched == 0:
+    """Maximum residual |ln(P_fwd(W)/P_rev(-W)) - beta (W - delta_F)| over matched support.
+
+    Each forward point above p_floor is matched to the nearest of the three
+    reverse points around -W; it counts when that point lies within the
+    reverse merge_tol and carries probability above p_floor.
+    """
+    keep = fwd.probs > p_floor
+    w, p = fwd.works[keep], fwd.probs[keep]
+    cand = np.searchsorted(rev.works, -w)[:, None] + np.array([-1, 0, 1])
+    dist = np.abs(rev.works[np.clip(cand, 0, rev.works.size - 1)] + w[:, None])
+    dist[(cand < 0) | (cand >= rev.works.size)] = np.inf
+    nearest = np.argmin(dist, axis=1)  # the first of equally near points, as a scan would pick
+    rows = np.arange(w.size)
+    q = rev.probs[cand[rows, nearest]]
+    matched = (dist[rows, nearest] <= rev.merge_tol) & (q > p_floor)
+    if not np.any(matched):
         raise NumericError("no matchable support points between forward and reverse distributions")
-    return residual
+    w, p, q = w[matched], p[matched], q[matched]
+    return float(np.max(np.abs(np.log(p / q) - beta * (w - delta_f))))
 
 
 def jarzynski_average(fwd: WorkDistribution, beta: float) -> float:
@@ -222,14 +211,16 @@ def dissipated_work_thermal(
     """Average and dissipated work with thermal states at both protocol endpoints.
 
     <W> = Tr{h_final rho_T} - Tr{h_init rho_0}, both states Gibbs at beta;
-    W_diss = <W> - delta_F.
+    W_diss = <W> - delta_F, with delta_F from the two states' partition functions.
     """
     if h_init.dim != h_final.dim:
         raise InputError(f"dimension mismatch: {h_init.dim} != {h_final.dim}")
-    rho0 = thermal_state(h_init, beta).density
-    rhot = thermal_state(h_final, beta).density
-    mw = float(np.real(np.trace(h_final.entries @ rhot) - np.trace(h_init.entries @ rho0)))
-    return mw, mw - delta_F(h_init, h_final, beta)
+    state0 = thermal_state(h_init, beta)
+    statet = thermal_state(h_final, beta)
+    mw = float(np.real(np.trace(h_final.entries @ statet.density)
+                       - np.trace(h_init.entries @ state0.density)))
+    delta_f = -(statet.log_partition - state0.log_partition) / beta
+    return mw, mw - delta_f
 
 
 def entropy_production_two_level(zfactor: float, beta_eps: float) -> float:

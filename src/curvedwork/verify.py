@@ -18,9 +18,9 @@ from .frame import FrameData, FramePoint, metric_components, redshift_exact, \
 from .quantum import (
     AffinePath,
     HermitianOperator,
+    energy_basis,
     propagator,
     qho_hamiltonian,
-    thermal_state,
     transition_probability_formula,
     two_level_hamiltonian,
     x_squared_matrix,
@@ -51,18 +51,13 @@ def _random_symmetric(rng, dim, scale=0.3):
     return 0.5 * (m + m.T)
 
 
-def _random_protocol(rng, dim, beta, steps=40):
-    a = _random_symmetric(rng, dim)
-    b = _random_symmetric(rng, dim)
+def _random_protocol(rng, dim, steps=40):
+    """Endpoint energy bases and propagator of H(tau) = a + sin(tau) b over [0, 1]."""
+    path = AffinePath(HermitianOperator(_random_symmetric(rng, dim)),
+                      HermitianOperator(_random_symmetric(rng, dim)), math.sin)
     duration = 1.0
-
-    def path(tau):
-        return HermitianOperator((a + math.sin(tau) * b).astype(complex))
-
-    h0 = path(0.0)
-    ht = path(duration)
     u = propagator(path, 0.0, duration, steps)
-    return h0, ht, u
+    return energy_basis(path(0.0)), energy_basis(path(duration)), u
 
 
 def check_fluctuation_relations(n_protocols=200, seed=7):
@@ -74,10 +69,10 @@ def check_fluctuation_relations(n_protocols=200, seed=7):
     for i in range(n_protocols):
         dim = dims[i % len(dims)]
         beta = float(rng.uniform(0.1, 5.0))
-        h0, ht, u = _random_protocol(rng, dim, beta)
-        fwd = forward_distribution(h0, ht, u, beta)
-        rev = reverse_distribution(h0, ht, u, beta)
-        df = delta_F(h0, ht, beta)
+        b0, bt, u = _random_protocol(rng, dim)
+        fwd = forward_distribution(b0, bt, u, beta)
+        rev = reverse_distribution(b0, bt, u, beta)
+        df = delta_F(b0, bt, beta)
         max_crooks = max(max_crooks, crooks_check(fwd, rev, beta, df))
         zratio = math.exp(-beta * df)
         max_jarzynski = max(max_jarzynski, abs(jarzynski_average(fwd, beta) - zratio))
@@ -202,12 +197,9 @@ def criterion_propagator_quality(level="full"):
                          lambda tau: 0.5 * mass * frame.riemann_titj(tau)[0, 0])
     defects["desitter_oscillator"] = propagator(ds_path, 0.0, 10.0, 200).unitarity_defect
     rng = np.random.default_rng(11)
-    a = _random_symmetric(rng, 6, scale=0.5)
-    b = _random_symmetric(rng, 6, scale=0.5)
-
-    def driven_path(tau):
-        return HermitianOperator((a + math.sin(2.0 * tau) * b).astype(complex))
-
+    driven_path = AffinePath(HermitianOperator(_random_symmetric(rng, 6, scale=0.5)),
+                             HermitianOperator(_random_symmetric(rng, 6, scale=0.5)),
+                             lambda tau: math.sin(2.0 * tau))
     defects["driven_two_level_family"] = propagator(driven_path, 0.0, 4.0, 200).unitarity_defect
     max_defect = max(defects.values())
     details = {"unitarity_defects": defects, "unitarity_tolerance": 1e-9}

@@ -180,6 +180,13 @@ class TestTimeDilation:
         with pytest.raises(InputError):
             time_dilation(flat_frame(), point([0, 0, 0]), [0, 0, 0], -1.0)
 
+    def test_validity_bound_enforced(self):
+        # the same guard as metric_components and redshift_weakfield
+        with pytest.raises(DomainError, match=r"\|a\.x\|"):
+            time_dilation(uniform_gravity_frame(1e6), point([0.5, 0.0, 0.0]), [0, 0, 0], 1.0)
+        with pytest.raises(DomainError, match=r"\|R\| r\^2"):
+            time_dilation(desitter_frame(1.0), point([0.0, 0.5, 0.0]), [0, 0, 0], 1.0)
+
 
 class TestValidateFrame:
     def test_flat_frame_passes_exactly(self):

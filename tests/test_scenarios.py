@@ -127,7 +127,7 @@ class TestRunNewtonian:
     def test_zfactor_conventions_reported(self):
         art = run_newtonian(newtonian_config())
         meta = art.metadata["newtonian"]
-        assert meta["zfactor_general"] == pytest.approx(1.05)
+        assert meta["zfactor"] == pytest.approx(1.05)
         assert meta["zfactor_doubled_convention"] == pytest.approx(1.10)
 
     def test_entropy_curve_matches_closed_form(self):
@@ -366,6 +366,23 @@ class TestCli:
         path.write_text("{\"scenario\": \"newtonian\"}")
         rc = cli_main(["newtonian", "--config", str(path), "--out", str(tmp_path / "o")])
         assert rc == 1
+
+    def test_point_outside_expansion_bound_exit_code(self, tmp_path, capsys):
+        # g x = 5e5 is far outside the |a.x| < 0.1 bound of the time-dilation expansion
+        path = self.write_config(tmp_path, newtonian_config(geometry={"g": 1e6}))
+        rc = cli_main(["newtonian", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "expansion bound" in err[0]
+        assert not (tmp_path / "o").exists()
+
+    def test_output_path_key_rejected(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**newtonian_config().to_dict(), "output_path": "results"}))
+        rc = cli_main(["newtonian", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: unknown config keys ['output_path']"]
 
     def test_convergence_error_exit_code(self, tmp_path):
         cfg = desitter_config(

@@ -1,10 +1,12 @@
-"""Structured Hamiltonian paths: each specialised propagator against the dense loop."""
+"""Structured Hamiltonian paths: each specialised propagator against the dense fallback,
+and the batched dense fallback against a plain per-step loop."""
 
 import math
 
 import numpy as np
 import pytest
 
+from curvedwork import quantum
 from curvedwork.errors import InputError
 from curvedwork.quantum import (
     AffinePath,
@@ -20,7 +22,7 @@ STEPS = (1, 50)
 
 
 def dense(path, tau0, tau1, steps):
-    """The same path as an opaque callable, which always takes the dense loop."""
+    """The same path as an opaque callable, which always takes the dense fallback."""
     return propagator(lambda tau: path(tau), tau0, tau1, steps).entries
 
 
@@ -133,3 +135,101 @@ class TestNonFiniteCoefficient:
         path = ScaledPath(qho_hamiltonian(1.0, 1.0, 3), lambda tau: bad if tau > 0.5 else 1.0)
         with pytest.raises(InputError, match="non-finite"):
             propagator(path, 0.0, 1.0, 10)
+
+
+def reference_loop(path, tau0, tau1, steps):
+    """The midpoint product one eigendecomposition at a time, as the dense fallback defines it."""
+    dt = (tau1 - tau0) / steps
+    u = None
+    for j in range(steps):
+        h = path(tau0 + (j + 0.5) * dt)
+        h = h.entries if isinstance(h, HermitianOperator) else np.asarray(h, dtype=complex)
+        if u is None:
+            u = np.eye(h.shape[0], dtype=complex)
+        w, v = np.linalg.eigh(h)
+        u = ((v * np.exp(-1j * w * dt)) @ v.conj().T) @ u
+    return u
+
+
+def dense_path(kind, dim, seed):
+    """H(tau) = a + sin(1.3 tau) b with complex Hermitian a, b, in one of three forms."""
+    rng = np.random.default_rng(seed)
+    a, b = random_hermitian(rng, dim), random_hermitian(rng, dim)
+
+    def f(tau):
+        return math.sin(1.3 * tau)
+
+    if kind == "affine":
+        return AffinePath(a, b, f)
+    if kind == "operator":
+        return lambda tau: HermitianOperator(a.entries + f(tau) * b.entries)
+    return lambda tau: a.entries + f(tau) * b.entries
+
+
+@pytest.mark.parametrize("kind", ["ndarray", "operator", "affine"])
+@pytest.mark.parametrize("dim", (2, 6, 40))
+@pytest.mark.parametrize("steps", (1, 40))
+@pytest.mark.parametrize("per_batch", [None, 3], ids=["default_batch", "three_per_batch"])
+def test_batched_dense_product_matches_reference_loop(kind, dim, steps, per_batch, monkeypatch):
+    if per_batch is not None:
+        monkeypatch.setattr(quantum, "DENSE_BATCH_ENTRIES", per_batch * dim * dim)
+    path = dense_path(kind, dim, 10 * dim + steps)
+    u = propagator(path, 0.1, 2.3, steps).entries
+    np.testing.assert_allclose(u, reference_loop(path, 0.1, 2.3, steps), rtol=0, atol=1e-14)
+
+
+STEPS_IN_BATCHES_OF_TWO = 9
+BAD_STEPS = (0, 1, 2, 5, 8)
+
+
+@pytest.fixture
+def two_per_batch(monkeypatch):
+    """Two 3x3 matrices per eigh batch, so a bad step can sit anywhere in a batch."""
+    monkeypatch.setattr(quantum, "DENSE_BATCH_ENTRIES", 2 * 3 * 3)
+
+
+@pytest.mark.usefixtures("two_per_batch")
+@pytest.mark.parametrize("bad_step", BAD_STEPS)
+class TestBadMidpointAtAnyBatchPosition:
+    def run(self, path):
+        propagator(path, 0.0, 1.0, STEPS_IN_BATCHES_OF_TWO)
+
+    def is_bad(self, bad_step):
+        """Whether tau is the midpoint of step `bad_step` of the run over [0, 1]."""
+        dt = 1.0 / STEPS_IN_BATCHES_OF_TWO
+        return lambda tau: round(tau / dt - 0.5) == bad_step
+
+    def test_dimension_change(self, bad_step):
+        is_bad = self.is_bad(bad_step)
+        h3, h4 = qho_hamiltonian(1.0, 1.0, 3), qho_hamiltonian(1.0, 1.0, 4)
+        with pytest.raises(InputError, match="dimension changed"):
+            self.run(lambda tau: h4 if is_bad(tau) else h3)
+
+    def test_non_hermitian_callable(self, bad_step):
+        is_bad = self.is_bad(bad_step)
+        h = qho_hamiltonian(1.0, 1.0, 3).entries
+        skew = h.copy()
+        skew[0, 1] = 0.1
+        with pytest.raises(InputError, match="not Hermitian"):
+            self.run(lambda tau: skew if is_bad(tau) else h)
+
+    def test_non_hermitian_affine_midpoint(self, bad_step):
+        # x is Hermitian within tolerance, but a large f amplifies its deviation past it
+        is_bad = self.is_bad(bad_step)
+        rng = np.random.default_rng(bad_step)
+        x = random_hermitian(rng, 3).entries
+        x[0, 1] += 5e-13
+        path = AffinePath(random_hermitian(rng, 3), HermitianOperator(x),
+                          lambda tau: 100.0 if is_bad(tau) else 0.5)
+        assert path.sectors is None
+        with pytest.raises(InputError, match="not Hermitian"):
+            self.run(path)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_affine_coefficient(self, bad_step, bad):
+        is_bad = self.is_bad(bad_step)
+        rng = np.random.default_rng(bad_step)
+        path = AffinePath(random_hermitian(rng, 3), random_hermitian(rng, 3),
+                          lambda tau: bad if is_bad(tau) else 0.5)
+        with pytest.raises(InputError, match="non-finite"):
+            self.run(path)
