@@ -22,15 +22,10 @@ from .frame import (
     validate_frame,
 )
 from .spacetimes import (
-    FrwFermiMap,
     ScaleFactor,
     desitter_frame,
-    desitter_scale_factor,
     flat_frame,
-    frw_fermi_map,
     frw_frame,
-    hubble_from_lambda,
-    static_scale_factor,
     uniform_gravity_frame,
 )
 from .quantum import (

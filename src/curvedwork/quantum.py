@@ -15,8 +15,6 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import InputError, NumericError
 
@@ -69,10 +67,9 @@ class UnitaryOperator:
             raise InputError(f"operator must be square, got shape {m.shape}")
         if not np.all(np.isfinite(m)):
             raise NumericError("non-finite unitary entries")
-        dev = float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))
-        if dev > self.tol:
-            raise InputError(f"matrix is not unitary: max deviation {dev:.3g}")
         object.__setattr__(self, "entries", m)
+        if self.unitarity_defect > self.tol:
+            raise InputError(f"matrix is not unitary: max deviation {self.unitarity_defect:.3g}")
 
     @property
     def dim(self) -> int:
@@ -82,10 +79,6 @@ class UnitaryOperator:
     def unitarity_defect(self) -> float:
         m = self.entries
         return float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))
-
-
-def identity_unitary(dim: int) -> UnitaryOperator:
-    return UnitaryOperator(np.eye(dim, dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -138,11 +131,13 @@ def energy_basis(op: HermitianOperator) -> EnergyBasis:
 
 @dataclass(frozen=True)
 class ThermalState:
-    """Gibbs state e^(-beta H)/Z with its inverse temperature and log partition function."""
+    """Gibbs state e^(-beta H)/Z with its inverse temperature, log partition function
+    and mean energy Tr(H rho)."""
 
     beta: float
     density: np.ndarray
     log_partition: float
+    mean_energy: float
 
 
 def thermal_state(op: HermitianOperator | EnergyBasis, beta: float) -> ThermalState:
@@ -152,7 +147,8 @@ def thermal_state(op: HermitianOperator | EnergyBasis, beta: float) -> ThermalSt
     v = basis.eigenvectors
     rho = (v * populations) @ v.conj().T
     rho = 0.5 * (rho + rho.conj().T)
-    return ThermalState(beta=beta, density=rho, log_partition=log_partition)
+    return ThermalState(beta=beta, density=rho, log_partition=log_partition,
+                        mean_energy=float(populations @ basis.eigenvalues))
 
 
 def two_level_hamiltonian(eps: float) -> HermitianOperator:
@@ -172,31 +168,21 @@ def qho_hamiltonian(mass: float, omega: float, dim: int) -> HermitianOperator:
     return HermitianOperator(np.diag((n + 0.5) * omega).astype(complex))
 
 
-def x_squared_element(mass: float, omega: float, n: int, m: int) -> float:
-    """Single matrix element <n|x^2|m> in the Fock basis (0-based indices)."""
-    if mass <= 0 or omega <= 0:
-        raise InputError("mass and omega must be positive")
-    pref = 1.0 / (2.0 * mass * omega)
-    if n == m - 2:
-        return pref * math.sqrt(m * (m - 1))
-    if n == m:
-        return pref * (2 * m + 1)
-    if n == m + 2:
-        return pref * math.sqrt((m + 1) * (m + 2))
-    return 0.0
+def x_squared_element(mass: float, omega: float, n, m):
+    """<n|x^2|m> in the Fock basis (0-based indices), elementwise over index arrays."""
+    n, m = np.asarray(n), np.asarray(m)
+    lo = np.minimum(n, m)
+    if mass <= 0 or omega <= 0 or np.any(lo < 0):
+        raise InputError("mass and omega must be positive and Fock indices non-negative")
+    band = np.where(n == m, 2 * m + 1.0,
+                    np.where(np.abs(n - m) == 2, np.sqrt((lo + 1.0) * (lo + 2.0)), 0.0))
+    return band / (2.0 * mass * omega)
 
 
 def x_squared_matrix(mass: float, omega: float, dim: int) -> HermitianOperator:
     """Position-squared operator on the truncated Fock space."""
-    if mass <= 0 or omega <= 0:
-        raise InputError("mass and omega must be positive")
     n = np.arange(dim)
-    m = np.zeros((dim, dim))
-    m[n, n] = 2 * n + 1
-    off = np.sqrt((n[:-2] + 1) * (n[:-2] + 2))
-    m[n[:-2], n[:-2] + 2] = off
-    m[n[:-2] + 2, n[:-2]] = off
-    return HermitianOperator((m / (2.0 * mass * omega)).astype(complex))
+    return HermitianOperator(x_squared_element(mass, omega, n[:, None], n[None, :]).astype(complex))
 
 
 def _exp_factor(w, v, t):
@@ -226,6 +212,8 @@ def _parity_sectors(h0: np.ndarray, x: np.ndarray):
 
 
 def _sector_eigh(sector, value):
+    from scipy.linalg import eigh_tridiagonal  # scipy loads only where a sector is solved
+
     _, d0, dx, ex = sector
     return eigh_tridiagonal(d0 + value * dx, value * ex)
 
@@ -405,6 +393,8 @@ def perturbative_amplitude(mass, omega0, curvature_tt, n: int, m: int, tau: floa
 
     def im(t):
         return curvature_tt(t) * math.sin(freq * t)
+
+    from scipy import integrate  # scipy loads only where an amplitude is integrated
 
     parts = []
     for fn in (re, im):

@@ -20,10 +20,11 @@ from .errors import ConfigError, ConvergenceError, InputError
 from .frame import FrameData, FramePoint, time_dilation, validate_frame
 from .quantum import (
     AffinePath,
+    EnergyBasis,
     HermitianOperator,
     ScaledPath,
+    UnitaryOperator,
     energy_basis,
-    identity_unitary,
     perturbative_amplitude,
     propagator,
     qho_hamiltonian,
@@ -47,26 +48,70 @@ from .tpm import (
 )
 
 SCENARIOS = ("newtonian", "desitter", "custom")
-SYSTEM_KINDS = ("two_level", "oscillator", "matrix")
 LEAKAGE_LIMIT = 1e-8
 DEFAULT_OSCILLATOR_DIM = 40
 
-_TOP_KEYS = {
-    "scenario", "beta", "system", "geometry", "position", "momentum",
-    "duration", "steps", "merge_tol", "tolerances",
-    "seed", "samples", "zfactor_grid", "curve_points",
+# Field types: REAL is a finite number (an int or a float, not a bool) and
+# POSITIVE one above 0; an int n is an integer (not a bool or a float) of at
+# least n; a tuple is the shape of an array of REALs, None marking any length;
+# a class is that class.  Top-level fields in _OPTIONAL may be None (absent).
+REAL, POSITIVE = "a finite number", "a positive number"
+_FIELDS = {
+    "scenario": str, "beta": POSITIVE, "system": dict, "geometry": dict,
+    "position": (3,), "momentum": (3,), "duration": POSITIVE, "steps": 1,
+    "merge_tol": POSITIVE, "tolerances": dict, "seed": 0, "samples": 1,
+    "zfactor_grid": (None,), "curve_points": 2,
 }
-_SYSTEM_KEYS = {
-    "two_level": {"kind", "eps", "mass"},
-    "oscillator": {"kind", "mass", "omega0", "dim"},
-    "matrix": {"kind", "entries", "mass"},
+_OPTIONAL = {"merge_tol", "seed", "samples", "zfactor_grid"}
+_SYSTEM_FIELDS = {
+    "two_level": {"kind": str, "eps": POSITIVE, "mass": POSITIVE},
+    "oscillator": {"kind": str, "mass": POSITIVE, "omega0": POSITIVE, "dim": 2},
+    "matrix": {"kind": str, "entries": (None, None), "mass": POSITIVE},
 }
-_GEOMETRY_KEYS = {"g", "hubble", "frame_tables"}
+_REQUIRED_SYSTEM = {"two_level": ("eps",), "oscillator": ("mass", "omega0"),
+                    "matrix": ("entries",)}
+_GEOMETRY_FIELDS = {"g": REAL, "hubble": POSITIVE, "frame_tables": dict}
+_TOLERANCE_FIELDS = {"frame_symmetry": POSITIVE}
 
 
 def _require(cond, msg):
     if not cond:
         raise ConfigError(msg)
+
+
+def _reals(name: str, value, shape: tuple = ()) -> np.ndarray:
+    """`value` as a float array of `shape` (None: any length); ConfigError unless every
+    entry is an int or a float, not a bool, and finite within the float range."""
+    shown = str(tuple("n" if n is None else n for n in shape)).replace("'", "")
+    must = f"{name} must be " + (f"an array of finite numbers of shape {shown}" if shape else REAL)
+    arr = np.asarray(value, dtype=object)
+    _require(arr.ndim == len(shape) and all(n in (None, k) for n, k in zip(shape, arr.shape))
+             and all(issubclass(t, (int, float, np.integer, np.floating)) and t is not bool
+                     for t in set(map(type, arr.flat))), must)
+    try:
+        arr = arr.astype(float)
+    except OverflowError:  # an int beyond the float range
+        arr = np.array(np.inf)
+    _require(np.all(np.isfinite(arr)), must)
+    return arr
+
+
+def _check_fields(block: str, values: dict, types: dict) -> None:
+    """Reject keys of `values` that `types` lacks and values not of their field's type."""
+    extra = set(values) - set(types)
+    _require(not extra, f"unknown {block} keys {sorted(extra)}")
+    for key, value in values.items():
+        kind, name = types[key], key if block == "config" else f"{block}.{key}"
+        if isinstance(kind, tuple):
+            _reals(name, value, kind)
+        elif isinstance(kind, int):
+            _require(isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+                     and value >= kind, f"{name} must be an integer >= {kind}")
+        elif kind in (REAL, POSITIVE):
+            _require(_reals(name, value) > 0 or kind is REAL, f"{name} must be {kind}")
+        else:
+            _require(isinstance(value, kind),
+                     f"{name} must be {'a string' if kind is str else 'an object'}")
 
 
 @dataclass
@@ -87,36 +132,22 @@ class ScenarioConfig:
     curve_points: int = 50
 
     def __post_init__(self):
+        _check_fields("config", {k: v for k, v in vars(self).items()
+                                 if v is not None or k not in _OPTIONAL}, _FIELDS)
         _require(self.scenario in SCENARIOS, f"unknown scenario {self.scenario!r}")
-        _require(self.beta > 0, "beta must be positive")
-        _require(self.duration > 0, "duration must be positive")
-        _require(self.steps >= 1, "steps must be at least 1")
-        _require(self.curve_points >= 2, "curve_points must be at least 2")
         kind = self.system.get("kind")
-        _require(kind in SYSTEM_KINDS, f"unknown system kind {kind!r}")
-        extra = set(self.system) - _SYSTEM_KEYS[kind]
-        _require(not extra, f"unknown system keys {sorted(extra)}")
-        if kind == "two_level":
-            _require(self.system.get("eps", 0) > 0, "two_level system needs eps > 0")
-        elif kind == "oscillator":
-            _require(self.system.get("omega0", 0) > 0, "oscillator needs omega0 > 0")
-            _require(self.system.get("mass", 0) > 0, "oscillator needs mass > 0")
-            _require(int(self.system.get("dim", DEFAULT_OSCILLATOR_DIM)) >= 2,
-                     "oscillator dim must be at least 2")
-        else:
-            _require("entries" in self.system, "matrix system needs entries")
-        extra = set(self.geometry) - _GEOMETRY_KEYS
-        _require(not extra, f"unknown geometry keys {sorted(extra)}")
-        _require(len(self.position) == 3 and len(self.momentum) == 3,
-                 "position and momentum must be 3-vectors")
-        if self.samples is not None:
-            _require(self.samples >= 1, "samples must be at least 1")
+        _require(isinstance(kind, str) and kind in _SYSTEM_FIELDS, f"unknown system kind {kind!r}")
+        missing = [key for key in _REQUIRED_SYSTEM[kind] if key not in self.system]
+        _require(not missing, f"{kind} system needs {' and '.join(missing)}")
+        _check_fields("system", self.system, _SYSTEM_FIELDS[kind])
+        _check_fields("geometry", self.geometry, _GEOMETRY_FIELDS)
+        _check_fields("tolerances", self.tolerances, _TOLERANCE_FIELDS)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
         if not isinstance(data, dict):
             raise ConfigError("config must be a JSON object")
-        extra = set(data) - _TOP_KEYS
+        extra = set(data) - set(_FIELDS)
         _require(not extra, f"unknown config keys {sorted(extra)}")
         _require("scenario" in data and "beta" in data and "system" in data
                  and "geometry" in data, "scenario, beta, system and geometry are required")
@@ -221,10 +252,9 @@ def run_newtonian(config: ScenarioConfig) -> RunArtifacts:
     point = FramePoint(tau=config.duration, x=np.asarray(config.position, dtype=float))
     zf = time_dilation(frame, point, np.asarray(config.momentum, dtype=float), sysmass)
     h0 = two_level_hamiltonian(eps)
-    ht = HermitianOperator(zf * h0.entries)
-    u = identity_unitary(2)
+    b0, bt = energy_basis(h0), energy_basis(HermitianOperator(zf * h0.entries))
 
-    fwd, rev, report = _protocol_outputs(energy_basis(h0), energy_basis(ht), u, config)
+    fwd, rev, report = _protocol_outputs(b0, bt, UnitaryOperator(np.eye(2)), config)
 
     zgrid = np.asarray(
         config.zfactor_grid if config.zfactor_grid is not None else np.linspace(0.5, 1.5, 41),
@@ -235,9 +265,9 @@ def run_newtonian(config: ScenarioConfig) -> RunArtifacts:
     )
     sigma_oracle = np.empty_like(sigma_formula)
     for i, z in enumerate(zgrid):
-        hz = HermitianOperator(z * h0.entries)
-        _, wdiss = dissipated_work_thermal(h0, hz, config.beta)
-        sigma_oracle[i] = config.beta * wdiss
+        # the closed form above has rejected z <= 0, and z > 0 keeps the level order
+        bz = EnergyBasis(z * b0.eigenvalues, b0.eigenvectors)
+        sigma_oracle[i] = config.beta * dissipated_work_thermal(b0, bz, config.beta)[1]
 
     metadata = _base_metadata(config)
     gx = g * float(config.position[0])
@@ -249,8 +279,7 @@ def run_newtonian(config: ScenarioConfig) -> RunArtifacts:
         "zfactor_doubled_convention": 1.0 + 2.0 * gx - p2 / (2.0 * sysmass),
         "entropy_closed_form": entropy_production_two_level(zf, config.beta * eps)
         if zf > 0 else None,
-        "entropy_thermal_oracle": config.beta
-        * dissipated_work_thermal(h0, ht, config.beta)[1],
+        "entropy_thermal_oracle": config.beta * dissipated_work_thermal(b0, bt, config.beta)[1],
     }
     _maybe_sample(config, fwd, metadata)
     curves = {
@@ -307,7 +336,6 @@ def run_desitter(config: ScenarioConfig) -> RunArtifacts:
              "the desitter scenario runs an oscillator system")
     _require("hubble" in config.geometry, "desitter geometry needs 'hubble'")
     hubble = float(config.geometry["hubble"])
-    _require(hubble > 0, "hubble must be positive")
     omega0 = float(config.system["omega0"])
     mass = float(config.system["mass"])
     _require(hubble < omega0,
@@ -374,19 +402,15 @@ def _frame_from_tables(tables: dict, tolerances: dict) -> FrameData:
     required = {"tau", "accel", "riemann_titj", "riemann_tjik", "riemann_ikjl"}
     if not isinstance(tables, dict) or set(tables) != required:
         raise InputError(f"frame_tables must have exactly the keys {sorted(required)}")
-    taus = np.asarray(tables["tau"], dtype=float)
+    taus = _reals("frame_tables.tau", tables["tau"], (None,))
     if taus.size == 0:
         raise InputError("frame tables are empty")
-    if taus.ndim != 1 or (taus.size > 1 and np.any(np.diff(taus) <= 0)):
+    if np.any(np.diff(taus) <= 0):
         raise InputError("frame table taus must be strictly increasing")
-    arrays = {}
     shapes = {"accel": (3,), "riemann_titj": (3, 3), "riemann_tjik": (3, 3, 3),
               "riemann_ikjl": (3, 3, 3, 3)}
-    for key, shape in shapes.items():
-        arr = np.asarray(tables[key], dtype=float)
-        if arr.shape != (taus.size, *shape):
-            raise InputError(f"{key} table must have shape (n, {shape}), got {arr.shape}")
-        arrays[key] = arr
+    arrays = {key: _reals(f"frame_tables.{key}", tables[key], (taus.size, *shape))
+              for key, shape in shapes.items()}
 
     def interp(key):
         arr = arrays[key]

@@ -1,4 +1,4 @@
-"""Catalog of concrete Fermi-frame builders and FRW coordinate maps.
+"""Catalog of concrete Fermi-frame builders.
 
 All builders return reentrant function bundles; for FRW frames the scale
 factor is evaluated at cosmic time t = tau, since on the comoving worldline
@@ -7,7 +7,6 @@ cosmic time coincides with proper time.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -17,6 +16,8 @@ from .errors import InputError
 from .frame import FrameData
 
 _DELTA = np.eye(3)
+# indexed [i, k, j, l]: d_ij d_kl - d_il d_kj realizes all Riemann pair symmetries
+_PAIR = np.einsum("ij,kl->ikjl", _DELTA, _DELTA) - np.einsum("il,kj->ikjl", _DELTA, _DELTA)
 
 
 @dataclass(frozen=True)
@@ -26,37 +27,6 @@ class ScaleFactor:
     value: Callable[[float], float]
     d1: Callable[[float], float]
     d2: Callable[[float], float]
-
-
-@dataclass(frozen=True)
-class FrwFermiMap:
-    """Map from Fermi coordinates (tau, x) to FRW coordinates (t, X), O(r^4) truncation."""
-
-    cosmic_time: Callable[[float, np.ndarray], float]
-    comoving_position: Callable[[float, np.ndarray], np.ndarray]
-
-
-def static_scale_factor() -> ScaleFactor:
-    """Static universe, a(t) = 1."""
-    return ScaleFactor(value=lambda t: 1.0, d1=lambda t: 0.0, d2=lambda t: 0.0)
-
-
-def desitter_scale_factor(hubble: float) -> ScaleFactor:
-    """Exponential expansion a(t) = exp(H t) driven by a positive cosmological constant."""
-    if hubble <= 0:
-        raise InputError(f"hubble must be positive, got {hubble}")
-    return ScaleFactor(
-        value=lambda t: math.exp(hubble * t),
-        d1=lambda t: hubble * math.exp(hubble * t),
-        d2=lambda t: hubble * hubble * math.exp(hubble * t),
-    )
-
-
-def hubble_from_lambda(lam: float) -> float:
-    """Hubble parameter of the constant-dominated universe, H = sqrt(lambda/3)."""
-    if lam <= 0:
-        raise InputError(f"cosmological constant must be positive, got {lam}")
-    return math.sqrt(lam / 3.0)
 
 
 def flat_frame() -> FrameData:
@@ -105,12 +75,7 @@ def frw_frame(sf: ScaleFactor) -> FrameData:
 
     def ikjl(tau: float) -> np.ndarray:
         a = _checked(sf, tau)
-        k = (sf.d1(tau) / a) ** 2
-        # indexed [i, k, j, l]: K (d_ij d_kl - d_il d_kj) realizes all pair symmetries
-        return k * (
-            np.einsum("ij,kl->ikjl", _DELTA, _DELTA)
-            - np.einsum("il,kj->ikjl", _DELTA, _DELTA)
-        )
+        return (sf.d1(tau) / a) ** 2 * _PAIR
 
     return FrameData(
         accel=lambda tau: np.zeros(3),
@@ -121,26 +86,20 @@ def frw_frame(sf: ScaleFactor) -> FrameData:
 
 
 def desitter_frame(hubble: float) -> FrameData:
-    """Comoving frame of the de Sitter universe with Hubble parameter H."""
-    return frw_frame(desitter_scale_factor(hubble))
+    """Comoving frame of the de Sitter universe with Hubble parameter H.
 
-
-def frw_fermi_map(sf: ScaleFactor) -> FrwFermiMap:
-    """Coordinate map between Fermi and FRW coordinates near the comoving worldline.
-
-    t = tau - (adot/2a) r^2, X^i = (x^i/a)(1 + (adot/a)^2 r^2 / 3), both with
-    O(r^4) truncation; scale-factor quantities evaluated at t = tau.
+    The frw_frame curvature of a(t) = e^(Ht), built as the constant tensors
+    R_titj = -H^2 delta_ij and R_ikjl = H^2 (d_ij d_kl - d_il d_kj): forming
+    addot/a from the scale factor rounds to different values at different tau.
     """
-
-    def cosmic_time(tau: float, x) -> float:
-        x = np.asarray(x, dtype=float)
-        a = _checked(sf, tau)
-        return float(tau - 0.5 * (sf.d1(tau) / a) * (x @ x))
-
-    def comoving_position(tau: float, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        a = _checked(sf, tau)
-        h2 = (sf.d1(tau) / a) ** 2
-        return (x / a) * (1.0 + (h2 / 3.0) * (x @ x))
-
-    return FrwFermiMap(cosmic_time=cosmic_time, comoving_position=comoving_position)
+    if hubble <= 0:
+        raise InputError(f"hubble must be positive, got {hubble}")
+    h2 = hubble * hubble
+    titj = -h2 * _DELTA
+    ikjl = h2 * _PAIR
+    return FrameData(
+        accel=lambda tau: np.zeros(3),
+        riemann_titj=lambda tau: titj.copy(),
+        riemann_tjik=lambda tau: np.zeros((3, 3, 3)),
+        riemann_ikjl=lambda tau: ikjl.copy(),
+    )

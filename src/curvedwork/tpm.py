@@ -206,19 +206,19 @@ def mean_work(fwd: WorkDistribution) -> float:
 
 
 def dissipated_work_thermal(
-    h_init: HermitianOperator, h_final: HermitianOperator, beta: float
+    h_init: Endpoint, h_final: Endpoint, beta: float
 ) -> tuple[float, float]:
     """Average and dissipated work with thermal states at both protocol endpoints.
 
     <W> = Tr{h_final rho_T} - Tr{h_init rho_0}, both states Gibbs at beta;
     W_diss = <W> - delta_F, with delta_F from the two states' partition functions.
+    Each endpoint is a Hamiltonian or its energy basis.
     """
     if h_init.dim != h_final.dim:
         raise InputError(f"dimension mismatch: {h_init.dim} != {h_final.dim}")
     state0 = thermal_state(h_init, beta)
     statet = thermal_state(h_final, beta)
-    mw = float(np.real(np.trace(h_final.entries @ statet.density)
-                       - np.trace(h_init.entries @ state0.density)))
+    mw = statet.mean_energy - state0.mean_energy
     delta_f = -(statet.log_partition - state0.log_partition) / beta
     return mw, mw - delta_f
 

@@ -17,6 +17,7 @@ from .frame import FrameData, FramePoint, metric_components, redshift_exact, \
     redshift_weakfield, time_dilation
 from .quantum import (
     AffinePath,
+    EnergyBasis,
     HermitianOperator,
     energy_basis,
     propagator,
@@ -106,16 +107,17 @@ def criterion_entropy_two_level(level="full"):
     )
     sign_ok = True
     max_mismatch = 0.0
-    h_ref = two_level_hamiltonian(1.0)
+    b_ref = energy_basis(two_level_hamiltonian(1.0))
     for z in np.linspace(0.5, 1.5, 21):
+        # z > 0 keeps the level order, so z h_ref has the eigenvectors of h_ref
+        bz = EnergyBasis(float(z) * b_ref.eigenvalues, b_ref.eigenvectors)
         for c in np.linspace(0.1, 10.0, 21):
             sigma = entropy_production_two_level(float(z), float(c))
             if not math.isclose(z, 1.0) and np.sign(sigma) != np.sign(z - 1.0):
                 sign_ok = False
             # oracle: beta * (<W> - delta_F) with thermal endpoint bookkeeping,
             # beta = c on the unit-gap system
-            hz = HermitianOperator(float(z) * h_ref.entries)
-            _, wdiss = dissipated_work_thermal(h_ref, hz, float(c))
+            _, wdiss = dissipated_work_thermal(b_ref, bz, float(c))
             max_mismatch = max(max_mismatch, abs(sigma - float(c) * wdiss))
     result = CriterionResult(
         name="A3",

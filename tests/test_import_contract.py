@@ -1,0 +1,59 @@
+"""Import contract: importing curvedwork loads numpy and the standard library only,
+and scipy loads in the calls that need it.  Each check runs in a fresh interpreter,
+since this test process may have loaded scipy already."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import curvedwork
+
+SRC = Path(curvedwork.__file__).resolve().parents[1]
+
+README_NEWTONIAN = {
+    "scenario": "newtonian",
+    "beta": 1.0,
+    "system": {"kind": "two_level", "eps": 1.0, "mass": 1.0},
+    "geometry": {"g": 0.1},
+    "position": [0.5, 0.0, 0.0],
+    "momentum": [0.0, 0.0, 0.0],
+    "duration": 1.0,
+    "steps": 50,
+}
+
+
+def fresh_run(tmp_path, argv=None):
+    """Exit code of cli.main(argv) (None: import only) and the scipy modules then loaded."""
+    script = "\n".join([
+        "import io, json, sys, contextlib",
+        "from curvedwork import cli",
+        f"argv = {argv!r}",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    rc = None if argv is None else cli.main(argv)",
+        "print(json.dumps([rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))",
+    ])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300, check=True)
+    return json.loads(done.stdout)
+
+
+def test_import_loads_no_scipy(tmp_path):
+    assert fresh_run(tmp_path) == [None, []]
+
+
+def test_newtonian_run_loads_no_scipy(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(README_NEWTONIAN))
+    argv = ["newtonian", "--config", str(config), "--out", str(tmp_path / "out")]
+    assert fresh_run(tmp_path, argv) == [0, []]
+
+
+def test_verify_fast_loads_no_quadrature(tmp_path):
+    rc, modules = fresh_run(tmp_path, ["verify", "--level", "fast"])
+    assert rc == 0
+    assert "scipy.linalg" in modules  # the parity-sector solves of A4, A5 and A8
+    assert "scipy.integrate" not in modules

@@ -384,6 +384,44 @@ class TestCli:
         err = capsys.readouterr().err.strip().splitlines()
         assert err == ["error: unknown config keys ['output_path']"]
 
+    @pytest.mark.parametrize("overrides", [
+        pytest.param({"beta": "1.0"}, id="beta-string"),
+        pytest.param({"beta": True}, id="beta-bool"),
+        pytest.param({"system": [1]}, id="system-list"),
+        pytest.param({"position": 3}, id="position-scalar"),
+        pytest.param({"momentum": [0.0, 0.0]}, id="momentum-2-vector"),
+        pytest.param({"samples": 2.5}, id="samples-float"),
+        pytest.param({"steps": 1.5}, id="steps-float"),
+        pytest.param({"steps": True}, id="steps-bool"),
+        pytest.param({"duration": math.inf}, id="duration-infinite"),
+        pytest.param({"merge_tol": 0.0}, id="merge_tol-zero"),
+        pytest.param({"seed": -1}, id="seed-negative"),
+        pytest.param({"zfactor_grid": [0.9, "1.1"]}, id="zfactor_grid-string"),
+        pytest.param({"tolerances": {"frame_symmetry": None}}, id="tolerance-null"),
+        pytest.param({"tolerances": {"symmetry": 1e-9}}, id="tolerance-unknown"),
+        pytest.param({"geometry": {"g": math.nan}}, id="g-nan"),
+        pytest.param({"system": {"kind": "two_level", "eps": True}}, id="eps-bool"),
+        pytest.param({"system": {"kind": "oscillator", "mass": 1.0, "omega0": 1.0, "dim": 40.0}},
+                     id="dim-float"),
+        pytest.param({"system": {"kind": "matrix", "entries": [[1.0], [0.0, 1.0]]}},
+                     id="entries-ragged"),
+        pytest.param({"system": {"kind": "matrix", "entries": [[1.0, 2 * 10 ** 400], [0, 1]]}},
+                     id="entries-overflow"),
+        pytest.param({"scenario": "custom", "geometry": {"frame_tables": {
+            **uniform_gravity_tables(n=2), "tau": [0.0, "1.0"]}}}, id="table-string"),
+        pytest.param({"scenario": "custom", "geometry": {"frame_tables": {
+            **uniform_gravity_tables(n=2), "accel": [[0.1, 0.0, 0.0], [0.1, 0.0, False]]}}},
+            id="table-bool"),
+    ])
+    def test_malformed_field_is_one_error_line(self, tmp_path, capsys, overrides):
+        data = {**newtonian_config().to_dict(), **overrides}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        rc = cli_main([data["scenario"], "--config", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
     def test_convergence_error_exit_code(self, tmp_path):
         cfg = desitter_config(
             system={"kind": "oscillator", "mass": 1.0, "omega0": 1.0, "dim": 4},

@@ -1,4 +1,4 @@
-"""Catalog frames, scale factors and the FRW coordinate map."""
+"""Catalog frames and the general FRW frame."""
 
 import math
 
@@ -10,39 +10,19 @@ from curvedwork.frame import FramePoint, metric_components, redshift_weakfield, 
 from curvedwork.spacetimes import (
     ScaleFactor,
     desitter_frame,
-    desitter_scale_factor,
     flat_frame,
-    frw_fermi_map,
     frw_frame,
-    hubble_from_lambda,
-    static_scale_factor,
     uniform_gravity_frame,
 )
 
 
-def finite_difference_d1(sf, t, h=1e-6):
-    return (sf.value(t + h) - sf.value(t - h)) / (2 * h)
-
-
-class TestScaleFactors:
-    @pytest.mark.parametrize("t", [-1.0, 0.0, 0.7, 2.3])
-    def test_desitter_derivatives_consistent(self, t):
-        sf = desitter_scale_factor(0.4)
-        assert sf.value(t) > 0
-        assert finite_difference_d1(sf, t) == pytest.approx(sf.d1(t), rel=1e-9)
-        d2_fd = (sf.d1(t + 1e-6) - sf.d1(t - 1e-6)) / 2e-6
-        assert d2_fd == pytest.approx(sf.d2(t), rel=1e-8)
-
-    def test_desitter_requires_positive_hubble(self):
-        with pytest.raises(InputError):
-            desitter_scale_factor(0.0)
-
-    def test_hubble_from_lambda(self):
-        lam = 0.12
-        h = hubble_from_lambda(lam)
-        assert h * h == pytest.approx(lam / 3.0, rel=1e-15)
-        with pytest.raises(InputError):
-            hubble_from_lambda(-1.0)
+def exponential_scale_factor(hubble):
+    """a(t) = exp(H t), the FRW scale factor of de Sitter space."""
+    return ScaleFactor(
+        value=lambda t: math.exp(hubble * t),
+        d1=lambda t: hubble * math.exp(hubble * t),
+        d2=lambda t: hubble * hubble * math.exp(hubble * t),
+    )
 
 
 class TestCatalogFrames:
@@ -59,7 +39,7 @@ class TestCatalogFrames:
         assert m.g_tt == -1.0
 
     def test_static_universe_curvature_vanishes(self):
-        frame = frw_frame(static_scale_factor())
+        frame = frw_frame(ScaleFactor(value=lambda t: 1.0, d1=lambda t: 0.0, d2=lambda t: 0.0))
         assert np.all(frame.riemann_titj(1.0) == 0)
         assert np.all(frame.riemann_ikjl(1.0) == 0)
 
@@ -77,10 +57,22 @@ class TestCatalogFrames:
             assert r[1, 2, 1, 2] == pytest.approx(hubble**2)
         assert np.trace(frame.riemann_titj(0.0)) == pytest.approx(-3 * hubble**2)
 
+    @pytest.mark.parametrize("hubble", [0.01, 0.123, 0.3])
+    def test_desitter_curvature_exact_at_every_tau(self, hubble):
+        # the propagator's constant-f collapse needs one exact value along the run
+        frame = desitter_frame(hubble)
+        taus = (np.arange(500) + 0.5) * 0.01
+        assert {frame.riemann_titj(t)[0, 0] for t in taus} == {-(hubble * hubble)}
+        assert {frame.riemann_ikjl(t)[0, 1, 0, 1] for t in taus} == {hubble * hubble}
+
+    def test_desitter_requires_positive_hubble(self):
+        with pytest.raises(InputError):
+            desitter_frame(0.0)
+
     def test_desitter_matches_generic_frw(self):
         hubble = 0.27
         a = desitter_frame(hubble)
-        b = frw_frame(desitter_scale_factor(hubble))
+        b = frw_frame(exponential_scale_factor(hubble))
         rng = np.random.default_rng(5)
         for tau in rng.uniform(-2, 2, size=8):
             np.testing.assert_allclose(a.riemann_titj(tau), b.riemann_titj(tau), atol=1e-14)
@@ -104,24 +96,3 @@ class TestCatalogFrames:
         with pytest.raises(InputError):
             frame.riemann_titj(0.0)
 
-
-class TestFrwFermiMap:
-    def test_on_worldline_identity(self):
-        fmap = frw_fermi_map(desitter_scale_factor(0.4))
-        assert fmap.cosmic_time(1.7, np.zeros(3)) == 1.7
-        np.testing.assert_array_equal(fmap.comoving_position(1.7, np.zeros(3)), np.zeros(3))
-
-    def test_static_universe_is_identity(self):
-        fmap = frw_fermi_map(static_scale_factor())
-        x = np.array([0.3, -0.1, 0.2])
-        assert fmap.cosmic_time(0.9, x) == 0.9
-        np.testing.assert_array_equal(fmap.comoving_position(0.9, x), x)
-
-    def test_desitter_small_r(self):
-        hubble, tau = 0.3, 0.8
-        fmap = frw_fermi_map(desitter_scale_factor(hubble))
-        x = np.array([0.05, 0.02, -0.01])
-        r2 = x @ x
-        assert fmap.cosmic_time(tau, x) == pytest.approx(tau - 0.5 * hubble * r2, abs=1e-15)
-        expected = x * math.exp(-hubble * tau) * (1 + hubble**2 * r2 / 3.0)
-        np.testing.assert_allclose(fmap.comoving_position(tau, x), expected, atol=1e-15)

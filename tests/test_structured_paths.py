@@ -8,6 +8,7 @@ import pytest
 
 from curvedwork import quantum
 from curvedwork.errors import InputError
+from curvedwork.spacetimes import desitter_frame
 from curvedwork.quantum import (
     AffinePath,
     HermitianOperator,
@@ -121,6 +122,21 @@ class TestParitySelection:
         w, v = np.linalg.eigh(h)
         expected = (v * np.exp(-1j * w * 1.3)) @ v.conj().T
         np.testing.assert_allclose(spectrum.evolution(1.3), expected, rtol=0, atol=1e-13)
+
+
+def test_catalog_desitter_collapses_to_one_solve_per_sector(monkeypatch):
+    # at 500 steps the dense product's own rounding drifts 1.1e-12 from the collapse
+    hubble, dim, duration, steps = 0.3, 40, 5.0, 100
+    frame = desitter_frame(hubble)
+    path = AffinePath(qho_hamiltonian(1.0, 1.0, dim), x_squared_matrix(1.0, 1.0, dim),
+                      lambda tau: 0.5 * frame.riemann_titj(tau)[0, 0])
+    solves = []
+    sector_eigh = quantum._sector_eigh
+    monkeypatch.setattr(quantum, "_sector_eigh",
+                        lambda *args: solves.append(args) or sector_eigh(*args))
+    u = propagator(path, 0.0, duration, steps).entries
+    assert len(solves) == 2
+    np.testing.assert_allclose(u, dense(path, 0.0, duration, steps), rtol=0, atol=1e-12)
 
 
 class TestNonFiniteCoefficient:

@@ -7,9 +7,10 @@ import pytest
 
 from curvedwork.errors import InputError, NumericError
 from curvedwork.quantum import (
+    EnergyBasis,
     HermitianOperator,
     UnitaryOperator,
-    identity_unitary,
+    energy_basis,
     propagator,
     qho_hamiltonian,
     two_level_hamiltonian,
@@ -26,6 +27,7 @@ from curvedwork.tpm import (
     mean_work,
     reverse_distribution,
 )
+from curvedwork.verify import criterion_entropy_two_level
 
 
 def random_protocol(rng, dim, duration=1.0, steps=40, scale=0.4):
@@ -73,14 +75,14 @@ class TestDeltaF:
 class TestForwardDistribution:
     def test_identity_protocol_single_point(self):
         h = two_level_hamiltonian(1.0)
-        dist = forward_distribution(h, h, identity_unitary(2), 1.0)
+        dist = forward_distribution(h, h, UnitaryOperator(np.eye(2)), 1.0)
         np.testing.assert_array_equal(dist.works, [0.0])
         np.testing.assert_allclose(dist.probs, [1.0])
 
     def test_two_level_shift(self):
         beta, eps, zf = 1.0, 1.0, 1.3
         h0, ht = two_level_shift(zf, eps)
-        dist = forward_distribution(h0, ht, identity_unitary(2), beta)
+        dist = forward_distribution(h0, ht, UnitaryOperator(np.eye(2)), beta)
         p1 = math.exp(-beta * eps) / (1 + math.exp(-beta * eps))
         np.testing.assert_allclose(dist.works, [0.0, (zf - 1) * eps], atol=1e-14)
         np.testing.assert_allclose(dist.probs, [1 - p1, p1], atol=1e-14)
@@ -95,7 +97,7 @@ class TestForwardDistribution:
 class TestReverseDistribution:
     def test_identity_protocol(self):
         h = two_level_hamiltonian(1.0)
-        dist = reverse_distribution(h, h, identity_unitary(2), 1.0)
+        dist = reverse_distribution(h, h, UnitaryOperator(np.eye(2)), 1.0)
         np.testing.assert_array_equal(dist.works, [0.0])
         np.testing.assert_allclose(dist.probs, [1.0])
 
@@ -114,7 +116,7 @@ class TestReverseDistribution:
     def test_two_level_gibbs_weights_at_final(self):
         beta, eps, zf = 0.7, 1.0, 1.2
         h0, ht = two_level_shift(zf, eps)
-        dist = reverse_distribution(h0, ht, identity_unitary(2), beta)
+        dist = reverse_distribution(h0, ht, UnitaryOperator(np.eye(2)), beta)
         q1 = math.exp(-beta * zf * eps) / (1 + math.exp(-beta * zf * eps))
         np.testing.assert_allclose(dist.works, [-(zf - 1) * eps, 0.0], atol=1e-14)
         np.testing.assert_allclose(dist.probs, [q1, 1 - q1], atol=1e-14)
@@ -123,21 +125,21 @@ class TestReverseDistribution:
         m = np.array([[0.0, 1j], [-1j, 1.0]])
         h = HermitianOperator(m)
         with pytest.raises(InputError, match="time-reversal"):
-            reverse_distribution(h, h, identity_unitary(2), 1.0)
+            reverse_distribution(h, h, UnitaryOperator(np.eye(2)), 1.0)
 
 
 class TestCrooks:
     def test_identity_protocol_zero_residual(self):
         h = two_level_hamiltonian(1.0)
-        fwd = forward_distribution(h, h, identity_unitary(2), 1.0)
-        rev = reverse_distribution(h, h, identity_unitary(2), 1.0)
+        fwd = forward_distribution(h, h, UnitaryOperator(np.eye(2)), 1.0)
+        rev = reverse_distribution(h, h, UnitaryOperator(np.eye(2)), 1.0)
         assert crooks_check(fwd, rev, 1.0, 0.0) == 0.0
 
     def test_two_level_shift_residual(self):
         beta, zf = 1.1, 1.25
         h0, ht = two_level_shift(zf)
-        fwd = forward_distribution(h0, ht, identity_unitary(2), beta)
-        rev = reverse_distribution(h0, ht, identity_unitary(2), beta)
+        fwd = forward_distribution(h0, ht, UnitaryOperator(np.eye(2)), beta)
+        rev = reverse_distribution(h0, ht, UnitaryOperator(np.eye(2)), beta)
         assert crooks_check(fwd, rev, beta, delta_F(h0, ht, beta)) < 1e-10
 
     @pytest.mark.parametrize("dim", [2, 4, 8])
@@ -160,7 +162,7 @@ class TestCrooks:
 class TestJarzynskiAndMoments:
     def test_identity_protocol(self):
         h = two_level_hamiltonian(1.0)
-        fwd = forward_distribution(h, h, identity_unitary(2), 1.0)
+        fwd = forward_distribution(h, h, UnitaryOperator(np.eye(2)), 1.0)
         assert jarzynski_average(fwd, 1.0) == 1.0
         assert mean_work(fwd) == 0.0
 
@@ -176,14 +178,14 @@ class TestJarzynskiAndMoments:
     def test_two_level_partition_ratio(self):
         beta, zf = 1.0, 1.2
         h0, ht = two_level_shift(zf)
-        fwd = forward_distribution(h0, ht, identity_unitary(2), beta)
+        fwd = forward_distribution(h0, ht, UnitaryOperator(np.eye(2)), beta)
         expected = (1 + math.exp(-1.2)) / (1 + math.exp(-1.0))
         assert jarzynski_average(fwd, beta) == pytest.approx(expected, abs=1e-14)
 
     def test_two_level_mean_work(self):
         beta, eps, zf = 1.0, 1.0, 1.4
         h0, ht = two_level_shift(zf, eps)
-        fwd = forward_distribution(h0, ht, identity_unitary(2), beta)
+        fwd = forward_distribution(h0, ht, UnitaryOperator(np.eye(2)), beta)
         p1 = math.exp(-beta * eps) / (1 + math.exp(-beta * eps))
         assert mean_work(fwd) == pytest.approx((zf - 1) * eps * p1, abs=1e-14)
 
@@ -221,6 +223,45 @@ class TestDissipatedWork:
         et = zf * eps * math.exp(-beta * zf * eps) / (1 + math.exp(-beta * zf * eps))
         assert mw == pytest.approx(et - e0, abs=1e-14)
         assert wdiss == pytest.approx(mw - delta_F(h0, ht, beta), abs=1e-14)
+
+    def test_bases_match_the_trace_formula(self):
+        # Tr{h rho} with rho = e^(-beta h)/Z, the oracle's mean-energy formula written out
+        def trace_oracle(h0, ht, beta):
+            def energy_and_log_z(h):
+                w, v = np.linalg.eigh(h.entries)
+                boltz = np.exp(-beta * (w - w[0]))
+                rho = (v * (boltz / boltz.sum())) @ v.conj().T
+                return np.trace(h.entries @ rho).real, math.log(boltz.sum()) - beta * w[0]
+
+            (e0, lz0), (et, lzt) = energy_and_log_z(h0), energy_and_log_z(ht)
+            return et - e0, et - e0 + (lzt - lz0) / beta
+
+        rng = np.random.default_rng(3)
+        for dim in (2, 5, 9):
+            m0, mt = rng.normal(size=(2, dim, dim))
+            h0, ht = HermitianOperator(m0 + m0.T), HermitianOperator(mt + mt.T)
+            beta = float(rng.uniform(0.2, 3.0))
+            from_ops = dissipated_work_thermal(h0, ht, beta)
+            assert dissipated_work_thermal(energy_basis(h0), energy_basis(ht), beta) == from_ops
+            np.testing.assert_allclose(from_ops, trace_oracle(h0, ht, beta), rtol=0, atol=1e-12)
+
+    def test_rescaled_basis_matches_rescaled_hamiltonian(self):
+        # EnergyBasis(z w, v) is the basis of z h for z > 0, as A3 and the newtonian curve use it
+        b = energy_basis(two_level_hamiltonian(1.0))
+        for z in np.linspace(0.5, 1.5, 7):
+            for beta in (0.1, 1.0, 10.0):
+                rescaled = EnergyBasis(z * b.eigenvalues, b.eigenvectors)
+                hz = HermitianOperator(z * two_level_hamiltonian(1.0).entries)
+                np.testing.assert_allclose(dissipated_work_thermal(b, rescaled, beta),
+                                           dissipated_work_thermal(b, hz, beta),
+                                           rtol=0, atol=1e-12)
+
+    def test_a3_diagonalises_once(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m) or eigh(m))
+        (result,) = criterion_entropy_two_level()
+        assert result.passed and len(calls) == 1
 
 
 class TestEntropyProductionTwoLevel:
