@@ -329,11 +329,15 @@ def _parity_product(path: AffinePath, mids, dt, duration):
         return path.spectrum(values[0]).evolution(duration)
     u = np.zeros((path.h0.dim, path.h0.dim), dtype=complex)
     for sector in path.sectors:
-        idx = sector[0]
-        block = np.eye(idx.size, dtype=complex)
+        # V_N P_N (V_N^T V_{N-1}) P_{N-1} ... P_1 V_1^T, carried in the current eigenbasis;
+        # a real overlap acts on the complex block as one product over its (re, im) pairs
+        block = prev = None
         for value in values:
-            block = _exp_factor(*_sector_eigh(sector, value), dt) @ block
-        u[np.ix_(idx, idx)] = block
+            w, v = _sector_eigh(sector, value)
+            block = v.T if block is None else (v.T @ prev @ block.view(np.float64)).view(complex)
+            block = np.exp(-1j * w * dt)[:, None] * block
+            prev = v
+        u[np.ix_(sector[0], sector[0])] = (prev @ block.view(np.float64)).view(complex)
     return u
 
 
@@ -350,8 +354,9 @@ def propagator(hamiltonian_path, tau0: float, tau1: float, steps: int) -> Unitar
     is exactly unitary (Hermitian eigendecomposition), global error O(dt^2).
     The shape of the path picks the solver.  A ScaledPath's factors commute,
     so one eigendecomposition of h gives the whole product.  A parity-banded
-    AffinePath takes one real tridiagonal solve per parity sector and step,
-    or one per sector in all when f is equal at every midpoint.  Any other
+    AffinePath takes one real tridiagonal solve per parity sector and step and
+    chains the steps through the real overlaps of consecutive eigenbases, or
+    takes one solve per sector in all when f is equal at every midpoint.  Any other
     path returning Hermitian matrices takes batched dense solves, one
     np.linalg.eigh call per stack of DENSE_BATCH_ENTRIES matrix entries.
     """

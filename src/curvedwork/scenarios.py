@@ -51,21 +51,27 @@ SCENARIOS = ("newtonian", "desitter", "custom")
 LEAKAGE_LIMIT = 1e-8
 DEFAULT_OSCILLATOR_DIM = 40
 
+# Size bounds: a dense complex U at MAX_DIM is 64 MB, and the others keep a run's
+# time and memory within what one machine has.
+MAX_DIM, MAX_STEPS, MAX_SAMPLES, MAX_CURVE_POINTS = 2048, 10 ** 6, 10 ** 7, 10 ** 5
+
 # Field types: REAL is a finite number (an int or a float, not a bool) and
-# POSITIVE one above 0; an int n is an integer (not a bool or a float) of at
-# least n; a tuple is the shape of an array of REALs, None marking any length;
-# a class is that class.  Top-level fields in _OPTIONAL may be None (absent).
+# POSITIVE one above 0; a range holds an integer (not a bool or a float); a
+# tuple is the shape of an array of REALs, None marking any length; a class is
+# that class.  Top-level fields in _OPTIONAL may be None (absent).
 REAL, POSITIVE = "a finite number", "a positive number"
 _FIELDS = {
     "scenario": str, "beta": POSITIVE, "system": dict, "geometry": dict,
-    "position": (3,), "momentum": (3,), "duration": POSITIVE, "steps": 1,
-    "merge_tol": POSITIVE, "tolerances": dict, "seed": 0, "samples": 1,
-    "zfactor_grid": (None,), "curve_points": 2,
+    "position": (3,), "momentum": (3,), "duration": POSITIVE, "steps": range(1, MAX_STEPS + 1),
+    "merge_tol": POSITIVE, "tolerances": dict, "seed": range(2 ** 64),
+    "samples": range(1, MAX_SAMPLES + 1), "zfactor_grid": (None,),
+    "curve_points": range(2, MAX_CURVE_POINTS + 1),
 }
 _OPTIONAL = {"merge_tol", "seed", "samples", "zfactor_grid"}
 _SYSTEM_FIELDS = {
     "two_level": {"kind": str, "eps": POSITIVE, "mass": POSITIVE},
-    "oscillator": {"kind": str, "mass": POSITIVE, "omega0": POSITIVE, "dim": 2},
+    "oscillator": {"kind": str, "mass": POSITIVE, "omega0": POSITIVE,
+                   "dim": range(2, MAX_DIM + 1)},
     "matrix": {"kind": str, "entries": (None, None), "mass": POSITIVE},
 }
 _REQUIRED_SYSTEM = {"two_level": ("eps",), "oscillator": ("mass", "omega0"),
@@ -104,9 +110,10 @@ def _check_fields(block: str, values: dict, types: dict) -> None:
         kind, name = types[key], key if block == "config" else f"{block}.{key}"
         if isinstance(kind, tuple):
             _reals(name, value, kind)
-        elif isinstance(kind, int):
+        elif isinstance(kind, range):
             _require(isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-                     and value >= kind, f"{name} must be an integer >= {kind}")
+                     and kind.start <= value < kind.stop,
+                     f"{name} must be an integer from {kind.start} to {kind[-1]}")
         elif kind in (REAL, POSITIVE):
             _require(_reals(name, value) > 0 or kind is REAL, f"{name} must be {kind}")
         else:
@@ -153,9 +160,6 @@ class ScenarioConfig:
                  and "geometry" in data, "scenario, beta, system and geometry are required")
         return cls(**data)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_file(cls, path) -> "ScenarioConfig":
         try:
@@ -199,7 +203,12 @@ class RunArtifacts:
 
 
 def _base_metadata(config: ScenarioConfig) -> dict:
-    return {"config": config.to_dict(), "version": __version__}
+    """Package version and the SHA-256 of the config's canonical JSON (defaults filled in)."""
+    import hashlib  # loads when a run reports, not when curvedwork is imported
+
+    canonical = json.dumps(vars(config), sort_keys=True, separators=(",", ":"))
+    return {"config_sha256": hashlib.sha256(canonical.encode()).hexdigest(),
+            "version": __version__}
 
 
 def _protocol_outputs(b_init, b_final, u, config):

@@ -1,6 +1,6 @@
 """Import contract: importing curvedwork loads numpy and the standard library only,
-and scipy loads in the calls that need it.  Each check runs in a fresh interpreter,
-since this test process may have loaded scipy already."""
+and scipy and hashlib load in the calls that need them.  Each check runs in a fresh
+interpreter, since this test process may have loaded scipy already."""
 
 import json
 import os
@@ -34,6 +34,11 @@ def fresh_run(tmp_path, argv=None):
         "    rc = None if argv is None else cli.main(argv)",
         "print(json.dumps([rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))",
     ])
+    return fresh_python(tmp_path, script)
+
+
+def fresh_python(tmp_path, script):
+    """What `script`, run in a fresh interpreter that finds these sources, prints as JSON."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
@@ -43,6 +48,14 @@ def fresh_run(tmp_path, argv=None):
 
 def test_import_loads_no_scipy(tmp_path):
     assert fresh_run(tmp_path) == [None, []]
+
+
+def test_import_adds_no_hashlib(tmp_path):
+    # numpy 1.x loads hashlib itself (numpy.random imports secrets), so compare with numpy alone
+    script = ("import json, sys, numpy; before = 'hashlib' in sys.modules; import curvedwork.cli; "
+              "print(json.dumps([before, 'hashlib' in sys.modules]))")
+    before, after = fresh_python(tmp_path, script)
+    assert after == before
 
 
 def test_newtonian_run_loads_no_scipy(tmp_path):

@@ -1,6 +1,7 @@
 """Config handling, scenario runners, sampling, CSV/JSON emission, CLI."""
 
 import csv
+import hashlib
 import json
 import math
 
@@ -19,6 +20,15 @@ from curvedwork.scenarios import (
     sample_work,
 )
 from curvedwork.tpm import WorkDistribution, entropy_production_two_level
+
+
+def canonical_json(cfg):
+    """The config with defaults filled in, keys sorted and no spaces."""
+    return json.dumps(vars(cfg), sort_keys=True, separators=(",", ":"))
+
+
+def config_sha256(cfg):
+    return hashlib.sha256(canonical_json(cfg).encode()).hexdigest()
 
 
 def newtonian_config(**overrides):
@@ -79,7 +89,7 @@ def desitter_tables(hubble, n=5):
 class TestScenarioConfig:
     def test_round_trip_is_identity(self):
         cfg = newtonian_config(seed=7, samples=100)
-        again = ScenarioConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
+        again = ScenarioConfig.from_dict(json.loads(json.dumps(vars(cfg))))
         assert again == cfg
 
     def test_unknown_top_level_key_rejected(self):
@@ -328,7 +338,8 @@ class TestArtifactsEmission:
         names = {p.name for p in tmp_path.iterdir()}
         assert names == {"report.json", "forward.csv", "reverse.csv", "curves.csv"}
         payload = json.loads((tmp_path / "report.json").read_text())
-        assert payload["metadata"]["config"] == newtonian_config(samples=500, seed=3).to_dict()
+        assert payload["metadata"]["config_sha256"] == config_sha256(
+            newtonian_config(samples=500, seed=3))
         assert "sampling" in payload["metadata"]
         with open(tmp_path / "forward.csv", newline="") as fh:
             rows = list(csv.reader(fh))
@@ -342,10 +353,42 @@ class TestArtifactsEmission:
         assert header[0] == "zfactor"
 
 
+class TestConfigHash:
+    def custom_oscillator(self, tables):
+        return ScenarioConfig.from_dict({
+            "scenario": "custom",
+            "beta": 1.0,
+            "system": {"kind": "oscillator", "mass": 1.0, "omega0": 1.0, "dim": 30},
+            "geometry": {"frame_tables": tables},
+            "duration": 1.0,
+            "steps": 20,
+        })
+
+    def test_one_table_entry_changes_the_hash(self):
+        tables = desitter_tables(0.01, n=8)
+        before = config_sha256(self.custom_oscillator(tables))
+        tables["tau"][3] += 1e-9
+        assert config_sha256(self.custom_oscillator(tables)) != before
+
+    def test_rereading_the_canonical_json_keeps_the_hash(self):
+        cfg = self.custom_oscillator(desitter_tables(0.01, n=8))
+        again = ScenarioConfig.from_dict(json.loads(canonical_json(cfg)))
+        assert again == cfg
+        assert config_sha256(again) == config_sha256(cfg)
+
+    def test_custom_oscillator_report_is_small(self, tmp_path):
+        # 64 table rows echoed into report.json made it over 300 kB
+        cfg = self.custom_oscillator(desitter_tables(0.01, n=64))
+        run_custom(cfg).write(tmp_path)
+        payload = json.loads((tmp_path / "report.json").read_text())
+        assert payload["metadata"]["config_sha256"] == config_sha256(cfg)
+        assert (tmp_path / "report.json").stat().st_size < 4096
+
+
 class TestCli:
     def write_config(self, tmp_path, cfg):
         path = tmp_path / "config.json"
-        path.write_text(json.dumps(cfg.to_dict()))
+        path.write_text(json.dumps(vars(cfg)))
         return path
 
     def test_newtonian_subcommand(self, tmp_path, capsys):
@@ -378,7 +421,7 @@ class TestCli:
 
     def test_output_path_key_rejected(self, tmp_path, capsys):
         path = tmp_path / "config.json"
-        path.write_text(json.dumps({**newtonian_config().to_dict(), "output_path": "results"}))
+        path.write_text(json.dumps({**vars(newtonian_config()), "output_path": "results"}))
         rc = cli_main(["newtonian", "--config", str(path), "--out", str(tmp_path / "o")])
         assert rc == 1
         err = capsys.readouterr().err.strip().splitlines()
@@ -412,9 +455,14 @@ class TestCli:
         pytest.param({"scenario": "custom", "geometry": {"frame_tables": {
             **uniform_gravity_tables(n=2), "accel": [[0.1, 0.0, 0.0], [0.1, 0.0, False]]}}},
             id="table-bool"),
+        pytest.param({"steps": 10 ** 6 + 1}, id="steps-above-bound"),
+        pytest.param({"samples": 10 ** 7 + 1}, id="samples-above-bound"),
+        pytest.param({"curve_points": 10 ** 5 + 1}, id="curve_points-above-bound"),
+        pytest.param({"scenario": "desitter", "geometry": {"hubble": 0.01}, "system": {
+            "kind": "oscillator", "mass": 1.0, "omega0": 1.0, "dim": 2049}}, id="dim-above-bound"),
     ])
     def test_malformed_field_is_one_error_line(self, tmp_path, capsys, overrides):
-        data = {**newtonian_config().to_dict(), **overrides}
+        data = {**vars(newtonian_config()), **overrides}
         path = tmp_path / "config.json"
         path.write_text(json.dumps(data))
         rc = cli_main([data["scenario"], "--config", str(path), "--out", str(tmp_path / "o")])

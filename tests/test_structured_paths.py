@@ -139,6 +139,36 @@ def test_catalog_desitter_collapses_to_one_solve_per_sector(monkeypatch):
     np.testing.assert_allclose(u, dense(path, 0.0, duration, steps), rtol=0, atol=1e-12)
 
 
+def per_step_parity_loop(path, tau0, tau1, steps):
+    """The parity-banded midpoint product with one exp(-i H dt) factor per sector and step."""
+    dt = (tau1 - tau0) / steps
+    u = np.zeros((path.h0.dim, path.h0.dim), dtype=complex)
+    for sector in path.sectors:
+        block = np.eye(sector[0].size, dtype=complex)
+        for j in range(steps):
+            w, v = quantum._sector_eigh(sector, path.f(tau0 + (j + 0.5) * dt))
+            block = quantum._exp_factor(w, v, dt) @ block
+        u[np.ix_(sector[0], sector[0])] = block
+    return u
+
+
+@pytest.mark.parametrize("dim", (2, 3, 7, 40, 120))
+@pytest.mark.parametrize("steps", (2, 3, 50, 500))
+def test_chained_eigenbasis_product_matches_per_step_factors(dim, steps, monkeypatch):
+    path = banded_path(11 * dim + steps, dim, smooth)
+    solves = []
+    sector_eigh = quantum._sector_eigh
+    monkeypatch.setattr(quantum, "_sector_eigh",
+                        lambda *args: solves.append(args) or sector_eigh(*args))
+    u = propagator(path, 0.3, 3.1, steps).entries
+    assert len(solves) == 2 * steps
+    monkeypatch.setattr(quantum, "_sector_eigh", sector_eigh)
+    np.testing.assert_allclose(u, per_step_parity_loop(path, 0.3, 3.1, steps), rtol=0, atol=1e-13)
+    parity = np.arange(dim) % 2
+    assert np.all(u[parity[:, None] != parity[None, :]] == 0.0)
+    assert unitarity_defect(u) < 1e-12
+
+
 class TestNonFiniteCoefficient:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_affine(self, bad):
