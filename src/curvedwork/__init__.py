@@ -21,13 +21,7 @@ from .frame import (
     time_dilation,
     validate_frame,
 )
-from .spacetimes import (
-    ScaleFactor,
-    desitter_frame,
-    flat_frame,
-    frw_frame,
-    uniform_gravity_frame,
-)
+from .spacetimes import desitter_frame, flat_frame, uniform_gravity_frame
 from .quantum import (
     EnergyBasis,
     HermitianOperator,

@@ -22,7 +22,7 @@ class GeometryError(CurvedWorkError):
 
 
 class NumericError(CurvedWorkError):
-    """Numerical failure: non-finite values, quadrature breakdown, no usable support."""
+    """Numerical failure: non-finite values, no usable support."""
 
 
 class ConvergenceError(NumericError):

@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import DomainError, GeometryError, InputError
 
-# Expansion-control bound used when no explicit validity radius is given:
-# both |a.x| and max|R| r^2 stay below this, keeping the O(r^3) truncation honest.
+# Expansion-control bound: both |a.x| and max|R| r^2 stay below this, keeping the
+# O(r^3) truncation honest.
 DEFAULT_VALIDITY_BOUND = 0.1
 
 Vector = np.ndarray
@@ -33,15 +33,12 @@ class FrameData:
         antisymmetric in (i, k).
     riemann_ikjl(tau) -> (3, 3, 3, 3) spatial components R_{i k j l}, indexed
         [i, k, j, l], with the full Riemann pair symmetries.
-    validity_radius: optional hard radius; when None an adaptive bound on
-        |a.x| and |R| r^2 is applied instead.
     """
 
     accel: Callable[[float], Vector]
     riemann_titj: Callable[[float], np.ndarray]
     riemann_tjik: Callable[[float], np.ndarray]
     riemann_ikjl: Callable[[float], np.ndarray]
-    validity_radius: float | None = None
 
 
 @dataclass(frozen=True)
@@ -81,10 +78,6 @@ class FrameValidation:
     @property
     def passed(self) -> bool:
         return all(v <= self.tol for v in self.violations.values())
-
-    @property
-    def max_violation(self) -> float:
-        return max(self.violations.values())
 
 
 def _eval_tensors(frame: FrameData, tau: float):
@@ -132,14 +125,8 @@ def validate_frame(frame: FrameData, tau_samples, tol: float = 1e-12) -> FrameVa
     )
 
 
-def _check_validity(frame: FrameData, point: FramePoint, a, tensors) -> None:
+def _check_validity(point: FramePoint, a, tensors) -> None:
     r = point.r
-    if frame.validity_radius is not None:
-        if r > frame.validity_radius:
-            raise DomainError(
-                f"point at r={r:.3g} outside validity radius {frame.validity_radius:.3g}"
-            )
-        return
     if abs(float(a @ point.x)) > DEFAULT_VALIDITY_BOUND:
         raise DomainError(f"|a.x| = {abs(a @ point.x):.3g} exceeds expansion bound")
     for t in tensors:
@@ -151,7 +138,7 @@ def _check_validity(frame: FrameData, point: FramePoint, a, tensors) -> None:
 def metric_components(frame: FrameData, point: FramePoint) -> MetricComponents:
     """Second-order Fermi metric at a point; truncation error O(r^3) by construction."""
     a, r_titj, r_tjik, r_ikjl = _eval_tensors(frame, point.tau)
-    _check_validity(frame, point, a, (r_titj, r_tjik, r_ikjl))
+    _check_validity(point, a, (r_titj, r_tjik, r_ikjl))
     x = point.x
     g_tt = -((1.0 + a @ x) ** 2) - x @ r_titj @ x
     g_ti = -(2.0 / 3.0) * np.einsum("jik,j,k->i", r_tjik, x, x)
@@ -176,7 +163,7 @@ def redshift_exact(metric: MetricComponents) -> float:
 def redshift_weakfield(frame: FrameData, point: FramePoint) -> float:
     """Weak-field redshift expansion 1 + a.x + (1/2) R_{titj} x^i x^j."""
     a, r_titj, r_tjik, r_ikjl = _eval_tensors(frame, point.tau)
-    _check_validity(frame, point, a, (r_titj, r_tjik, r_ikjl))
+    _check_validity(point, a, (r_titj, r_tjik, r_ikjl))
     x = point.x
     return float(1.0 + a @ x + 0.5 * (x @ r_titj @ x))
 
@@ -194,6 +181,6 @@ def time_dilation(frame: FrameData, point: FramePoint, p, mass: float) -> float:
     if p.shape != (3,):
         raise InputError(f"momentum must be a 3-vector, got shape {p.shape}")
     a, r_titj, r_tjik, r_ikjl = _eval_tensors(frame, point.tau)
-    _check_validity(frame, point, a, (r_titj, r_tjik, r_ikjl))
+    _check_validity(point, a, (r_titj, r_tjik, r_ikjl))
     x = point.x
     return float(1.0 - (p @ p) / (2.0 * mass * mass) + a @ x + 0.5 * (x @ r_titj @ x))

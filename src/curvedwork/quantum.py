@@ -4,7 +4,8 @@ Dense complex matrices with checked structure, Gibbs states computed via
 eigendecomposition, a midpoint exponential-product propagator for
 time-dependent Hamiltonians with solvers for the two structured path shapes
 (affine h0 + f(tau) x and rescaled z(tau) h), and the first-order
-interaction-picture amplitude for the curvature-driven oscillator.
+interaction-picture amplitude for the curvature-driven oscillator, integrated
+exactly over a piecewise-linear curvature history.
 """
 
 from __future__ import annotations
@@ -24,6 +25,10 @@ DEGENERACY_RTOL = 1e-9
 # Complex entries per stack of midpoint Hamiltonians handed to one batched eigh;
 # bounds the dense propagator's working memory whatever the dimension or step count.
 DENSE_BATCH_ENTRIES = 2 ** 12
+# |omega h| below which a first-order amplitude segment takes the Taylor series of
+# its weights, and the series' term count: the direct formulas cancel as omega h -> 0.
+SERIES_SWITCH = 0.5
+SERIES_TERMS = 16
 
 
 def _check_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> None:
@@ -259,15 +264,11 @@ class AffinePath:
         return _parity_sectors(self.h0.entries, self.x.entries)
 
     def spectrum(self, value: float) -> ParitySpectrum:
-        """Eigensystem of h0 + value x by one tridiagonal solve per sector; the latest is kept."""
+        """Eigensystem of h0 + value x by one tridiagonal solve per sector."""
         if self.sectors is None:
             raise InputError("spectrum needs a parity-banded path")
-        last = self.__dict__.get("_last_spectrum")
-        if last is None or last[0] != value:
-            last = (value, ParitySpectrum(self.h0.dim, tuple(
-                (sector[0], *_sector_eigh(sector, value)) for sector in self.sectors)))
-            object.__setattr__(self, "_last_spectrum", last)
-        return last[1]
+        return ParitySpectrum(self.h0.dim, tuple(
+            (sector[0], *_sector_eigh(sector, value)) for sector in self.sectors))
 
 
 @dataclass(frozen=True)
@@ -377,38 +378,53 @@ def propagator(hamiltonian_path, tau0: float, tau1: float, steps: int) -> Unitar
     return UnitaryOperator(u)
 
 
-def perturbative_amplitude(mass, omega0, curvature_tt, n: int, m: int, tau: float) -> complex:
+def _segment_weights(theta: np.ndarray):
+    """I0 = int_0^1 e^(i theta u) du and I1 = int_0^1 u e^(i theta u) du, elementwise."""
+    series = np.abs(theta) < SERIES_SWITCH
+    zs = np.where(series, 1j * theta, 0.0)  # each branch sees only its own arguments
+    zd = np.where(series, 1j, 1j * theta)
+    i0 = i1 = np.zeros_like(zs)
+    for k in reversed(range(SERIES_TERMS)):  # Horner on sum_k z^k/(k+1)! and sum_k (k+1) z^k/(k+2)!
+        i0 = i0 * zs + 1.0 / math.factorial(k + 1)
+        i1 = i1 * zs + (k + 1.0) / math.factorial(k + 2)
+    e = np.exp(zd)
+    d0 = (e - 1.0) / zd
+    return np.where(series, i0, d0), np.where(series, i1, (e - d0) / zd)
+
+
+def perturbative_amplitude(mass, omega0, knots, values, n: int, m: int, tau: float) -> complex:
     """First-order interaction-picture amplitude for the curvature-driven oscillator.
 
-    c_n(tau) = -(i mass / 2) <n|x^2|m> * integral_0^tau R_txtx(t') e^{i(n-m) omega0 t'} dt',
-    with the integral done by adaptive quadrature (relative tolerance 1e-10).
-    curvature_tt(tau) supplies R_txtx(tau).
+    c_n(tau) = -(i mass / 2) <n|x^2|m> * integral_0^tau R_txtx(t') e^{i(n-m) omega0 t'} dt'.
+    R_txtx is the curvature history given at strictly increasing `knots`: piecewise
+    linear between them and held constant outside them, as np.interp does; a
+    constant history is one knot.  The integral is exact, one linear segment at
+    a time between 0, tau and the knots strictly inside (0, tau), with Filon-type
+    weights that switch to their Taylor series where |omega h| < SERIES_SWITCH.
     """
-    if tau < 0:
-        raise InputError(f"tau must be non-negative, got {tau}")
+    try:
+        knots = np.asarray(knots, dtype=float)
+        values = np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"knots and values must be real sequences: {exc}") from None
+    if knots.ndim != 1 or knots.shape != values.shape or knots.size == 0:
+        raise InputError("knots and values must be 1-d sequences of equal, nonzero length")
+    if not (np.all(np.isfinite(knots)) and np.all(np.isfinite(values))):
+        raise InputError("knots and values must be finite")
+    if np.any(np.diff(knots) <= 0):
+        raise InputError("knots must be strictly increasing")
+    if not (math.isfinite(tau) and tau >= 0):
+        raise InputError(f"tau must be finite and non-negative, got {tau}")
     elem = x_squared_element(mass, omega0, n, m)
-    if elem == 0.0:
-        return 0.0 + 0.0j
-    if tau == 0.0:
+    if elem == 0.0 or tau == 0.0:
         return 0.0 + 0.0j
     freq = (n - m) * omega0
-
-    def re(t):
-        return curvature_tt(t) * math.cos(freq * t)
-
-    def im(t):
-        return curvature_tt(t) * math.sin(freq * t)
-
-    from scipy import integrate  # scipy loads only where an amplitude is integrated
-
-    parts = []
-    for fn in (re, im):
-        val, err = integrate.quad(fn, 0.0, tau, epsabs=0.0, epsrel=1e-10, limit=500)
-        if not math.isfinite(val) or (val != 0.0 and err > 1e-6 * abs(val) + 1e-300):
-            raise NumericError(f"quadrature did not converge (value {val}, error {err})")
-        parts.append(val)
-    f = parts[0] + 1j * parts[1]
-    return -0.5j * mass * elem * f
+    breaks = np.concatenate(([0.0], knots[(knots > 0.0) & (knots < tau)], [tau]))
+    r = np.interp(breaks, knots, values)
+    h = np.diff(breaks)
+    i0, i1 = _segment_weights(freq * h)
+    f = np.sum(h * np.exp(1j * freq * breaks[:-1]) * (r[:-1] * i0 + np.diff(r) * i1))
+    return complex(-0.5j * mass * elem * f)
 
 
 def transition_probability_formula(mass, omega0, hubble, n: int, m: int, t: float) -> float:

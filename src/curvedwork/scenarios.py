@@ -356,9 +356,8 @@ def run_desitter(config: ScenarioConfig) -> RunArtifacts:
         config, lambda tau: frame.riemann_titj(tau)[0, 0], metadata
     )
     dim = path.h0.dim
-    # the tidal term is tau-independent, so the eigensystem the propagator
-    # collapsed to also serves the effective-frequency diagnostic and the
-    # exact transition curve
+    # the tidal term is tau-independent, so one eigensystem at its value serves
+    # the effective-frequency diagnostic and the exact transition curve
     spectrum = path.spectrum(path.f(0.0))
 
     # effective-frequency diagnostic on the lowest half of the spectrum
@@ -377,7 +376,7 @@ def run_desitter(config: ScenarioConfig) -> RunArtifacts:
     for i, t in enumerate(times):
         p_exact[i] = abs(spectrum.evolution(t)[2, 0]) ** 2
         p_pert[i] = abs(perturbative_amplitude(
-            mass, omega0, lambda _tau: -hubble ** 2, 2, 0, t)) ** 2
+            mass, omega0, [0.0], [-hubble ** 2], 2, 0, t)) ** 2
         p_formula[i] = transition_probability_formula(mass, omega0, hubble, 2, 0, t) \
             if t > 0 else 0.0
     _maybe_sample(config, fwd, metadata)

@@ -1,14 +1,10 @@
 """Catalog of concrete Fermi-frame builders.
 
-All builders return reentrant function bundles; for FRW frames the scale
-factor is evaluated at cosmic time t = tau, since on the comoving worldline
-cosmic time coincides with proper time.
+All builders return reentrant function bundles of proper time tau; each
+catalog frame's tensors are constant along its worldline.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -18,15 +14,6 @@ from .frame import FrameData
 _DELTA = np.eye(3)
 # indexed [i, k, j, l]: d_ij d_kl - d_il d_kj realizes all Riemann pair symmetries
 _PAIR = np.einsum("ij,kl->ikjl", _DELTA, _DELTA) - np.einsum("il,kj->ikjl", _DELTA, _DELTA)
-
-
-@dataclass(frozen=True)
-class ScaleFactor:
-    """FRW scale factor a(t) with its first two cosmic-time derivatives."""
-
-    value: Callable[[float], float]
-    d1: Callable[[float], float]
-    d2: Callable[[float], float]
 
 
 def flat_frame() -> FrameData:
@@ -53,44 +40,13 @@ def uniform_gravity_frame(g: float) -> FrameData:
     )
 
 
-def _checked(sf: ScaleFactor, t: float) -> float:
-    a = sf.value(t)
-    if a <= 0:
-        raise InputError(f"scale factor must stay positive, got a({t}) = {a}")
-    return a
-
-
-def frw_frame(sf: ScaleFactor) -> FrameData:
-    """Comoving frame of a spatially flat FRW universe.
-
-    Curvature in the Fermi frame: R_{txtx} = R_{tyty} = R_{tztz} = -addot/a and
-    R_{xyxy} = R_{xzxz} = R_{yzyz} = (adot/a)^2, with the remaining components
-    generated by the Riemann symmetries.  The worldline is geodesic (zero
-    acceleration).
-    """
-
-    def titj(tau: float) -> np.ndarray:
-        a = _checked(sf, tau)
-        return -(sf.d2(tau) / a) * _DELTA
-
-    def ikjl(tau: float) -> np.ndarray:
-        a = _checked(sf, tau)
-        return (sf.d1(tau) / a) ** 2 * _PAIR
-
-    return FrameData(
-        accel=lambda tau: np.zeros(3),
-        riemann_titj=titj,
-        riemann_tjik=lambda tau: np.zeros((3, 3, 3)),
-        riemann_ikjl=ikjl,
-    )
-
-
 def desitter_frame(hubble: float) -> FrameData:
     """Comoving frame of the de Sitter universe with Hubble parameter H.
 
-    The frw_frame curvature of a(t) = e^(Ht), built as the constant tensors
-    R_titj = -H^2 delta_ij and R_ikjl = H^2 (d_ij d_kl - d_il d_kj): forming
-    addot/a from the scale factor rounds to different values at different tau.
+    The FRW curvature of a(t) = e^(Ht) at cosmic time t = tau, built as the
+    constant tensors R_titj = -H^2 delta_ij and R_ikjl = H^2 (d_ij d_kl - d_il d_kj):
+    forming addot/a from the scale factor would round to different values at
+    different tau.
     """
     if hubble <= 0:
         raise InputError(f"hubble must be positive, got {hubble}")

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from curvedwork import frame as frame_module
 from curvedwork.errors import DomainError, GeometryError, InputError
 from curvedwork.frame import (
     FrameData,
@@ -54,15 +55,6 @@ class TestMetricComponents:
         frame = uniform_gravity_frame(1.0)
         with pytest.raises(DomainError):
             metric_components(frame, point([0.5, 0.0, 0.0]))  # |a.x| = 0.5 > 0.1
-        hard = FrameData(
-            accel=frame.accel,
-            riemann_titj=frame.riemann_titj,
-            riemann_tjik=frame.riemann_tjik,
-            riemann_ikjl=frame.riemann_ikjl,
-            validity_radius=0.1,
-        )
-        with pytest.raises(DomainError):
-            metric_components(hard, point([0.0, 0.2, 0.0]))
 
     def test_nonfinite_tensor_rejected(self):
         frame = FrameData(
@@ -74,14 +66,15 @@ class TestMetricComponents:
         with pytest.raises(InputError):
             metric_components(frame, point([0.1, 0.0, 0.0]))
 
-    def test_degenerate_spatial_block_rejected(self):
-        # large curvature drives g_ij out of positive definiteness
+    def test_degenerate_spatial_block_rejected(self, monkeypatch):
+        # large curvature drives g_ij out of positive definiteness; the expansion
+        # bound is raised so that the positive-definiteness check is what fires
+        monkeypatch.setattr(frame_module, "DEFAULT_VALIDITY_BOUND", 10.0)
         frame = FrameData(
             accel=lambda tau: np.zeros(3),
             riemann_titj=lambda tau: np.zeros((3, 3)),
             riemann_tjik=lambda tau: np.zeros((3, 3, 3)),
             riemann_ikjl=desitter_frame(2.0).riemann_ikjl,
-            validity_radius=10.0,
         )
         with pytest.raises(GeometryError):
             metric_components(frame, point([1.0, 1.0, 0.0]))
@@ -192,7 +185,7 @@ class TestValidateFrame:
     def test_flat_frame_passes_exactly(self):
         result = validate_frame(flat_frame(), [0.0, 1.0, 2.0])
         assert result.passed
-        assert result.max_violation == 0.0
+        assert max(result.violations.values()) == 0.0
 
     def test_desitter_frame_passes(self):
         result = validate_frame(desitter_frame(0.5), list(np.linspace(0, 3, 7)))

@@ -23,6 +23,15 @@ README_NEWTONIAN = {
     "steps": 50,
 }
 
+README_DESITTER = {
+    "scenario": "desitter",
+    "beta": 1.0,
+    "system": {"kind": "oscillator", "mass": 1.0, "omega0": 1.0, "dim": 40},
+    "geometry": {"hubble": 0.01},
+    "duration": 5.0,
+    "steps": 100,
+}
+
 
 def fresh_run(tmp_path, argv=None):
     """Exit code of cli.main(argv) (None: import only) and the scipy modules then loaded."""
@@ -70,3 +79,13 @@ def test_verify_fast_loads_no_quadrature(tmp_path):
     assert rc == 0
     assert "scipy.linalg" in modules  # the parity-sector solves of A4, A5 and A8
     assert "scipy.integrate" not in modules
+
+
+def test_desitter_run_loads_no_quadrature(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(README_DESITTER))
+    rc, modules = fresh_run(tmp_path, ["desitter", "--config", str(config),
+                                       "--out", str(tmp_path / "out")])
+    assert rc == 0
+    assert "scipy.linalg" in modules  # the parity-sector solves
+    assert "scipy.integrate" not in modules  # the first-order amplitude is closed-form

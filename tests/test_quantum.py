@@ -1,10 +1,13 @@
 """Operators, thermal states, propagation, perturbation theory."""
 
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from curvedwork import quantum
 from curvedwork.errors import InputError
 from curvedwork.quantum import (
     HermitianOperator,
@@ -16,6 +19,7 @@ from curvedwork.quantum import (
     thermal_state,
     transition_probability_formula,
     two_level_hamiltonian,
+    x_squared_element,
     x_squared_matrix,
 )
 
@@ -178,25 +182,103 @@ class TestPropagator:
 
 class TestPerturbativeAmplitude:
     def test_zero_curvature(self):
-        assert perturbative_amplitude(1.0, 1.0, lambda t: 0.0, 2, 0, 3.0) == 0.0
+        assert perturbative_amplitude(1.0, 1.0, [0.0], [0.0], 2, 0, 3.0) == 0.0
 
     @pytest.mark.parametrize("n", [1, 3, 5, 7])
     def test_selection_rule(self, n):
-        assert perturbative_amplitude(1.0, 1.0, lambda t: -0.01, n, 0, 2.0) == 0.0
+        assert perturbative_amplitude(1.0, 1.0, [0.0], [-0.01], n, 0, 2.0) == 0.0
 
     def test_desitter_closed_form(self):
         mass, omega0, hubble = 1.0, 1.0, 0.05
         for t in (0.7, 2.0, 6.5):
-            c2 = perturbative_amplitude(mass, omega0, lambda t_: -hubble**2, 2, 0, t)
+            c2 = perturbative_amplitude(mass, omega0, [0.0], [-hubble**2], 2, 0, t)
             expected = hubble**4 / (8 * omega0**4) * math.sin(omega0 * t) ** 2
             assert abs(c2) ** 2 == pytest.approx(expected, rel=1e-9)
 
     def test_matches_formula(self):
         mass, omega0, hubble = 1.3, 0.8, 0.03
         for t in np.linspace(0.3, 9.0, 7):
-            c2 = perturbative_amplitude(mass, omega0, lambda t_: -hubble**2, 2, 0, float(t))
+            c2 = perturbative_amplitude(mass, omega0, [0.0], [-hubble**2], 2, 0, float(t))
             formula = transition_probability_formula(mass, omega0, hubble, 2, 0, float(t))
             assert abs(c2) ** 2 == pytest.approx(formula, abs=1e-12)
+
+
+def power_law_history(rows=64, duration=5.0):
+    """R_txtx = -addot/a sampled at `rows` knots for the FRW scale factor a(t) = (1 + t/2)^(1/2)."""
+    knots = np.linspace(0.0, duration, rows)
+    return knots, (1.0 / 16.0) / (1.0 + 0.5 * knots) ** 2
+
+
+def quad_amplitude(mass, omega0, knots, values, n, m, tau):
+    """The amplitude by adaptive quadrature of np.interp's history, with the knots as break points."""
+    integrate = pytest.importorskip("scipy.integrate")
+    freq = (n - m) * omega0
+    points = [k for k in knots if 0.0 < k < tau]
+    with warnings.catch_warnings():  # epsrel 1e-13 sits at roundoff; the 1e-12 checks bound it
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        parts = [integrate.quad(lambda t: np.interp(t, knots, values) * trig(freq * t), 0.0, tau,
+                                points=points or None, epsabs=0.0, epsrel=1e-13, limit=1000)[0]
+                 for trig in (math.cos, math.sin)]
+    return -0.5j * mass * x_squared_element(mass, omega0, n, m) * (parts[0] + 1j * parts[1])
+
+
+def exact_weights(theta):
+    """I0 and I1 by their Taylor series summed in exact rational arithmetic, for |theta| < 1."""
+    z = Fraction(theta)
+    sums = []
+    for weight in (lambda k: Fraction(1, math.factorial(k + 1)),
+                   lambda k: Fraction(k + 1, math.factorial(k + 2))):
+        terms = [weight(k) * z ** k for k in range(40)]
+        re = sum(t * (-1) ** (k // 2) for k, t in enumerate(terms) if k % 2 == 0)
+        im = sum(t * (-1) ** (k // 2) for k, t in enumerate(terms) if k % 2 == 1)
+        sums.append(complex(float(re), float(im)))
+    return sums
+
+
+class TestExactAmplitude:
+    @pytest.mark.parametrize("n, m", [(2, 0), (4, 2), (3, 1), (2, 2)])
+    def test_matches_quadrature_on_a_power_law_table(self, n, m):
+        knots, values = power_law_history()
+        for tau in np.linspace(0.1, 5.0, 50):
+            got = perturbative_amplitude(1.0, 1.0, knots, values, n, m, float(tau))
+            want = quad_amplitude(1.0, 1.0, knots, values, n, m, float(tau))
+            assert abs(got - want) <= 1e-12 * abs(want)
+
+    def test_history_held_constant_outside_the_knots(self):
+        # knots at 1 and 2 only: R = 3 on [0, 1], linear to 5 on [1, 2], then 5 again
+        knots, values = [1.0, 2.0], [3.0, 5.0]
+        for tau in (0.5, 1.5, 3.0):
+            got = perturbative_amplitude(1.0, 1.0, knots, values, 2, 0, tau)
+            want = quad_amplitude(1.0, 1.0, knots, values, 2, 0, tau)
+            assert abs(got - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("side", [-1e-9, 1e-9])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_weights_on_both_sides_of_the_series_switch(self, side, sign):
+        theta = sign * quantum.SERIES_SWITCH * (1.0 + side)
+        got = quantum._segment_weights(np.array([theta]))
+        for g, want in zip(got, exact_weights(theta)):
+            assert abs(g[0] - want) <= 1e-15 * abs(want)
+
+    @pytest.mark.parametrize("knots, values", [
+        ([], []),
+        ([0.0, 1.0], [1.0]),
+        ([[0.0, 1.0]], [[1.0, 2.0]]),
+        ([0.0, 0.0], [1.0, 2.0]),
+        ([1.0, 0.0], [1.0, 2.0]),
+        ([0.0, 1.0], [1.0, math.nan]),
+        ([0.0, math.inf], [1.0, 2.0]),
+        (["a"], [1.0]),
+        ([0.0, 1.0], [1.0, [2.0]]),
+    ])
+    def test_malformed_history_rejected(self, knots, values):
+        with pytest.raises(InputError):
+            perturbative_amplitude(1.0, 1.0, knots, values, 2, 0, 1.0)
+
+    @pytest.mark.parametrize("tau", [-1.0, math.nan, math.inf])
+    def test_bad_tau_rejected(self, tau):
+        with pytest.raises(InputError):
+            perturbative_amplitude(1.0, 1.0, [0.0], [-0.01], 2, 0, tau)
 
 
 class TestTransitionProbabilityFormula:
