@@ -51,9 +51,6 @@ from .tpm import (
 from .scenarios import (
     RunArtifacts,
     ScenarioConfig,
-    run_custom,
-    run_desitter,
-    run_newtonian,
     run_scenario,
     sample_work,
 )

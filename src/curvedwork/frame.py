@@ -18,7 +18,7 @@ from .errors import DomainError, GeometryError, InputError
 
 # Expansion-control bound: both |a.x| and max|R| r^2 stay below this, keeping the
 # O(r^3) truncation honest.
-DEFAULT_VALIDITY_BOUND = 0.1
+VALIDITY_BOUND = 0.1
 
 Vector = np.ndarray
 
@@ -127,11 +127,11 @@ def validate_frame(frame: FrameData, tau_samples, tol: float = 1e-12) -> FrameVa
 
 def _check_validity(point: FramePoint, a, tensors) -> None:
     r = point.r
-    if abs(float(a @ point.x)) > DEFAULT_VALIDITY_BOUND:
+    if abs(float(a @ point.x)) > VALIDITY_BOUND:
         raise DomainError(f"|a.x| = {abs(a @ point.x):.3g} exceeds expansion bound")
     for t in tensors:
         scale = float(np.max(np.abs(t))) * r * r
-        if scale > DEFAULT_VALIDITY_BOUND:
+        if scale > VALIDITY_BOUND:
             raise DomainError(f"|R| r^2 = {scale:.3g} exceeds expansion bound")
 
 

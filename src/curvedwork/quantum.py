@@ -11,7 +11,7 @@ exactly over a piecewise-linear curvature history.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
@@ -21,7 +21,6 @@ from .errors import InputError, NumericError
 
 HERMITICITY_TOL = 1e-12
 UNITARITY_TOL = 1e-9
-DEGENERACY_RTOL = 1e-9
 # Complex entries per stack of midpoint Hamiltonians handed to one batched eigh;
 # bounds the dense propagator's working memory whatever the dimension or step count.
 DENSE_BATCH_ENTRIES = 2 ** 12
@@ -31,12 +30,12 @@ SERIES_SWITCH = 0.5
 SERIES_TERMS = 16
 
 
-def _check_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> None:
+def _check_hermitian(m: np.ndarray) -> None:
     """Raise InputError unless every matrix in `m` (shape (..., d, d)) is finite and Hermitian."""
     if not np.all(np.isfinite(m)):
         raise InputError("non-finite operator entries")
     dev = float(np.max(np.abs(m - np.swapaxes(m.conj(), -1, -2))))
-    if dev > tol:
+    if dev > HERMITICITY_TOL:
         raise InputError(f"matrix is not Hermitian: max deviation {dev:.3g}")
 
 
@@ -45,13 +44,12 @@ class HermitianOperator:
     """Dense Hermitian matrix; hermiticity enforced at construction."""
 
     entries: np.ndarray
-    tol: float = HERMITICITY_TOL
 
     def __post_init__(self):
         m = np.asarray(self.entries, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InputError(f"operator must be square, got shape {m.shape}")
-        _check_hermitian(m, self.tol)
+        _check_hermitian(m)
         object.__setattr__(self, "entries", m)
 
     @property
@@ -64,7 +62,6 @@ class UnitaryOperator:
     """Dense unitary matrix; unitarity enforced at construction."""
 
     entries: np.ndarray
-    tol: float = UNITARITY_TOL
 
     def __post_init__(self):
         m = np.asarray(self.entries, dtype=complex)
@@ -73,7 +70,7 @@ class UnitaryOperator:
         if not np.all(np.isfinite(m)):
             raise NumericError("non-finite unitary entries")
         object.__setattr__(self, "entries", m)
-        if self.unitarity_defect > self.tol:
+        if self.unitarity_defect > UNITARITY_TOL:
             raise InputError(f"matrix is not unitary: max deviation {self.unitarity_defect:.3g}")
 
     @property
@@ -88,11 +85,10 @@ class UnitaryOperator:
 
 @dataclass(frozen=True)
 class EnergyBasis:
-    """Ascending eigenvalues with eigenvector columns and degeneracy flags."""
+    """Ascending eigenvalues with eigenvector columns."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    degenerate: np.ndarray = field(default=None)
 
     def __post_init__(self):
         w = np.asarray(self.eigenvalues, dtype=float)
@@ -101,14 +97,6 @@ class EnergyBasis:
             raise InputError("eigenvalues must be ascending")
         object.__setattr__(self, "eigenvalues", w)
         object.__setattr__(self, "eigenvectors", v)
-        if self.degenerate is None:
-            scale = max(float(np.max(np.abs(w))), 1.0)
-            gaps = np.diff(w)
-            deg = np.zeros(w.size, dtype=bool)
-            small = gaps < DEGENERACY_RTOL * scale
-            deg[:-1] |= small
-            deg[1:] |= small
-            object.__setattr__(self, "degenerate", deg)
 
     @property
     def dim(self) -> int:

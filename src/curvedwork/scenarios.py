@@ -1,8 +1,9 @@
 """Scenario orchestration: config parsing, protocol runners, output emission.
 
-Three runners share the same reporting pipeline: the uniform-gravity
+Three runners compute the physics of their scenario: the uniform-gravity
 two-level scenario, the expanding-universe oscillator scenario, and a
-generic runner over user-tabulated frame data.
+generic runner over user-tabulated frame data.  Each returns its protocol;
+`run_scenario` turns that into distributions, report, sampling and artifacts.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from .tpm import (
     reverse_distribution,
 )
 
-SCENARIOS = ("newtonian", "desitter", "custom")
 LEAKAGE_LIMIT = 1e-8
 DEFAULT_OSCILLATOR_DIM = 40
 
@@ -76,6 +76,9 @@ _SYSTEM_FIELDS = {
 }
 _REQUIRED_SYSTEM = {"two_level": ("eps",), "oscillator": ("mass", "omega0"),
                     "matrix": ("entries",)}
+# scenario: (the system kinds it runs, the geometry key it needs)
+_SCENARIOS = {"newtonian": (("two_level",), "g"), "desitter": (("oscillator",), "hubble"),
+              "custom": (tuple(_SYSTEM_FIELDS), "frame_tables")}
 _GEOMETRY_FIELDS = {"g": REAL, "hubble": POSITIVE, "frame_tables": dict}
 _TOLERANCE_FIELDS = {"frame_symmetry": POSITIVE}
 
@@ -141,7 +144,7 @@ class ScenarioConfig:
     def __post_init__(self):
         _check_fields("config", {k: v for k, v in vars(self).items()
                                  if v is not None or k not in _OPTIONAL}, _FIELDS)
-        _require(self.scenario in SCENARIOS, f"unknown scenario {self.scenario!r}")
+        _require(self.scenario in _SCENARIOS, f"unknown scenario {self.scenario!r}")
         kind = self.system.get("kind")
         _require(isinstance(kind, str) and kind in _SYSTEM_FIELDS, f"unknown system kind {kind!r}")
         missing = [key for key in _REQUIRED_SYSTEM[kind] if key not in self.system]
@@ -149,6 +152,10 @@ class ScenarioConfig:
         _check_fields("system", self.system, _SYSTEM_FIELDS[kind])
         _check_fields("geometry", self.geometry, _GEOMETRY_FIELDS)
         _check_fields("tolerances", self.tolerances, _TOLERANCE_FIELDS)
+        kinds, key = _SCENARIOS[self.scenario]
+        _require(kind in kinds, f"the {self.scenario} scenario runs "
+                 f"{'an' if kinds[0][0] in 'aeiou' else 'a'} {' or '.join(kinds)} system")
+        _require(key in self.geometry, f"{self.scenario} geometry needs {key!r}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
@@ -231,29 +238,13 @@ def _protocol_outputs(b_init, b_final, u, config):
     return fwd, rev, report
 
 
-def _maybe_sample(config, fwd, metadata):
-    if config.samples is not None:
-        est, se = sample_work(fwd, config.beta, config.samples,
-                              0 if config.seed is None else config.seed)
-        metadata["sampling"] = {
-            "samples": config.samples,
-            "seed": 0 if config.seed is None else config.seed,
-            "jarzynski_estimate": est,
-            "standard_error": se,
-        }
-
-
-def run_newtonian(config: ScenarioConfig) -> RunArtifacts:
+def _newtonian(config: ScenarioConfig):
     """Uniform-gravity two-level protocol with semiclassical diagonal evolution.
 
     The internal Hamiltonian is rescaled by the time-dilation factor at the
     final position and momentum; the propagator is diagonal in the shared
     energy basis, so it is taken as the identity.
     """
-    _require(config.scenario == "newtonian", "config.scenario must be 'newtonian'")
-    _require(config.system["kind"] == "two_level",
-             "the newtonian scenario runs a two_level system")
-    _require("g" in config.geometry, "newtonian geometry needs 'g'")
     g = float(config.geometry["g"])
     eps = float(config.system["eps"])
     sysmass = float(config.system.get("mass", 1.0))
@@ -262,8 +253,6 @@ def run_newtonian(config: ScenarioConfig) -> RunArtifacts:
     zf = time_dilation(frame, point, np.asarray(config.momentum, dtype=float), sysmass)
     h0 = two_level_hamiltonian(eps)
     b0, bt = energy_basis(h0), energy_basis(HermitianOperator(zf * h0.entries))
-
-    fwd, rev, report = _protocol_outputs(b0, bt, UnitaryOperator(np.eye(2)), config)
 
     zgrid = np.asarray(
         config.zfactor_grid if config.zfactor_grid is not None else np.linspace(0.5, 1.5, 41),
@@ -278,10 +267,9 @@ def run_newtonian(config: ScenarioConfig) -> RunArtifacts:
         bz = EnergyBasis(z * b0.eigenvalues, b0.eigenvectors)
         sigma_oracle[i] = config.beta * dissipated_work_thermal(b0, bz, config.beta)[1]
 
-    metadata = _base_metadata(config)
     gx = g * float(config.position[0])
     p2 = float(np.asarray(config.momentum, dtype=float) @ np.asarray(config.momentum, dtype=float))
-    metadata["newtonian"] = {
+    blocks = {"newtonian": {
         "zfactor": zf,
         # the doubled weak-field convention (2gx, p^2/2m) that appears in some
         # presentations is echoed for comparison with the general expansion
@@ -289,18 +277,16 @@ def run_newtonian(config: ScenarioConfig) -> RunArtifacts:
         "entropy_closed_form": entropy_production_two_level(zf, config.beta * eps)
         if zf > 0 else None,
         "entropy_thermal_oracle": config.beta * dissipated_work_thermal(b0, bt, config.beta)[1],
-    }
-    _maybe_sample(config, fwd, metadata)
+    }}
     curves = {
         "x_name": "zfactor",
         "x": zgrid,
         "series": {"entropy_closed_form": sigma_formula, "entropy_thermal_oracle": sigma_oracle},
     }
-    return RunArtifacts(report=report, forward=fwd, reverse=rev, curves=curves,
-                        metadata=metadata)
+    return b0, bt, UnitaryOperator(np.eye(2)), blocks, curves
 
 
-def _oscillator_protocol(config, riemann_tt, metadata):
+def _oscillator_protocol(config, riemann_tt):
     """Shared center-of-mass oscillator pipeline over a curvature history R_txtx(tau).
 
     Measurements are projective in the eigenbasis of the unperturbed
@@ -323,38 +309,28 @@ def _oscillator_protocol(config, riemann_tt, metadata):
         raise ConvergenceError(
             f"top-two-level population {leak:.3g} exceeds {LEAKAGE_LIMIT}; raise dim"
         )
-
-    fwd, rev, report = _protocol_outputs(b0, b0, u, config)
-    metadata["oscillator"] = {
+    return path, b0, u, {"oscillator": {
         "dim": dim,
         "truncation_leakage": leak,
         "unitarity_defect": u.unitarity_defect,
-    }
-    return path, u, fwd, rev, report
+    }}
 
 
-def run_desitter(config: ScenarioConfig) -> RunArtifacts:
+def _desitter(config: ScenarioConfig):
     """Oscillator in the exponentially expanding universe.
 
     The constant tidal curvature adds -(mass H^2/2) x^2 to the oscillator
     Hamiltonian; transition-probability curves compare exact propagation, the
     first-order amplitude, and the closed-form probability.
     """
-    _require(config.scenario == "desitter", "config.scenario must be 'desitter'")
-    _require(config.system["kind"] == "oscillator",
-             "the desitter scenario runs an oscillator system")
-    _require("hubble" in config.geometry, "desitter geometry needs 'hubble'")
     hubble = float(config.geometry["hubble"])
     omega0 = float(config.system["omega0"])
     mass = float(config.system["mass"])
     _require(hubble < omega0,
              "hubble must stay below omega0 (the effective oscillator would invert)")
     frame = desitter_frame(hubble)
-
-    metadata = _base_metadata(config)
-    path, u, fwd, rev, report = _oscillator_protocol(
-        config, lambda tau: frame.riemann_titj(tau)[0, 0], metadata
-    )
+    path, b0, u, blocks = _oscillator_protocol(
+        config, lambda tau: frame.riemann_titj(tau)[0, 0])
     dim = path.h0.dim
     # the tidal term is tau-independent, so one eigensystem at its value serves
     # the effective-frequency diagnostic and the exact transition curve
@@ -363,23 +339,21 @@ def run_desitter(config: ScenarioConfig) -> RunArtifacts:
     # effective-frequency diagnostic on the lowest half of the spectrum
     omega_eff = math.sqrt(omega0 ** 2 - hubble ** 2)
     spacings = np.diff(spectrum.eigenvalues)[: dim // 2]
-    metadata["effective_frequency"] = {
+    blocks["effective_frequency"] = {
         "expected": omega_eff,
         "max_spacing_deviation": float(np.max(np.abs(spacings - omega_eff))),
     }
-    metadata["hubble_ratio"] = hubble / omega0
+    blocks["hubble_ratio"] = hubble / omega0
 
     times = np.linspace(0.0, config.duration, config.curve_points)
-    p_exact = np.empty_like(times)
-    p_pert = np.empty_like(times)
-    p_formula = np.empty_like(times)
-    for i, t in enumerate(times):
-        p_exact[i] = abs(spectrum.evolution(t)[2, 0]) ** 2
-        p_pert[i] = abs(perturbative_amplitude(
-            mass, omega0, [0.0], [-hubble ** 2], 2, 0, t)) ** 2
-        p_formula[i] = transition_probability_formula(mass, omega0, hubble, 2, 0, t) \
-            if t > 0 else 0.0
-    _maybe_sample(config, fwd, metadata)
+    # <2|U(t)|0> = sum_k v[1, k] e^(-i w_k t) v[0, k]: |0> and |2> are rows 0 and 1
+    # of the even sector, whose eigenvectors v are real
+    _, w, v = spectrum.sectors[0]
+    p_exact = np.abs((v[1] * v[0]) @ np.exp(-1j * np.outer(w, times))) ** 2
+    p_pert = np.array([abs(perturbative_amplitude(
+        mass, omega0, [0.0], [-hubble ** 2], 2, 0, t)) ** 2 for t in times])
+    p_formula = np.array([transition_probability_formula(mass, omega0, hubble, 2, 0, t)
+                          if t > 0 else 0.0 for t in times])
     curves = {
         "x_name": "t",
         "x": times,
@@ -389,8 +363,7 @@ def run_desitter(config: ScenarioConfig) -> RunArtifacts:
             "p20_formula": p_formula,
         },
     }
-    return RunArtifacts(report=report, forward=fwd, reverse=rev, curves=curves,
-                        metadata=metadata)
+    return b0, b0, u, blocks, curves
 
 
 def _interp_rows(taus, rows, tau):
@@ -439,7 +412,7 @@ def _frame_from_tables(tables: dict, tolerances: dict) -> FrameData:
     return frame
 
 
-def run_custom(config: ScenarioConfig) -> RunArtifacts:
+def _custom(config: ScenarioConfig):
     """Generic pipeline over tabulated frame data.
 
     Internal-system protocols (two_level, matrix) rescale the internal
@@ -447,59 +420,71 @@ def run_custom(config: ScenarioConfig) -> RunArtifacts:
     from rest at the origin to the configured endpoint; the oscillator system
     runs the center-of-mass protocol driven by the tabulated tidal curvature.
     """
-    _require(config.scenario == "custom", "config.scenario must be 'custom'")
-    _require("frame_tables" in config.geometry, "custom geometry needs 'frame_tables'")
-    frame = _frame_from_tables(config.geometry["frame_tables"], config.tolerances)
-    metadata = _base_metadata(config)
+    tables = config.geometry["frame_tables"]
+    frame = _frame_from_tables(tables, config.tolerances)
+    first, last = float(tables["tau"][0]), float(tables["tau"][-1])
+    _require(first <= 0 and last >= config.duration, f"frame tables cover tau in "
+             f"[{first}, {last}], not [0, {float(config.duration)}]")
     times = np.linspace(0.0, config.duration, config.curve_points)
     kind = config.system["kind"]
 
     if kind == "oscillator":
         riemann_tt = lambda tau: frame.riemann_titj(tau)[0, 0]
-        _, u, fwd, rev, report = _oscillator_protocol(config, riemann_tt, metadata)
+        _, b0, u, blocks = _oscillator_protocol(config, riemann_tt)
         curves = {
             "x_name": "t",
             "x": times,
             "series": {"curvature_tt": np.array([riemann_tt(t) for t in times])},
         }
+        return b0, b0, u, blocks, curves
+    if kind == "two_level":
+        h_int = two_level_hamiltonian(float(config.system["eps"]))
     else:
-        if kind == "two_level":
-            h_int = two_level_hamiltonian(float(config.system["eps"]))
-        else:
-            h_int = HermitianOperator(np.asarray(config.system["entries"], dtype=float))
-            if float(np.max(np.abs(h_int.entries.imag))) > 1e-12:
-                raise InputError("matrix system must be real-symmetric")
-        sysmass = float(config.system.get("mass", 1.0))
-        x_end = np.asarray(config.position, dtype=float)
-        p_end = np.asarray(config.momentum, dtype=float)
-        duration = config.duration
+        h_int = HermitianOperator(np.asarray(config.system["entries"], dtype=float))
+        if float(np.max(np.abs(h_int.entries.imag))) > 1e-12:
+            raise InputError("matrix system must be real-symmetric")
+    sysmass = float(config.system.get("mass", 1.0))
+    x_end = np.asarray(config.position, dtype=float)
+    p_end = np.asarray(config.momentum, dtype=float)
+    duration = config.duration
 
-        def zfactor(tau):
-            s = tau / duration
-            return time_dilation(frame, FramePoint(tau=tau, x=s * x_end), s * p_end, sysmass)
+    def zfactor(tau):
+        s = tau / duration
+        return time_dilation(frame, FramePoint(tau=tau, x=s * x_end), s * p_end, sysmass)
 
-        path = ScaledPath(h_int, zfactor)
-        u = propagator(path, 0.0, duration, config.steps)
-        fwd, rev, report = _protocol_outputs(energy_basis(path(0.0)), energy_basis(path(duration)),
-                                             u, config)
-        metadata["custom"] = {
-            "zfactor_initial": zfactor(0.0),
-            "zfactor_final": zfactor(duration),
-            "unitarity_defect": u.unitarity_defect,
-        }
-        curves = {
-            "x_name": "t",
-            "x": times,
-            "series": {"zfactor": np.array([zfactor(t) for t in times])},
-        }
-    _maybe_sample(config, fwd, metadata)
-    return RunArtifacts(report=report, forward=fwd, reverse=rev, curves=curves,
-                        metadata=metadata)
+    path = ScaledPath(h_int, zfactor)
+    u = propagator(path, 0.0, duration, config.steps)
+    b_init, b_final = energy_basis(path(0.0)), energy_basis(path(duration))
+    blocks = {"custom": {
+        "zfactor_initial": zfactor(0.0),
+        "zfactor_final": zfactor(duration),
+        "unitarity_defect": u.unitarity_defect,
+    }}
+    curves = {
+        "x_name": "t",
+        "x": times,
+        "series": {"zfactor": np.array([zfactor(t) for t in times])},
+    }
+    return b_init, b_final, u, blocks, curves
 
 
 def run_scenario(config: ScenarioConfig) -> RunArtifacts:
-    runner = {"newtonian": run_newtonian, "desitter": run_desitter, "custom": run_custom}
-    return runner[config.scenario](config)
+    """Run the config's scenario: its protocol, then distributions, report and sampling."""
+    runner = {"newtonian": _newtonian, "desitter": _desitter, "custom": _custom}
+    b_init, b_final, u, blocks, curves = runner[config.scenario](config)
+    fwd, rev, report = _protocol_outputs(b_init, b_final, u, config)
+    metadata = {**_base_metadata(config), **blocks}
+    if config.samples is not None:
+        seed = 0 if config.seed is None else config.seed
+        est, se = sample_work(fwd, config.beta, config.samples, seed)
+        metadata["sampling"] = {
+            "samples": config.samples,
+            "seed": seed,
+            "jarzynski_estimate": est,
+            "standard_error": se,
+        }
+    return RunArtifacts(report=report, forward=fwd, reverse=rev, curves=curves,
+                        metadata=metadata)
 
 
 def sample_work(fwd: WorkDistribution, beta: float, samples: int, seed: int):

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericError
-from .quantum import EnergyBasis, HermitianOperator, UnitaryOperator, energy_basis, thermal_state
+from .quantum import (UNITARITY_TOL, EnergyBasis, HermitianOperator, UnitaryOperator,
+                      energy_basis, thermal_state)
 
 P_FLOOR = 1e-12
 MERGE_TOL_RELATIVE = 1e-9
@@ -133,7 +134,7 @@ def forward_distribution(
     """
     if h_init.dim != h_final.dim or u.dim != h_init.dim:
         raise InputError("operator dimensions must match")
-    if u.unitarity_defect > u.tol:
+    if u.unitarity_defect > UNITARITY_TOL:
         raise InputError("propagator is not unitary within tolerance")
     return _measured_work(_basis(h_init), _basis(h_final), u.entries, beta, merge_tol)
 

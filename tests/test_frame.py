@@ -51,7 +51,7 @@ class TestMetricComponents:
         expected = np.eye(3) - hubble**2 * (r2 * np.eye(3) - np.outer(x, x)) / 3.0
         np.testing.assert_allclose(m.g_ij, expected, atol=1e-14)
 
-    def test_validity_radius_enforced(self):
+    def test_expansion_bound_enforced(self):
         frame = uniform_gravity_frame(1.0)
         with pytest.raises(DomainError):
             metric_components(frame, point([0.5, 0.0, 0.0]))  # |a.x| = 0.5 > 0.1
@@ -69,7 +69,7 @@ class TestMetricComponents:
     def test_degenerate_spatial_block_rejected(self, monkeypatch):
         # large curvature drives g_ij out of positive definiteness; the expansion
         # bound is raised so that the positive-definiteness check is what fires
-        monkeypatch.setattr(frame_module, "DEFAULT_VALIDITY_BOUND", 10.0)
+        monkeypatch.setattr(frame_module, "VALIDITY_BOUND", 10.0)
         frame = FrameData(
             accel=lambda tau: np.zeros(3),
             riemann_titj=lambda tau: np.zeros((3, 3)),

@@ -118,10 +118,6 @@ class TestEnergyBasis:
         recon = basis.eigenvectors @ np.diag(basis.eigenvalues) @ basis.eigenvectors.conj().T
         assert np.max(np.abs(recon - h.entries)) < 1e-10
 
-    def test_degeneracy_flagged(self):
-        basis = energy_basis(HermitianOperator(np.diag([0.0, 1.0, 1.0, 2.0]).astype(complex)))
-        assert list(basis.degenerate) == [False, True, True, False]
-
 
 class TestPropagator:
     def test_constant_hamiltonian(self):

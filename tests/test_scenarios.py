@@ -10,13 +10,12 @@ import pytest
 
 from curvedwork.cli import main as cli_main
 from curvedwork.errors import ConfigError, ConvergenceError, InputError
+from curvedwork.quantum import AffinePath, qho_hamiltonian, x_squared_matrix
 from curvedwork.scenarios import (
     RunArtifacts,
     ScenarioConfig,
     _frame_from_tables,
-    run_custom,
-    run_desitter,
-    run_newtonian,
+    run_scenario,
     sample_work,
 )
 from curvedwork.tpm import WorkDistribution, entropy_production_two_level
@@ -110,24 +109,45 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError):
             desitter_config(system={"kind": "oscillator", "mass": 1.0, "omega0": 1.0, "dim": 1})
 
+    def test_scenario_scope_rejected_at_construction(self):
+        oscillator = {"kind": "oscillator", "mass": 1.0, "omega0": 1.0}
+        base = {"beta": 1.0, "system": {"kind": "two_level", "eps": 1.0}}
+        cases = [
+            ({**base, "scenario": "newtonian", "system": oscillator, "geometry": {"g": 0.1}},
+             "the newtonian scenario runs a two_level system"),
+            ({**base, "scenario": "desitter", "geometry": {"hubble": 0.01}},
+             "the desitter scenario runs an oscillator system"),
+            ({**base, "scenario": "desitter", "geometry": {"hubble": 0.01},
+              "system": {"kind": "matrix", "entries": [[1.0]]}},
+             "the desitter scenario runs an oscillator system"),
+            ({**base, "scenario": "newtonian", "geometry": {}}, "newtonian geometry needs 'g'"),
+            ({**base, "scenario": "desitter", "system": oscillator, "geometry": {"g": 0.1}},
+             "desitter geometry needs 'hubble'"),
+            ({**base, "scenario": "custom", "geometry": {"hubble": 0.01}},
+             "custom geometry needs 'frame_tables'"),
+        ]
+        for data, message in cases:
+            with pytest.raises(ConfigError, match=message):
+                ScenarioConfig.from_dict(data)
+
 
 class TestRunNewtonian:
     def test_at_origin_no_entropy(self):
-        art = run_newtonian(newtonian_config(position=[0.0, 0.0, 0.0]))
+        art = run_scenario(newtonian_config(position=[0.0, 0.0, 0.0]))
         assert art.metadata["newtonian"]["zfactor"] == 1.0
         assert art.report.entropy_production == pytest.approx(0.0, abs=1e-14)
         assert art.report.dissipated_work == pytest.approx(0.0, abs=1e-14)
 
     def test_redshift_case_positive_entropy(self):
         # gx > 0 at rest: Z > 1, the closed-form entropy production is positive
-        art = run_newtonian(newtonian_config())
+        art = run_scenario(newtonian_config())
         meta = art.metadata["newtonian"]
         assert meta["zfactor"] > 1.0
         assert meta["entropy_closed_form"] > 0.0
         assert art.report.crooks_max_residual < 1e-10
 
     def test_kinetic_case_negative_entropy(self):
-        art = run_newtonian(
+        art = run_scenario(
             newtonian_config(position=[0.0, 0.0, 0.0], momentum=[0.3, 0.0, 0.0])
         )
         meta = art.metadata["newtonian"]
@@ -135,20 +155,20 @@ class TestRunNewtonian:
         assert meta["entropy_closed_form"] < 0.0
 
     def test_zfactor_conventions_reported(self):
-        art = run_newtonian(newtonian_config())
+        art = run_scenario(newtonian_config())
         meta = art.metadata["newtonian"]
         assert meta["zfactor"] == pytest.approx(1.05)
         assert meta["zfactor_doubled_convention"] == pytest.approx(1.10)
 
     def test_entropy_curve_matches_closed_form(self):
-        art = run_newtonian(newtonian_config(zfactor_grid=[0.8, 1.0, 1.2]))
+        art = run_scenario(newtonian_config(zfactor_grid=[0.8, 1.0, 1.2]))
         series = art.curves["series"]["entropy_closed_form"]
         expected = [entropy_production_two_level(z, 1.0) for z in (0.8, 1.0, 1.2)]
         np.testing.assert_allclose(series, expected, atol=1e-14)
 
     def test_oscillator_system_rejected(self):
         with pytest.raises(ConfigError):
-            run_newtonian(
+            run_scenario(
                 newtonian_config(system={"kind": "oscillator", "mass": 1.0, "omega0": 1.0,
                                          "dim": 4})
             )
@@ -156,20 +176,20 @@ class TestRunNewtonian:
 
 class TestRunDesitter:
     def test_report_consistency(self):
-        art = run_desitter(desitter_config())
+        art = run_scenario(desitter_config())
         assert art.report.delta_F == 0.0
         assert art.report.crooks_max_residual < 1e-8
         assert abs(art.report.jarzynski_lhs - 1.0) < 1e-10
         assert art.metadata["oscillator"]["truncation_leakage"] < 1e-8
 
     def test_only_even_transitions_visible(self):
-        art = run_desitter(desitter_config())
+        art = run_scenario(desitter_config())
         # ground-state-dominated thermal start: support is spaced by 2 omega0
         gaps = np.diff(art.forward.works[art.forward.probs > 1e-12])
         assert np.all(np.abs(np.round(gaps / 2.0) * 2.0 - gaps) < 1e-9)
 
     def test_transition_curves_agree_at_peaks(self):
-        art = run_desitter(desitter_config(duration=10.0, curve_points=50))
+        art = run_scenario(desitter_config(duration=10.0, curve_points=50))
         series = art.curves["series"]
         formula = np.asarray(series["p20_formula"])
         exact = np.asarray(series["p20_exact"])
@@ -179,13 +199,13 @@ class TestRunDesitter:
         np.testing.assert_allclose(pert[mask], formula[mask], rtol=1e-9)
 
     def test_effective_frequency_diagnostic(self):
-        art = run_desitter(desitter_config(geometry={"hubble": 0.3}))
+        art = run_scenario(desitter_config(geometry={"hubble": 0.3}))
         eff = art.metadata["effective_frequency"]
         assert eff["expected"] == pytest.approx(math.sqrt(1 - 0.09))
         assert eff["max_spacing_deviation"] < 1e-10
 
     def test_planck_scale_ratio_reported(self):
-        art = run_desitter(
+        art = run_scenario(
             desitter_config(
                 geometry={"hubble": 1e-61},
                 system={"kind": "oscillator", "mass": 1.0, "omega0": 1e-30, "dim": 40},
@@ -196,7 +216,20 @@ class TestRunDesitter:
 
     def test_inverted_oscillator_rejected(self):
         with pytest.raises(ConfigError):
-            run_desitter(desitter_config(geometry={"hubble": 2.0}))
+            run_scenario(desitter_config(geometry={"hubble": 2.0}))
+
+    def test_exact_curve_is_the_evolution_entry(self):
+        mass, omega0, hubble, dim = 1.0, 1.0, 0.3, 40
+        art = run_scenario(desitter_config(
+            geometry={"hubble": hubble},
+            system={"kind": "oscillator", "mass": mass, "omega0": omega0, "dim": dim}))
+        tidal = -0.5 * mass * hubble ** 2
+        path = AffinePath(qho_hamiltonian(mass, omega0, dim), x_squared_matrix(mass, omega0, dim),
+                          lambda tau: tidal)
+        spectrum = path.spectrum(tidal)
+        expected = [abs(spectrum.evolution(t)[2, 0]) ** 2 for t in art.curves["x"]]
+        np.testing.assert_allclose(art.curves["series"]["p20_exact"], expected,
+                                   rtol=1e-13, atol=1e-30)
 
     def test_truncation_guard_trips(self):
         cfg = desitter_config(
@@ -205,15 +238,15 @@ class TestRunDesitter:
             beta=0.05,
         )
         with pytest.raises(ConvergenceError, match="raise dim"):
-            run_desitter(cfg)
+            run_scenario(cfg)
 
 
 class TestRunCustom:
     def test_reproduces_newtonian(self):
         base = dict(beta=1.0, position=[0.5, 0.0, 0.0], momentum=[0.0, 0.0, 0.0],
                     duration=1.0, steps=200)
-        art_n = run_newtonian(newtonian_config(**base))
-        art_c = run_custom(
+        art_n = run_scenario(newtonian_config(**base))
+        art_c = run_scenario(
             ScenarioConfig.from_dict({
                 "scenario": "custom",
                 "system": {"kind": "two_level", "eps": 1.0, "mass": 1.0},
@@ -229,8 +262,8 @@ class TestRunCustom:
     def test_reproduces_desitter(self):
         hubble = 0.01
         base = dict(beta=1.0, duration=1.0, steps=100)
-        art_d = run_desitter(desitter_config(geometry={"hubble": hubble}, **base))
-        art_c = run_custom(
+        art_d = run_scenario(desitter_config(geometry={"hubble": hubble}, **base))
+        art_c = run_scenario(
             ScenarioConfig.from_dict({
                 "scenario": "custom",
                 "system": {"kind": "oscillator", "mass": 1.0, "omega0": 1.0, "dim": 40},
@@ -245,7 +278,7 @@ class TestRunCustom:
 
     def test_matrix_system(self):
         h = [[0.0, 0.3], [0.3, 1.0]]
-        art = run_custom(
+        art = run_scenario(
             ScenarioConfig.from_dict({
                 "scenario": "custom",
                 "beta": 1.0,
@@ -266,7 +299,7 @@ class TestRunCustom:
         tables["riemann_tjik"] = []
         tables["riemann_ikjl"] = []
         with pytest.raises(InputError):
-            run_custom(
+            run_scenario(
                 ScenarioConfig.from_dict({
                     "scenario": "custom",
                     "beta": 1.0,
@@ -302,7 +335,7 @@ class TestRunCustom:
         bad[:, 0, 1] = 1e-3
         tables["riemann_titj"] = bad.tolist()
         with pytest.raises(InputError, match="titj_symmetric"):
-            run_custom(
+            run_scenario(
                 ScenarioConfig.from_dict({
                     "scenario": "custom",
                     "beta": 1.0,
@@ -333,7 +366,7 @@ class TestSampleWork:
 
 class TestArtifactsEmission:
     def test_files_and_formats(self, tmp_path):
-        art = run_newtonian(newtonian_config(samples=500, seed=3))
+        art = run_scenario(newtonian_config(samples=500, seed=3))
         art.write(tmp_path)
         names = {p.name for p in tmp_path.iterdir()}
         assert names == {"report.json", "forward.csv", "reverse.csv", "curves.csv"}
@@ -379,7 +412,7 @@ class TestConfigHash:
     def test_custom_oscillator_report_is_small(self, tmp_path):
         # 64 table rows echoed into report.json made it over 300 kB
         cfg = self.custom_oscillator(desitter_tables(0.01, n=64))
-        run_custom(cfg).write(tmp_path)
+        run_scenario(cfg).write(tmp_path)
         payload = json.loads((tmp_path / "report.json").read_text())
         assert payload["metadata"]["config_sha256"] == config_sha256(cfg)
         assert (tmp_path / "report.json").stat().st_size < 4096
@@ -460,6 +493,14 @@ class TestCli:
         pytest.param({"curve_points": 10 ** 5 + 1}, id="curve_points-above-bound"),
         pytest.param({"scenario": "desitter", "geometry": {"hubble": 0.01}, "system": {
             "kind": "oscillator", "mass": 1.0, "omega0": 1.0, "dim": 2049}}, id="dim-above-bound"),
+        pytest.param({"system": {"kind": "oscillator", "mass": 1.0, "omega0": 1.0}},
+                     id="scenario-system-mismatch"),
+        pytest.param({"geometry": {}}, id="geometry-key-missing"),
+        pytest.param({"scenario": "custom", "duration": 10.0,
+                      "geometry": {"frame_tables": uniform_gravity_tables()}},
+                     id="table-ends-before-duration"),
+        pytest.param({"scenario": "custom",
+                      "geometry": {"frame_tables": uniform_gravity_tables(n=1)}}, id="table-one-row"),
     ])
     def test_malformed_field_is_one_error_line(self, tmp_path, capsys, overrides):
         data = {**vars(newtonian_config()), **overrides}
@@ -485,5 +526,8 @@ class TestCli:
         assert rc == 0
         summary = json.loads((tmp_path / "verification.json").read_text())
         assert summary["passed"]
+        runtimes = {c["name"]: c["runtime"] for c in summary["criteria"]}
+        assert all(rt >= 0 for rt in runtimes.values())
+        assert runtimes["A2"] == 0.0
         out = capsys.readouterr().out
         assert "A1: PASS" in out
