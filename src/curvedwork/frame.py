@@ -1,16 +1,16 @@
 """Fermi-normal-frame geometry around a laboratory worldline.
 
-A frame is described by the worldline's proper acceleration and by the
-curvature components expressed in the orthonormal laboratory frame, all as
-functions of proper time.  From these the second-order metric expansion,
-the redshift factor and the non-relativistic time-dilation factor are
-evaluated at points near the worldline.
+A frame is a table over proper time of the worldline's proper acceleration and
+of the curvature components expressed in the orthonormal laboratory frame.
+From these the second-order metric expansion, the redshift factor and the
+non-relativistic time-dilation factor are evaluated at points near the
+worldline.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -20,25 +20,66 @@ from .errors import DomainError, GeometryError, InputError
 # O(r^3) truncation honest.
 VALIDITY_BOUND = 0.1
 
+# The shape of one row of each tensor table
+ROW_SHAPES = {"accel": (3,), "riemann_titj": (3, 3), "riemann_tjik": (3, 3, 3),
+              "riemann_ikjl": (3, 3, 3, 3)}
+
 Vector = np.ndarray
 
 
 @dataclass(frozen=True)
 class FrameData:
-    """Worldline data in the Fermi frame.
+    """Worldline data in the Fermi frame, one row per proper time.
 
-    accel(tau) -> (3,) proper acceleration a_i.
-    riemann_titj(tau) -> (3, 3) components R_{t i t j}, symmetric in (i, j).
-    riemann_tjik(tau) -> (3, 3, 3) components R_{t j i k}, indexed [j, i, k],
+    tau (n,) strictly increasing proper times.
+    accel (n, 3) proper acceleration a_i.
+    riemann_titj (n, 3, 3) components R_{t i t j}, symmetric in (i, j).
+    riemann_tjik (n, 3, 3, 3) components R_{t j i k}, indexed [j, i, k],
         antisymmetric in (i, k).
-    riemann_ikjl(tau) -> (3, 3, 3, 3) spatial components R_{i k j l}, indexed
+    riemann_ikjl (n, 3, 3, 3, 3) spatial components R_{i k j l}, indexed
         [i, k, j, l], with the full Riemann pair symmetries.
+
+    Each entry is linear in tau between rows and held at the nearest row
+    outside them, as np.interp does, so a constant frame is one row.  The
+    fields are stored as read-only float copies.
     """
 
-    accel: Callable[[float], Vector]
-    riemann_titj: Callable[[float], np.ndarray]
-    riemann_tjik: Callable[[float], np.ndarray]
-    riemann_ikjl: Callable[[float], np.ndarray]
+    tau: np.ndarray
+    accel: np.ndarray
+    riemann_titj: np.ndarray
+    riemann_tjik: np.ndarray
+    riemann_ikjl: np.ndarray
+
+    def __post_init__(self):
+        for name, shape in (("tau", ()), *ROW_SHAPES.items()):
+            try:
+                arr = np.array(getattr(self, name), dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise InputError(f"frame {name} is not an array of numbers") from exc
+            rows = arr.size if name == "tau" else self.tau.size
+            if rows == 0:
+                raise InputError("frame tables are empty")
+            if arr.shape != (rows, *shape):
+                raise InputError(f"frame {name} has shape {arr.shape}, not {(rows, *shape)}")
+            if not np.all(np.isfinite(arr)):
+                raise InputError(f"non-finite frame {name} entries")
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        if np.any(np.diff(self.tau) <= 0):
+            raise InputError("frame table taus must be strictly increasing")
+
+    def at(self, tau: float):
+        """(accel, R_titj, R_tjik, R_ikjl) at proper time tau, by np.interp's formula."""
+        tau = float(tau)
+        if math.isnan(tau):
+            raise InputError("frame evaluated at tau = nan")
+        taus, rows = self.tau, (self.accel, self.riemann_titj, self.riemann_tjik,
+                                self.riemann_ikjl)
+        j = int(np.searchsorted(taus, tau, side="right")) - 1
+        if j < 0 or j >= taus.size - 1 or taus[j] == tau:
+            return tuple(r[max(j, 0)] for r in rows)
+        return tuple((r[j + 1] - r[j]) / (taus[j + 1] - taus[j]) * (tau - taus[j]) + r[j]
+                     for r in rows)
 
 
 @dataclass(frozen=True)
@@ -70,7 +111,7 @@ class MetricComponents:
 
 @dataclass(frozen=True)
 class FrameValidation:
-    """Per-invariant maximum symmetry violations over the sampled proper times."""
+    """Per-invariant maximum symmetry violations over a frame's rows."""
 
     violations: dict = field(default_factory=dict)
     tol: float = 1e-12
@@ -80,49 +121,24 @@ class FrameValidation:
         return all(v <= self.tol for v in self.violations.values())
 
 
-def _eval_tensors(frame: FrameData, tau: float):
-    a = np.asarray(frame.accel(tau), dtype=float)
-    r_titj = np.asarray(frame.riemann_titj(tau), dtype=float)
-    r_tjik = np.asarray(frame.riemann_tjik(tau), dtype=float)
-    r_ikjl = np.asarray(frame.riemann_ikjl(tau), dtype=float)
-    shapes = (a.shape, r_titj.shape, r_tjik.shape, r_ikjl.shape)
-    if shapes != ((3,), (3, 3), (3, 3, 3), (3, 3, 3, 3)):
-        raise InputError(f"frame tensors have wrong shapes: {shapes}")
-    for t in (a, r_titj, r_tjik, r_ikjl):
-        if not np.all(np.isfinite(t)):
-            raise InputError(f"non-finite frame tensor entries at tau={tau}")
-    return a, r_titj, r_tjik, r_ikjl
-
-
-def validate_frame(frame: FrameData, tau_samples, tol: float = 1e-12) -> FrameValidation:
+def validate_frame(frame: FrameData, tol: float = 1e-12) -> FrameValidation:
     """Check the Riemann index symmetries of user-supplied frame data.
 
-    Returns the maximum violation magnitude per invariant over all samples.
-    Raises InputError for empty samples or non-finite tensor entries.
+    Returns the maximum violation magnitude per invariant over all rows; each
+    defect is linear in the entries, so it is largest at a row.
     """
-    tau_samples = list(tau_samples)
-    if not tau_samples:
-        raise InputError("tau_samples must be non-empty")
-    v_titj = v_tjik = v_ik = v_jl = v_pair = 0.0
-    for tau in tau_samples:
-        _, r_titj, r_tjik, r_ikjl = _eval_tensors(frame, tau)
-        v_titj = max(v_titj, float(np.max(np.abs(r_titj - r_titj.T))))
-        # R_{t j i k}: antisymmetric in the last pair (i, k) = axes (1, 2)
-        v_tjik = max(v_tjik, float(np.max(np.abs(r_tjik + np.swapaxes(r_tjik, 1, 2)))))
+    r_titj, r_tjik, r_ikjl = frame.riemann_titj, frame.riemann_tjik, frame.riemann_ikjl
+    defects = {
+        "titj_symmetric": r_titj - np.swapaxes(r_titj, 1, 2),
+        # R_{t j i k}: antisymmetric in the last pair (i, k)
+        "tjik_antisymmetric": r_tjik + np.swapaxes(r_tjik, 2, 3),
         # R_{i k j l}, indexed [i, k, j, l]
-        v_ik = max(v_ik, float(np.max(np.abs(r_ikjl + np.swapaxes(r_ikjl, 0, 1)))))
-        v_jl = max(v_jl, float(np.max(np.abs(r_ikjl + np.swapaxes(r_ikjl, 2, 3)))))
-        v_pair = max(v_pair, float(np.max(np.abs(r_ikjl - np.transpose(r_ikjl, (2, 3, 0, 1))))))
+        "ikjl_antisymmetric_first_pair": r_ikjl + np.swapaxes(r_ikjl, 1, 2),
+        "ikjl_antisymmetric_second_pair": r_ikjl + np.swapaxes(r_ikjl, 3, 4),
+        "ikjl_pair_exchange": r_ikjl - np.transpose(r_ikjl, (0, 3, 4, 1, 2)),
+    }
     return FrameValidation(
-        violations={
-            "titj_symmetric": v_titj,
-            "tjik_antisymmetric": v_tjik,
-            "ikjl_antisymmetric_first_pair": v_ik,
-            "ikjl_antisymmetric_second_pair": v_jl,
-            "ikjl_pair_exchange": v_pair,
-        },
-        tol=tol,
-    )
+        violations={k: float(np.max(np.abs(d))) for k, d in defects.items()}, tol=tol)
 
 
 def _check_validity(point: FramePoint, a, tensors) -> None:
@@ -137,7 +153,7 @@ def _check_validity(point: FramePoint, a, tensors) -> None:
 
 def metric_components(frame: FrameData, point: FramePoint) -> MetricComponents:
     """Second-order Fermi metric at a point; truncation error O(r^3) by construction."""
-    a, r_titj, r_tjik, r_ikjl = _eval_tensors(frame, point.tau)
+    a, r_titj, r_tjik, r_ikjl = frame.at(point.tau)
     _check_validity(point, a, (r_titj, r_tjik, r_ikjl))
     x = point.x
     g_tt = -((1.0 + a @ x) ** 2) - x @ r_titj @ x
@@ -162,7 +178,7 @@ def redshift_exact(metric: MetricComponents) -> float:
 
 def redshift_weakfield(frame: FrameData, point: FramePoint) -> float:
     """Weak-field redshift expansion 1 + a.x + (1/2) R_{titj} x^i x^j."""
-    a, r_titj, r_tjik, r_ikjl = _eval_tensors(frame, point.tau)
+    a, r_titj, r_tjik, r_ikjl = frame.at(point.tau)
     _check_validity(point, a, (r_titj, r_tjik, r_ikjl))
     x = point.x
     return float(1.0 + a @ x + 0.5 * (x @ r_titj @ x))
@@ -180,7 +196,7 @@ def time_dilation(frame: FrameData, point: FramePoint, p, mass: float) -> float:
     p = np.asarray(p, dtype=float)
     if p.shape != (3,):
         raise InputError(f"momentum must be a 3-vector, got shape {p.shape}")
-    a, r_titj, r_tjik, r_ikjl = _eval_tensors(frame, point.tau)
+    a, r_titj, r_tjik, r_ikjl = frame.at(point.tau)
     _check_validity(point, a, (r_titj, r_tjik, r_ikjl))
     x = point.x
     return float(1.0 - (p @ p) / (2.0 * mass * mass) + a @ x + 0.5 * (x @ r_titj @ x))

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, ConvergenceError, InputError
-from .frame import FrameData, FramePoint, time_dilation, validate_frame
+from .frame import ROW_SHAPES, FrameData, FramePoint, time_dilation, validate_frame
 from .quantum import (
     AffinePath,
     EnergyBasis,
@@ -286,8 +286,8 @@ def _newtonian(config: ScenarioConfig):
     return b0, bt, UnitaryOperator(np.eye(2)), blocks, curves
 
 
-def _oscillator_protocol(config, riemann_tt):
-    """Shared center-of-mass oscillator pipeline over a curvature history R_txtx(tau).
+def _oscillator_protocol(config, frame):
+    """Shared center-of-mass oscillator pipeline over the frame's curvature history R_txtx(tau).
 
     Measurements are projective in the eigenbasis of the unperturbed
     oscillator, whose populations the curvature term drives.
@@ -296,8 +296,9 @@ def _oscillator_protocol(config, riemann_tt):
     omega0 = float(config.system["omega0"])
     dim = int(config.system.get("dim", DEFAULT_OSCILLATOR_DIM))
     h0 = qho_hamiltonian(mass, omega0, dim)
+    taus, r_tt = frame.tau, frame.riemann_titj[:, 0, 0]
     path = AffinePath(h0, x_squared_matrix(mass, omega0, dim),
-                      lambda tau: 0.5 * mass * riemann_tt(tau))
+                      lambda tau: 0.5 * mass * np.interp(tau, taus, r_tt))
     u = propagator(path, 0.0, config.duration, config.steps)
 
     # truncation guard: evolved thermal populations must not reach the cutoff
@@ -329,10 +330,9 @@ def _desitter(config: ScenarioConfig):
     _require(hubble < omega0,
              "hubble must stay below omega0 (the effective oscillator would invert)")
     frame = desitter_frame(hubble)
-    path, b0, u, blocks = _oscillator_protocol(
-        config, lambda tau: frame.riemann_titj(tau)[0, 0])
+    path, b0, u, blocks = _oscillator_protocol(config, frame)
     dim = path.h0.dim
-    # the tidal term is tau-independent, so one eigensystem at its value serves
+    # the de Sitter frame is one row, so one eigensystem at its tidal term serves
     # the effective-frequency diagnostic and the exact transition curve
     spectrum = path.spectrum(path.f(0.0))
 
@@ -351,7 +351,7 @@ def _desitter(config: ScenarioConfig):
     _, w, v = spectrum.sectors[0]
     p_exact = np.abs((v[1] * v[0]) @ np.exp(-1j * np.outer(w, times))) ** 2
     p_pert = np.array([abs(perturbative_amplitude(
-        mass, omega0, [0.0], [-hubble ** 2], 2, 0, t)) ** 2 for t in times])
+        mass, omega0, frame.tau, frame.riemann_titj[:, 0, 0], 2, 0, t)) ** 2 for t in times])
     p_formula = np.array([transition_probability_formula(mass, omega0, hubble, 2, 0, t)
                           if t > 0 else 0.0 for t in times])
     curves = {
@@ -366,46 +366,16 @@ def _desitter(config: ScenarioConfig):
     return b0, b0, u, blocks, curves
 
 
-def _interp_rows(taus, rows, tau):
-    """np.interp(tau, taus, rows[:, k]) for every column k at once, by np.interp's formula."""
-    if math.isnan(tau):
-        return np.full(rows.shape[1], math.nan)
-    j = int(np.searchsorted(taus, tau, side="right")) - 1
-    if j < 0:
-        return rows[0].copy()
-    if j >= taus.size - 1 or taus[j] == tau:
-        return rows[j].copy()
-    slope = (rows[j + 1] - rows[j]) / (taus[j + 1] - taus[j])
-    return slope * (tau - taus[j]) + rows[j]
-
-
 def _frame_from_tables(tables: dict, tolerances: dict) -> FrameData:
-    required = {"tau", "accel", "riemann_titj", "riemann_tjik", "riemann_ikjl"}
-    if not isinstance(tables, dict) or set(tables) != required:
-        raise InputError(f"frame_tables must have exactly the keys {sorted(required)}")
+    keys = {"tau", *ROW_SHAPES}
+    if not isinstance(tables, dict) or set(tables) != keys:
+        raise InputError(f"frame_tables must have exactly the keys {sorted(keys)}")
     taus = _reals("frame_tables.tau", tables["tau"], (None,))
-    if taus.size == 0:
-        raise InputError("frame tables are empty")
-    if np.any(np.diff(taus) <= 0):
-        raise InputError("frame table taus must be strictly increasing")
-    shapes = {"accel": (3,), "riemann_titj": (3, 3), "riemann_tjik": (3, 3, 3),
-              "riemann_ikjl": (3, 3, 3, 3)}
-    arrays = {key: _reals(f"frame_tables.{key}", tables[key], (taus.size, *shape))
-              for key, shape in shapes.items()}
-
-    def interp(key):
-        arr = arrays[key]
-        flat = arr.reshape(taus.size, -1)
-        return lambda tau: _interp_rows(taus, flat, tau).reshape(arr.shape[1:])
-
-    frame = FrameData(
-        accel=interp("accel"),
-        riemann_titj=interp("riemann_titj"),
-        riemann_tjik=interp("riemann_tjik"),
-        riemann_ikjl=interp("riemann_ikjl"),
-    )
+    frame = FrameData(tau=taus, **{
+        key: _reals(f"frame_tables.{key}", tables[key], (taus.size, *shape))
+        for key, shape in ROW_SHAPES.items()})
     tol = float(tolerances.get("frame_symmetry", 1e-9))
-    result = validate_frame(frame, list(taus), tol=tol)
+    result = validate_frame(frame, tol=tol)
     if not result.passed:
         bad = {k: v for k, v in result.violations.items() if v > tol}
         raise InputError(f"frame tables violate Riemann symmetries: {bad}")
@@ -429,20 +399,17 @@ def _custom(config: ScenarioConfig):
     kind = config.system["kind"]
 
     if kind == "oscillator":
-        riemann_tt = lambda tau: frame.riemann_titj(tau)[0, 0]
-        _, b0, u, blocks = _oscillator_protocol(config, riemann_tt)
+        _, b0, u, blocks = _oscillator_protocol(config, frame)
         curves = {
             "x_name": "t",
             "x": times,
-            "series": {"curvature_tt": np.array([riemann_tt(t) for t in times])},
+            "series": {"curvature_tt": np.interp(times, frame.tau, frame.riemann_titj[:, 0, 0])},
         }
         return b0, b0, u, blocks, curves
     if kind == "two_level":
         h_int = two_level_hamiltonian(float(config.system["eps"]))
     else:
         h_int = HermitianOperator(np.asarray(config.system["entries"], dtype=float))
-        if float(np.max(np.abs(h_int.entries.imag))) > 1e-12:
-            raise InputError("matrix system must be real-symmetric")
     sysmass = float(config.system.get("mass", 1.0))
     x_end = np.asarray(config.position, dtype=float)
     p_end = np.asarray(config.momentum, dtype=float)

@@ -1,7 +1,7 @@
 """Catalog of concrete Fermi-frame builders.
 
-All builders return reentrant function bundles of proper time tau; each
-catalog frame's tensors are constant along its worldline.
+Each catalog frame's tensors are constant along its worldline, so each
+builder returns a one-row frame table.
 """
 
 from __future__ import annotations
@@ -16,14 +16,14 @@ _DELTA = np.eye(3)
 _PAIR = np.einsum("ij,kl->ikjl", _DELTA, _DELTA) - np.einsum("il,kj->ikjl", _DELTA, _DELTA)
 
 
+def _one_row(accel=np.zeros(3), titj=np.zeros((3, 3)), ikjl=np.zeros((3, 3, 3, 3))):
+    return FrameData(tau=[0.0], accel=[accel], riemann_titj=[titj],
+                     riemann_tjik=np.zeros((1, 3, 3, 3)), riemann_ikjl=[ikjl])
+
+
 def flat_frame() -> FrameData:
     """Inertial frame in flat spacetime: zero acceleration and curvature."""
-    return FrameData(
-        accel=lambda tau: np.zeros(3),
-        riemann_titj=lambda tau: np.zeros((3, 3)),
-        riemann_tjik=lambda tau: np.zeros((3, 3, 3)),
-        riemann_ikjl=lambda tau: np.zeros((3, 3, 3, 3)),
-    )
+    return _one_row()
 
 
 def uniform_gravity_frame(g: float) -> FrameData:
@@ -31,13 +31,7 @@ def uniform_gravity_frame(g: float) -> FrameData:
 
     Acceleration (g, 0, 0), all curvature components zero.
     """
-    a = np.array([g, 0.0, 0.0])
-    return FrameData(
-        accel=lambda tau: a,
-        riemann_titj=lambda tau: np.zeros((3, 3)),
-        riemann_tjik=lambda tau: np.zeros((3, 3, 3)),
-        riemann_ikjl=lambda tau: np.zeros((3, 3, 3, 3)),
-    )
+    return _one_row(accel=[g, 0.0, 0.0])
 
 
 def desitter_frame(hubble: float) -> FrameData:
@@ -51,11 +45,4 @@ def desitter_frame(hubble: float) -> FrameData:
     if hubble <= 0:
         raise InputError(f"hubble must be positive, got {hubble}")
     h2 = hubble * hubble
-    titj = -h2 * _DELTA
-    ikjl = h2 * _PAIR
-    return FrameData(
-        accel=lambda tau: np.zeros(3),
-        riemann_titj=lambda tau: titj.copy(),
-        riemann_tjik=lambda tau: np.zeros((3, 3, 3)),
-        riemann_ikjl=lambda tau: ikjl.copy(),
-    )
+    return _one_row(titj=-h2 * _DELTA, ikjl=h2 * _PAIR)

@@ -1,5 +1,6 @@
-"""Fermi-frame geometry: metric expansion, redshift, time dilation."""
+"""Fermi-frame geometry: frame tables, metric expansion, redshift, time dilation."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -21,6 +22,50 @@ from curvedwork.spacetimes import desitter_frame, flat_frame, uniform_gravity_fr
 
 def point(x, tau=0.0):
     return FramePoint(tau=tau, x=np.asarray(x, dtype=float))
+
+
+def one_row(**rows):
+    """A one-row frame: the given rows, zeros elsewhere."""
+    zeros = {"accel": np.zeros(3), "riemann_titj": np.zeros((3, 3)),
+             "riemann_tjik": np.zeros((3, 3, 3)), "riemann_ikjl": np.zeros((3, 3, 3, 3))}
+    return FrameData(tau=[0.0], **{k: [rows.get(k, v)] for k, v in zeros.items()})
+
+
+class TestFrameData:
+    @pytest.mark.parametrize("rows", [1, 2, 9])
+    def test_at_matches_np_interp(self, rows):
+        rng = np.random.default_rng(rows)
+        taus = np.sort(rng.uniform(-1.0, 2.0, rows))
+        tables = [rng.normal(size=(rows, *(3,) * k)) for k in (1, 2, 3, 4)]
+        frame = FrameData(taus, *tables)
+        probes = [*taus, *rng.uniform(-1.5, 2.5, 40), -math.inf, math.inf]
+        for tau in probes:
+            for got, table in zip(frame.at(tau), tables):
+                flat = table.reshape(rows, -1)
+                expected = [np.interp(tau, taus, flat[:, k]) for k in range(flat.shape[1])]
+                np.testing.assert_array_equal(got.ravel(), expected)
+        # the frame holds read-only copies: neither its caller nor a reader can change it
+        expected = tables[1][0, 0, 0]
+        tables[1][0, 0, 0] = 98.0
+        with pytest.raises(ValueError):
+            frame.at(taus[0])[1][0, 0] = 99.0
+        assert frame.at(taus[0])[1][0, 0] == expected
+
+    @pytest.mark.parametrize("case", ["empty", "not_increasing", "row_shape", "nan_entry",
+                                      "at_nan"])
+    def test_malformed_frame_rejected(self, case):
+        zeros = [np.zeros((2, *(3,) * k)) for k in (1, 2, 3, 4)]
+        with pytest.raises(InputError):
+            if case == "empty":
+                FrameData([], *(z[:0] for z in zeros))
+            elif case == "not_increasing":
+                FrameData([1.0, 1.0], *zeros)
+            elif case == "row_shape":
+                FrameData([0.0, 1.0], zeros[0], zeros[1], zeros[2], np.zeros((2, 3, 3, 3)))
+            elif case == "nan_entry":
+                FrameData([0.0, 1.0], zeros[0], np.full((2, 3, 3), np.nan), *zeros[2:])
+            else:
+                FrameData([0.0, 1.0], *zeros).at(math.nan)
 
 
 class TestMetricComponents:
@@ -57,25 +102,14 @@ class TestMetricComponents:
             metric_components(frame, point([0.5, 0.0, 0.0]))  # |a.x| = 0.5 > 0.1
 
     def test_nonfinite_tensor_rejected(self):
-        frame = FrameData(
-            accel=lambda tau: np.array([np.nan, 0.0, 0.0]),
-            riemann_titj=lambda tau: np.zeros((3, 3)),
-            riemann_tjik=lambda tau: np.zeros((3, 3, 3)),
-            riemann_ikjl=lambda tau: np.zeros((3, 3, 3, 3)),
-        )
         with pytest.raises(InputError):
-            metric_components(frame, point([0.1, 0.0, 0.0]))
+            one_row(accel=np.array([np.nan, 0.0, 0.0]))
 
     def test_degenerate_spatial_block_rejected(self, monkeypatch):
         # large curvature drives g_ij out of positive definiteness; the expansion
         # bound is raised so that the positive-definiteness check is what fires
         monkeypatch.setattr(frame_module, "VALIDITY_BOUND", 10.0)
-        frame = FrameData(
-            accel=lambda tau: np.zeros(3),
-            riemann_titj=lambda tau: np.zeros((3, 3)),
-            riemann_tjik=lambda tau: np.zeros((3, 3, 3)),
-            riemann_ikjl=desitter_frame(2.0).riemann_ikjl,
-        )
+        frame = one_row(riemann_ikjl=desitter_frame(2.0).riemann_ikjl[0])
         with pytest.raises(GeometryError):
             metric_components(frame, point([1.0, 1.0, 0.0]))
 
@@ -104,12 +138,7 @@ class TestRedshift:
         # frame with both acceleration and curvature; the difference between
         # the exact and expanded redshift must vanish at least quadratically
         ds = desitter_frame(0.4)
-        frame = FrameData(
-            accel=lambda tau: np.array([0.2, 0.1, 0.0]),
-            riemann_titj=ds.riemann_titj,
-            riemann_tjik=ds.riemann_tjik,
-            riemann_ikjl=ds.riemann_ikjl,
-        )
+        frame = dataclasses.replace(ds, accel=[[0.2, 0.1, 0.0]])
         direction = np.array([0.6, -0.5, 0.4])
         direction /= np.linalg.norm(direction)
         radii = 0.2 * 0.5 ** np.arange(6)
@@ -146,12 +175,7 @@ class TestTimeDilation:
         mass = 1.5
 
         def make(accel_x):
-            return FrameData(
-                accel=lambda tau: np.array([accel_x, 0.0, 0.0]),
-                riemann_titj=ds.riemann_titj,
-                riemann_tjik=ds.riemann_tjik,
-                riemann_ikjl=ds.riemann_ikjl,
-            )
+            return dataclasses.replace(ds, accel=[[accel_x, 0.0, 0.0]])
 
         x = np.array([0.3, 0.0, 0.0])
         h = 1e-6
@@ -183,27 +207,17 @@ class TestTimeDilation:
 
 class TestValidateFrame:
     def test_flat_frame_passes_exactly(self):
-        result = validate_frame(flat_frame(), [0.0, 1.0, 2.0])
+        result = validate_frame(flat_frame())
         assert result.passed
         assert max(result.violations.values()) == 0.0
 
     def test_desitter_frame_passes(self):
-        result = validate_frame(desitter_frame(0.5), list(np.linspace(0, 3, 7)))
+        result = validate_frame(desitter_frame(0.5))
         assert result.passed
 
     def test_asymmetric_titj_reported(self):
         bad = np.zeros((3, 3))
         bad[0, 1] = 1e-3
-        frame = FrameData(
-            accel=lambda tau: np.zeros(3),
-            riemann_titj=lambda tau: bad,
-            riemann_tjik=lambda tau: np.zeros((3, 3, 3)),
-            riemann_ikjl=lambda tau: np.zeros((3, 3, 3, 3)),
-        )
-        result = validate_frame(frame, [0.0])
+        result = validate_frame(one_row(riemann_titj=bad))
         assert not result.passed
         assert result.violations["titj_symmetric"] == pytest.approx(1e-3)
-
-    def test_empty_samples_rejected(self):
-        with pytest.raises(InputError):
-            validate_frame(flat_frame(), [])

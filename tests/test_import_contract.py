@@ -89,3 +89,15 @@ def test_desitter_run_loads_no_quadrature(tmp_path):
     assert rc == 0
     assert "scipy.linalg" in modules  # the parity-sector solves
     assert "scipy.integrate" not in modules  # the first-order amplitude is closed-form
+
+
+def test_verify_imports_sector_solver_before_first_criterion(tmp_path):
+    # the one-time scipy.linalg import is not charged to the first criterion that solves
+    script = "\n".join([
+        "import json, sys",
+        "from curvedwork import verify",
+        "probe = lambda level: [verify.CriterionResult('probe', 'scipy.linalg' in sys.modules)]",
+        "verify.CRITERIA[:] = [probe]",
+        "print(json.dumps(verify.run_verification('fast')['criteria'][0]['passed']))",
+    ])
+    assert fresh_python(tmp_path, script) is True

@@ -14,7 +14,6 @@ from curvedwork.quantum import AffinePath, qho_hamiltonian, x_squared_matrix
 from curvedwork.scenarios import (
     RunArtifacts,
     ScenarioConfig,
-    _frame_from_tables,
     run_scenario,
     sample_work,
 )
@@ -307,27 +306,6 @@ class TestRunCustom:
                     "geometry": {"frame_tables": tables},
                 })
             )
-
-    @pytest.mark.parametrize("rows", [1, 2, 9])
-    def test_table_interpolation_matches_np_interp(self, rows):
-        rng = np.random.default_rng(rows)
-        taus = np.sort(rng.uniform(-1.0, 2.0, rows))
-        table = rng.normal(size=(rows, 3, 3))
-        tables = {
-            "tau": taus.tolist(),
-            "accel": rng.normal(size=(rows, 3)).tolist(),
-            "riemann_titj": (table + np.swapaxes(table, 1, 2)).tolist(),
-            "riemann_tjik": np.zeros((rows, 3, 3, 3)).tolist(),
-            "riemann_ikjl": np.zeros((rows, 3, 3, 3, 3)).tolist(),
-        }
-        frame = _frame_from_tables(tables, {})
-        flat = np.asarray(tables["riemann_titj"]).reshape(rows, -1)
-        probes = [*taus, *rng.uniform(-1.5, 2.5, 40), -math.inf, math.inf]
-        for tau in probes:
-            expected = [np.interp(tau, taus, flat[:, k]) for k in range(flat.shape[1])]
-            np.testing.assert_array_equal(frame.riemann_titj(tau).ravel(), expected)
-        frame.riemann_titj(taus[0])[0, 0] = 99.0
-        assert frame.riemann_titj(taus[0])[0, 0] == flat[0, 0]
 
     def test_symmetry_violation_named(self):
         tables = uniform_gravity_tables()

@@ -129,7 +129,7 @@ def test_catalog_desitter_collapses_to_one_solve_per_sector(monkeypatch):
     hubble, dim, duration, steps = 0.3, 40, 5.0, 100
     frame = desitter_frame(hubble)
     path = AffinePath(qho_hamiltonian(1.0, 1.0, dim), x_squared_matrix(1.0, 1.0, dim),
-                      lambda tau: 0.5 * frame.riemann_titj(tau)[0, 0])
+                      lambda tau: 0.5 * frame.at(tau)[1][0, 0])
     solves = []
     sector_eigh = quantum._sector_eigh
     monkeypatch.setattr(quantum, "_sector_eigh",
