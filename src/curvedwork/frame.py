@@ -93,6 +93,8 @@ class FramePoint:
         x = np.asarray(self.x, dtype=float)
         if x.shape != (3,):
             raise InputError(f"point must be a 3-vector, got shape {x.shape}")
+        if not np.all(np.isfinite(x)):
+            raise InputError(f"non-finite point coordinates {x}")
         object.__setattr__(self, "x", x)
 
     @property
@@ -191,11 +193,11 @@ def time_dilation(frame: FrameData, point: FramePoint, p, mass: float) -> float:
     lie inside the expansion's validity bound, as for metric_components; the
     condition |p|/mass << 1 is not enforced.
     """
-    if mass <= 0:
-        raise InputError(f"mass must be positive, got {mass}")
+    if not (math.isfinite(mass) and mass > 0):
+        raise InputError(f"mass must be a finite positive number, got {mass}")
     p = np.asarray(p, dtype=float)
-    if p.shape != (3,):
-        raise InputError(f"momentum must be a 3-vector, got shape {p.shape}")
+    if p.shape != (3,) or not np.all(np.isfinite(p)):
+        raise InputError(f"momentum must be a finite 3-vector, got {p}")
     a, r_titj, r_tjik, r_ikjl = frame.at(point.tau)
     _check_validity(point, a, (r_titj, r_tjik, r_ikjl))
     x = point.x

@@ -1,11 +1,11 @@
 """Finite-dimensional quantum mechanics on a truncated Hilbert space.
 
 Dense complex matrices with checked structure, Gibbs states computed via
-eigendecomposition, a midpoint exponential-product propagator for
-time-dependent Hamiltonians with solvers for the two structured path shapes
-(affine h0 + f(tau) x and rescaled z(tau) h), and the first-order
-interaction-picture amplitude for the curvature-driven oscillator, integrated
-exactly over a piecewise-linear curvature history.
+eigendecomposition, a midpoint exponential-product propagator along the one
+Hamiltonian path shape h0 + f(tau) x (a system rescaled by z(tau) is the path
+with h0 = 0), and the first-order interaction-picture amplitude for the
+curvature-driven oscillator, integrated exactly over a piecewise-linear
+curvature history.
 """
 
 from __future__ import annotations
@@ -233,7 +233,7 @@ class ParitySpectrum:
 
 @dataclass(frozen=True)
 class AffinePath:
-    """Hamiltonian path H(tau) = h0 + f(tau) x, with real-valued f."""
+    """Hamiltonian path H(tau) = h0 + f(tau) x, with real-valued f; z(tau) h is h0 = 0, x = h."""
 
     h0: HermitianOperator
     x: HermitianOperator
@@ -259,61 +259,20 @@ class AffinePath:
             (sector[0], *_sector_eigh(sector, value)) for sector in self.sectors))
 
 
-@dataclass(frozen=True)
-class ScaledPath:
-    """Hamiltonian path H(tau) = z(tau) h, with real-valued z."""
-
-    h: HermitianOperator
-    z: Callable[[float], float]
-
-    def __call__(self, tau: float) -> HermitianOperator:
-        return HermitianOperator(self.z(tau) * self.h.entries)
-
-
-def _midpoint_values(fn, mids) -> np.ndarray:
-    values = np.array([fn(tau) for tau in mids], dtype=float)
-    if not np.all(np.isfinite(values)):
-        raise InputError("non-finite path coefficient at a propagator midpoint")
-    return values
-
-
-def _dense_stacks(hamiltonian_path, mids):
-    """Checked midpoint Hamiltonians in (n, dim, dim) stacks of <= DENSE_BATCH_ENTRIES entries."""
-    if isinstance(hamiltonian_path, AffinePath):  # one vectorised pass per stack
-        h0, x = hamiltonian_path.h0.entries, hamiltonian_path.x.entries
-        values = _midpoint_values(hamiltonian_path.f, mids)
-        size = max(1, DENSE_BATCH_ENTRIES // h0.size)
-        for start in range(0, values.size, size):
-            stack = h0 + values[start:start + size, None, None] * x
-            _check_hermitian(stack)
-            yield stack
-        return
-    batch, dim = [], None
-    for tau in mids:  # any other callable: evaluated and validated one midpoint at a time
-        h = hamiltonian_path(tau)
-        h = h if isinstance(h, HermitianOperator) else HermitianOperator(h)
-        dim = h.dim if dim is None else dim
-        if h.dim != dim:
-            raise InputError(f"dimension changed along the path: {h.dim} != {dim}")
-        batch.append(h.entries)
-        if len(batch) == max(1, DENSE_BATCH_ENTRIES // h.entries.size):
-            yield np.stack(batch)
-            batch = []
-    if batch:
-        yield np.stack(batch)
-
-
-def _dense_product(hamiltonian_path, mids, dt):
-    u = None
-    for stack in _dense_stacks(hamiltonian_path, mids):
-        u = np.eye(stack.shape[-1], dtype=complex) if u is None else u
+def _dense_product(path: AffinePath, values, dt):
+    """Midpoint product over checked stacks of <= DENSE_BATCH_ENTRIES entries, one eigh each."""
+    h0, x = path.h0.entries, path.x.entries
+    u = np.eye(h0.shape[0], dtype=complex)
+    size = max(1, DENSE_BATCH_ENTRIES // h0.size)
+    for start in range(0, values.size, size):
+        stack = h0 + values[start:start + size, None, None] * x
+        _check_hermitian(stack)
         for factor in _exp_factor(*np.linalg.eigh(stack), dt):
             u = factor @ u
     return u
 
 
-def _parity_product(path: AffinePath, mids, dt, duration):
-    values = _midpoint_values(path.f, mids)
+def _parity_product(path: AffinePath, values, dt, duration):
     if np.all(values == values[0]):
         return path.spectrum(values[0]).evolution(duration)
     u = np.zeros((path.h0.dim, path.h0.dim), dtype=complex)
@@ -330,37 +289,36 @@ def _parity_product(path: AffinePath, mids, dt, duration):
     return u
 
 
-def _scaled_product(path: ScaledPath, mids, dt):
-    phase = float(np.sum(_midpoint_values(path.z, mids))) * dt
-    w, v = np.linalg.eigh(path.h.entries)
-    return _exp_factor(w, v, phase)
-
-
-def propagator(hamiltonian_path, tau0: float, tau1: float, steps: int) -> UnitaryOperator:
-    """Time-ordered propagator by the midpoint exponential-product rule.
+def propagator(path: AffinePath, tau0: float, tau1: float, steps: int) -> UnitaryOperator:
+    """Time-ordered propagator of H(tau) = h0 + f(tau) x by the midpoint exponential-product rule.
 
     U = prod_j exp(-i H(tau_j + dt/2) dt) applied right to left; each factor
     is exactly unitary (Hermitian eigendecomposition), global error O(dt^2).
-    The shape of the path picks the solver.  A ScaledPath's factors commute,
-    so one eigendecomposition of h gives the whole product.  A parity-banded
-    AffinePath takes one real tridiagonal solve per parity sector and step and
-    chains the steps through the real overlaps of consecutive eigenbases, or
-    takes one solve per sector in all when f is equal at every midpoint.  Any other
-    path returning Hermitian matrices takes batched dense solves, one
-    np.linalg.eigh call per stack of DENSE_BATCH_ENTRIES matrix entries.
+    f is evaluated once per midpoint, and the structure of the path picks the
+    solver.  With h0 = 0 (a rescaled system z(tau) x) the factors commute, so
+    one eigendecomposition of x gives the whole product.  A parity-banded path
+    takes one real tridiagonal solve per parity sector and step and chains the
+    steps through the real overlaps of consecutive eigenbases, or takes one
+    solve per sector in all when f is equal at every midpoint.  Any other path
+    takes batched dense solves, one np.linalg.eigh call per stack of
+    DENSE_BATCH_ENTRIES matrix entries.
     """
+    if not isinstance(path, AffinePath):
+        raise InputError(f"propagator needs an AffinePath, got {type(path).__name__}")
     if tau1 <= tau0:
         raise InputError(f"need tau1 > tau0, got [{tau0}, {tau1}]")
     if steps < 1:
         raise InputError(f"steps must be at least 1, got {steps}")
     dt = (tau1 - tau0) / steps
-    mids = [tau0 + (j + 0.5) * dt for j in range(steps)]
-    if isinstance(hamiltonian_path, ScaledPath):
-        u = _scaled_product(hamiltonian_path, mids, dt)
-    elif isinstance(hamiltonian_path, AffinePath) and hamiltonian_path.sectors is not None:
-        u = _parity_product(hamiltonian_path, mids, dt, tau1 - tau0)
+    values = np.array([path.f(tau0 + (j + 0.5) * dt) for j in range(steps)], dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise InputError("non-finite path coefficient at a propagator midpoint")
+    if not np.any(path.h0.entries):  # before the parity test: x alone may be banded
+        u = _exp_factor(*np.linalg.eigh(path.x.entries), float(np.sum(values)) * dt)
+    elif path.sectors is not None:
+        u = _parity_product(path, values, dt, tau1 - tau0)
     else:
-        u = _dense_product(hamiltonian_path, mids, dt)
+        u = _dense_product(path, values, dt)
     if not np.all(np.isfinite(u)):
         raise NumericError("non-finite propagator entries")
     return UnitaryOperator(u)

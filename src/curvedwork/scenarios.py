@@ -23,7 +23,6 @@ from .quantum import (
     AffinePath,
     EnergyBasis,
     HermitianOperator,
-    ScaledPath,
     UnitaryOperator,
     energy_basis,
     perturbative_amplitude,
@@ -419,7 +418,7 @@ def _custom(config: ScenarioConfig):
         s = tau / duration
         return time_dilation(frame, FramePoint(tau=tau, x=s * x_end), s * p_end, sysmass)
 
-    path = ScaledPath(h_int, zfactor)
+    path = AffinePath(HermitianOperator(np.zeros_like(h_int.entries)), h_int, zfactor)
     u = propagator(path, 0.0, duration, config.steps)
     b_init, b_final = energy_basis(path(0.0)), energy_basis(path(duration))
     blocks = {"custom": {

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
+from .errors import InputError
 from .frame import FramePoint, metric_components, redshift_exact, redshift_weakfield, \
     time_dilation
 from .quantum import (
@@ -318,7 +319,7 @@ def _plain(value):
 def run_verification(level: str = "fast") -> dict:
     """Run the verification suite and return a machine-readable summary."""
     if level not in ("fast", "full"):
-        raise ValueError(f"level must be 'fast' or 'full', got {level!r}")
+        raise InputError(f"level must be 'fast' or 'full', got {level!r}")
     # every level solves parity sectors; importing their solver here keeps the import's
     # time out of the first criterion's runtime
     import scipy.linalg  # noqa: F401

@@ -7,6 +7,7 @@ its stated tolerance and prints a single pass/fail line. Documented findings
 
 import pytest
 
+from curvedwork.errors import InputError
 from curvedwork.verify import run_verification
 
 
@@ -74,6 +75,11 @@ class TestAcceptance:
     def test_suite_passes_overall(self, summary):
         assert summary["passed"]
         assert summary["level"] == "full"
+
+
+def test_unknown_level_is_an_input_error():
+    with pytest.raises(InputError, match="'medium'"):
+        run_verification("medium")
 
 
 if __name__ == "__main__":

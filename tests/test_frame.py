@@ -205,6 +205,28 @@ class TestTimeDilation:
             time_dilation(desitter_frame(1.0), point([0.0, 0.5, 0.0]), [0, 0, 0], 1.0)
 
 
+ENTRY_POINTS = {
+    "metric_components": lambda frame, pt, p, mass: metric_components(frame, pt),
+    "redshift_weakfield": lambda frame, pt, p, mass: redshift_weakfield(frame, pt),
+    "time_dilation": time_dilation,
+}
+ORIGIN, REST = [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]
+NON_FINITE_CASES = [
+    *[pytest.param(entry, [bad, 0.0, 0.0], REST, 1.0, id=f"{entry}-x_{bad}")
+      for entry in ENTRY_POINTS for bad in (math.nan, math.inf)],
+    *[pytest.param("time_dilation", ORIGIN, [0.0, bad, 0.0], 1.0, id=f"time_dilation-p_{bad}")
+      for bad in (math.nan, -math.inf)],
+    *[pytest.param("time_dilation", ORIGIN, REST, bad, id=f"time_dilation-mass_{bad}")
+      for bad in (math.nan, math.inf)],
+]
+
+
+@pytest.mark.parametrize("entry, x, p, mass", NON_FINITE_CASES)
+def test_non_finite_point_momentum_or_mass_rejected(entry, x, p, mass):
+    with pytest.raises(InputError, match="finite"):
+        ENTRY_POINTS[entry](flat_frame(), FramePoint(tau=0.0, x=x), p, mass)
+
+
 class TestValidateFrame:
     def test_flat_frame_passes_exactly(self):
         result = validate_frame(flat_frame())

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from curvedwork.quantum import (
     AffinePath,
     HermitianOperator,
-    ScaledPath,
     energy_basis,
     propagator,
     qho_hamiltonian,
@@ -43,7 +42,7 @@ def drive(amplitude, rate, phase):
     return lambda tau: amplitude * math.sin(rate * tau + phase)
 
 
-KINDS = ("scaled", "banded", "banded_constant", "non_banded", "callable")
+KINDS = ("scaled", "banded", "banded_constant", "non_banded")
 
 
 @st.composite
@@ -54,17 +53,15 @@ def protocols(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     f = drive(draw(st.floats(0.0, 5.0)), draw(st.floats(0.0, 10.0)), draw(st.floats(0.0, 6.3)))
     if kind == "scaled":
-        path = ScaledPath(hermitian(rng, dim, draw(st.booleans())), f)
+        h = hermitian(rng, dim, draw(st.booleans()))
+        path = AffinePath(HermitianOperator(np.zeros_like(h.entries)), h, f)
     elif kind.startswith("banded"):
         h0, x = banded(rng, dim)
         value = f(1.0)
         path = AffinePath(h0, x, (lambda tau: value) if kind == "banded_constant" else f)
         assert path.sectors is not None
     else:
-        h0, x = hermitian(rng, dim, True), hermitian(rng, dim, True)
-        path = affine = AffinePath(h0, x, f)
-        if kind == "callable":
-            path = lambda tau: affine(tau).entries  # noqa: E731
+        path = AffinePath(hermitian(rng, dim, True), hermitian(rng, dim, True), f)
     tau0 = draw(st.floats(-3.0, 3.0))
     duration = draw(st.floats(0.01, 20.0))
     return path, tau0, tau0 + duration, draw(st.integers(1, 200))

@@ -10,6 +10,7 @@ import pytest
 from curvedwork import quantum
 from curvedwork.errors import InputError
 from curvedwork.quantum import (
+    AffinePath,
     HermitianOperator,
     UnitaryOperator,
     energy_basis,
@@ -119,29 +120,31 @@ class TestEnergyBasis:
         assert np.max(np.abs(recon - h.entries)) < 1e-10
 
 
+def constant_path(h):
+    """H(tau) = h along the whole path."""
+    return AffinePath(h, HermitianOperator(np.zeros_like(h.entries)), lambda tau: 0.0)
+
+
 class TestPropagator:
     def test_constant_hamiltonian(self):
         rng = np.random.default_rng(4)
         m = rng.normal(size=(4, 4))
         h = HermitianOperator((0.5 * (m + m.T)).astype(complex))
-        u = propagator(lambda tau: h, 0.0, 1.7, 13)
+        u = propagator(constant_path(h), 0.0, 1.7, 13)
         w, v = np.linalg.eigh(h.entries)
         expected = (v * np.exp(-1j * w * 1.7)) @ v.conj().T
         assert np.max(np.abs(u.entries - expected)) < 1e-12
 
     def test_zero_hamiltonian_gives_identity(self):
-        u = propagator(lambda tau: HermitianOperator(np.zeros((3, 3))), 0.0, 2.0, 5)
+        u = propagator(constant_path(HermitianOperator(np.zeros((3, 3)))), 0.0, 2.0, 5)
         np.testing.assert_allclose(u.entries, np.eye(3), atol=1e-15)
 
     def test_unitarity(self):
         rng = np.random.default_rng(6)
         a = rng.normal(size=(8, 8))
         b = rng.normal(size=(8, 8))
-        a, b = 0.5 * (a + a.T), 0.5 * (b + b.T)
-
-        def path(tau):
-            return HermitianOperator((a + math.cos(tau) * b).astype(complex))
-
+        path = AffinePath(HermitianOperator(0.5 * (a + a.T)), HermitianOperator(0.5 * (b + b.T)),
+                          math.cos)
         u = propagator(path, 0.0, 5.0, 300)
         assert u.unitarity_defect < 1e-9
 
@@ -149,11 +152,8 @@ class TestPropagator:
         rng = np.random.default_rng(8)
         a = rng.normal(size=(5, 5))
         b = rng.normal(size=(5, 5))
-        a, b = 0.5 * (a + a.T), 0.5 * (b + b.T)
-
-        def path(tau):
-            return HermitianOperator((a + math.sin(3 * tau) * b).astype(complex))
-
+        path = AffinePath(HermitianOperator(0.5 * (a + a.T)), HermitianOperator(0.5 * (b + b.T)),
+                          lambda tau: math.sin(3 * tau))
         ref = propagator(path, 0.0, 2.0, 4096).entries
         errs = [
             np.max(np.abs(propagator(path, 0.0, 2.0, steps).entries - ref))
@@ -163,17 +163,15 @@ class TestPropagator:
         for ratio in ratios:
             assert ratio == pytest.approx(4.0, abs=0.8)
 
-    def test_dimension_mismatch_rejected(self):
-        def path(tau):
-            dim = 2 if tau < 0.5 else 3
-            return HermitianOperator(np.zeros((dim, dim)))
-
-        with pytest.raises(InputError):
-            propagator(path, 0.0, 1.0, 10)
+    @pytest.mark.parametrize("wrap", [np.asarray, HermitianOperator], ids=["ndarray", "operator"])
+    def test_opaque_callable_rejected(self, wrap):
+        h = qho_hamiltonian(1.0, 1.0, 3).entries
+        with pytest.raises(InputError, match="AffinePath"):
+            propagator(lambda tau: wrap(math.cos(tau) * h), 0.0, 1.0, 10)
 
     def test_invalid_interval(self):
         with pytest.raises(InputError):
-            propagator(lambda tau: HermitianOperator(np.zeros((2, 2))), 1.0, 0.0, 5)
+            propagator(constant_path(HermitianOperator(np.zeros((2, 2)))), 1.0, 0.0, 5)
 
 
 class TestPerturbativeAmplitude:

@@ -7,6 +7,7 @@ import pytest
 
 from curvedwork.errors import InputError, NumericError
 from curvedwork.quantum import (
+    AffinePath,
     EnergyBasis,
     HermitianOperator,
     UnitaryOperator,
@@ -33,11 +34,8 @@ from curvedwork.verify import criterion_entropy_two_level
 def random_protocol(rng, dim, duration=1.0, steps=40, scale=0.4):
     a = scale * rng.normal(size=(dim, dim))
     b = scale * rng.normal(size=(dim, dim))
-    a, b = 0.5 * (a + a.T), 0.5 * (b + b.T)
-
-    def path(tau):
-        return HermitianOperator((a + math.sin(tau) * b).astype(complex))
-
+    path = AffinePath(HermitianOperator(0.5 * (a + a.T)), HermitianOperator(0.5 * (b + b.T)),
+                      math.sin)
     return path(0.0), path(duration), propagator(path, 0.0, duration, steps)
 
 
