@@ -169,6 +169,10 @@ class TestPropagator:
         with pytest.raises(InputError, match="AffinePath"):
             propagator(lambda tau: wrap(math.cos(tau) * h), 0.0, 1.0, 10)
 
+    def test_static_operator_rejected(self):
+        with pytest.raises(InputError, match="AffinePath"):
+            propagator(qho_hamiltonian(1.0, 1.0, 3), 0.0, 1.0, 10)
+
     def test_invalid_interval(self):
         with pytest.raises(InputError):
             propagator(constant_path(HermitianOperator(np.zeros((2, 2)))), 1.0, 0.0, 5)

@@ -50,6 +50,15 @@ def rescaled(h, z):
     return AffinePath(HermitianOperator(np.zeros_like(h.entries)), h, z)
 
 
+def real_non_banded_path(seed, dim):
+    """Real symmetric h0 and x with a (0, 1) coupling, which no parity sector holds."""
+    rng = np.random.default_rng(seed)
+    a, b = rng.normal(size=(2, dim, dim))
+    b[0, 1] += 1.0
+    return AffinePath(HermitianOperator(0.5 * (a + a.T)), HermitianOperator(0.5 * (b + b.T)),
+                      smooth)
+
+
 def smooth(tau):
     return 0.4 + 0.3 * math.sin(1.7 * tau) - 0.2 * math.cos(0.6 * tau)
 
@@ -77,6 +86,13 @@ class TestAgainstDenseLoop:
     def test_scaled(self, dim, steps):
         rng = np.random.default_rng(3 * dim + steps)
         path = rescaled(random_hermitian(rng, dim), lambda tau: 1.0 + 0.3 * math.sin(2.0 * tau))
+        u = propagator(path, 0.0, 2.0, steps).entries
+        np.testing.assert_allclose(u, reference_loop(path, 0.0, 2.0, steps), rtol=0, atol=1e-12)
+        assert unitarity_defect(u) < 1e-12
+
+    def test_real_non_banded(self, dim, steps):
+        path = real_non_banded_path(13 * dim + steps, dim)
+        assert path.sectors is None
         u = propagator(path, 0.0, 2.0, steps).entries
         np.testing.assert_allclose(u, reference_loop(path, 0.0, 2.0, steps), rtol=0, atol=1e-12)
         assert unitarity_defect(u) < 1e-12
@@ -223,6 +239,23 @@ def test_zero_h0_takes_one_eigh(dim, steps, monkeypatch):
     np.testing.assert_allclose(u, reference_loop(path, 0.4, 2.9, steps), rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("kind, solver", [
+    ("zero_h0", None), ("banded", "_parity_product"), ("dense", "_dense_product")])
+def test_solver_follows_structure(kind, solver, monkeypatch):
+    dim = 7
+    path = {"zero_h0": rescaled(banded_path(1, dim, smooth).x, smooth),
+            "banded": banded_path(2, dim, smooth),
+            "dense": real_non_banded_path(3, dim)}[kind]
+    taken = []
+    for name in ("_parity_product", "_dense_product"):
+        solve = getattr(quantum, name)
+        monkeypatch.setattr(quantum, name,
+                            lambda *args, name=name, solve=solve: taken.append(name) or solve(*args))
+    u = propagator(path, 0.0, 1.5, 30).entries
+    assert taken == ([] if solver is None else [solver])
+    np.testing.assert_allclose(u, reference_loop(path, 0.0, 1.5, 30), rtol=0, atol=1e-12)
+
+
 STEPS_IN_BATCHES_OF_TWO = 9
 BAD_STEPS = (0, 1, 2, 5, 8)
 
@@ -262,5 +295,18 @@ class TestBadMidpointAtAnyBatchPosition:
         rng = np.random.default_rng(bad_step)
         path = AffinePath(random_hermitian(rng, 3), random_hermitian(rng, 3),
                           lambda tau: bad if is_bad(tau) else 0.5)
+        with pytest.raises(InputError, match="non-finite"):
+            self.run(path)
+
+    @pytest.mark.parametrize("kind", ["zero_h0", "banded"])
+    def test_non_finite_coefficient_on_structured_paths(self, bad_step, kind):
+        # f is checked once at the midpoints, before any solver is chosen
+        is_bad = self.is_bad(bad_step)
+
+        def f(tau):
+            return math.nan if is_bad(tau) else 0.5
+
+        banded = banded_path(bad_step, 3, f)
+        path = rescaled(banded.x, f) if kind == "zero_h0" else banded
         with pytest.raises(InputError, match="non-finite"):
             self.run(path)
