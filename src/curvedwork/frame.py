@@ -10,7 +10,7 @@ worldline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,23 +111,10 @@ class MetricComponents:
     g_ij: np.ndarray
 
 
-@dataclass(frozen=True)
-class FrameValidation:
-    """Per-invariant maximum symmetry violations over a frame's rows."""
+def validate_frame(frame: FrameData) -> dict:
+    """Maximum violation of each Riemann index symmetry of frame data over its rows.
 
-    violations: dict = field(default_factory=dict)
-    tol: float = 1e-12
-
-    @property
-    def passed(self) -> bool:
-        return all(v <= self.tol for v in self.violations.values())
-
-
-def validate_frame(frame: FrameData, tol: float = 1e-12) -> FrameValidation:
-    """Check the Riemann index symmetries of user-supplied frame data.
-
-    Returns the maximum violation magnitude per invariant over all rows; each
-    defect is linear in the entries, so it is largest at a row.
+    Each defect is linear in the entries, so it is largest at a row.
     """
     r_titj, r_tjik, r_ikjl = frame.riemann_titj, frame.riemann_tjik, frame.riemann_ikjl
     defects = {
@@ -139,8 +126,7 @@ def validate_frame(frame: FrameData, tol: float = 1e-12) -> FrameValidation:
         "ikjl_antisymmetric_second_pair": r_ikjl + np.swapaxes(r_ikjl, 3, 4),
         "ikjl_pair_exchange": r_ikjl - np.transpose(r_ikjl, (0, 3, 4, 1, 2)),
     }
-    return FrameValidation(
-        violations={k: float(np.max(np.abs(d))) for k, d in defects.items()}, tol=tol)
+    return {k: float(np.max(np.abs(d))) for k, d in defects.items()}
 
 
 def _check_validity(point: FramePoint, a, tensors) -> None:

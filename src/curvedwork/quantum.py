@@ -102,6 +102,11 @@ class EnergyBasis:
     def dim(self) -> int:
         return self.eigenvalues.size
 
+    def amplitudes(self, n, m, times) -> np.ndarray:
+        """<n|exp(-i H t)|m> at each of `times`; `n` may be an index array or a slice."""
+        v = self.eigenvectors
+        return (v[n] * v[m].conj()) @ np.exp(-1j * np.multiply.outer(self.eigenvalues, times))
+
     def gibbs(self, beta: float) -> tuple[np.ndarray, float]:
         """Gibbs populations of the eigenstates at beta and ln Z, shifted against overflow."""
         if beta <= 0:
@@ -212,26 +217,6 @@ def _sector_eigh(sector, value):
 
 
 @dataclass(frozen=True)
-class ParitySpectrum:
-    """Eigensystem of a parity-banded Hamiltonian: (indices, w, v) per parity sector."""
-
-    dim: int
-    sectors: tuple
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        """Eigenvalues of both sectors merged in ascending order."""
-        return np.sort(np.concatenate([w for _, w, _ in self.sectors]))
-
-    def evolution(self, t: float) -> np.ndarray:
-        """exp(-i H t); entries between the even and odd sectors are exactly zero."""
-        u = np.zeros((self.dim, self.dim), dtype=complex)
-        for idx, w, v in self.sectors:
-            u[np.ix_(idx, idx)] = _exp_factor(w, v, t)
-        return u
-
-
-@dataclass(frozen=True)
 class AffinePath:
     """Hamiltonian path H(tau) = h0 + f(tau) x, with real-valued f; z(tau) h is h0 = 0, x = h."""
 
@@ -251,12 +236,18 @@ class AffinePath:
         """Parity sectors when the path is parity-banded, else None."""
         return _parity_sectors(self.h0.entries, self.x.entries)
 
-    def spectrum(self, value: float) -> ParitySpectrum:
-        """Eigensystem of h0 + value x by one tridiagonal solve per sector."""
+    def spectrum(self, value: float) -> EnergyBasis:
+        """Energy basis of h0 + value x by one tridiagonal solve per sector; the real
+        eigenvectors are exactly zero between the even and odd indices."""
         if self.sectors is None:
             raise InputError("spectrum needs a parity-banded path")
-        return ParitySpectrum(self.h0.dim, tuple(
-            (sector[0], *_sector_eigh(sector, value)) for sector in self.sectors))
+        w, v = np.empty(0), np.zeros((self.h0.dim, self.h0.dim))
+        for sector in self.sectors:
+            ws, vs = _sector_eigh(sector, value)
+            v[sector[0], w.size:w.size + ws.size] = vs
+            w = np.concatenate((w, ws))
+        order = np.argsort(w, kind="stable")
+        return EnergyBasis(w[order], v[:, order])
 
 
 def _dense_product(path: AffinePath, values, dt):
@@ -273,19 +264,21 @@ def _dense_product(path: AffinePath, values, dt):
 
 
 def _parity_product(path: AffinePath, values, dt, duration):
-    if np.all(values == values[0]):
-        return path.spectrum(values[0]).evolution(duration)
     u = np.zeros((path.h0.dim, path.h0.dim), dtype=complex)
     for sector in path.sectors:
-        # V_N P_N (V_N^T V_{N-1}) P_{N-1} ... P_1 V_1^T, carried in the current eigenbasis;
-        # a real overlap acts on the complex block as one product over its (re, im) pairs
-        block = prev = None
-        for value in values:
-            w, v = _sector_eigh(sector, value)
-            block = v.T if block is None else (v.T @ prev @ block.view(np.float64)).view(complex)
-            block = np.exp(-1j * w * dt)[:, None] * block
-            prev = v
-        u[np.ix_(sector[0], sector[0])] = (prev @ block.view(np.float64)).view(complex)
+        if np.all(values == values[0]):  # the factors commute: one solve for the duration
+            block = _exp_factor(*_sector_eigh(sector, values[0]), duration)
+        else:
+            # V_N P_N (V_N^T V_{N-1}) P_{N-1} ... P_1 V_1^T, carried in the current eigenbasis;
+            # a real overlap acts on the complex block as one product over its (re, im) pairs
+            w, prev = _sector_eigh(sector, values[0])
+            block = np.exp(-1j * w * dt)[:, None] * prev.T
+            for value in values[1:]:
+                w, v = _sector_eigh(sector, value)
+                block = (v.T @ prev @ block.view(np.float64)).view(complex)
+                block, prev = np.exp(-1j * w * dt)[:, None] * block, v
+            block = (prev @ block.view(np.float64)).view(complex)
+        u[np.ix_(sector[0], sector[0])] = block
     return u
 
 
@@ -305,10 +298,10 @@ def propagator(path: AffinePath, tau0: float, tau1: float, steps: int) -> Unitar
     """
     if not isinstance(path, AffinePath):
         raise InputError(f"propagator needs an AffinePath, got {type(path).__name__}")
-    if tau1 <= tau0:
-        raise InputError(f"need tau1 > tau0, got [{tau0}, {tau1}]")
-    if steps < 1:
-        raise InputError(f"steps must be at least 1, got {steps}")
+    if not (math.isfinite(tau0) and math.isfinite(tau1) and tau1 > tau0):
+        raise InputError(f"need finite tau1 > tau0, got [{tau0}, {tau1}]")
+    if not isinstance(steps, (int, np.integer)) or isinstance(steps, bool) or steps < 1:
+        raise InputError(f"steps must be an integer of at least 1, got {steps!r}")
     dt = (tau1 - tau0) / steps
     values = np.array([path.f(tau0 + (j + 0.5) * dt) for j in range(steps)], dtype=float)
     if not np.all(np.isfinite(values)):

@@ -75,10 +75,10 @@ _SYSTEM_FIELDS = {
 }
 _REQUIRED_SYSTEM = {"two_level": ("eps",), "oscillator": ("mass", "omega0"),
                     "matrix": ("entries",)}
-# scenario: (the system kinds it runs, the geometry key it needs)
-_SCENARIOS = {"newtonian": (("two_level",), "g"), "desitter": (("oscillator",), "hubble"),
-              "custom": (tuple(_SYSTEM_FIELDS), "frame_tables")}
-_GEOMETRY_FIELDS = {"g": REAL, "hubble": POSITIVE, "frame_tables": dict}
+# scenario: (the system kinds it runs, its one geometry key, that key's type)
+_SCENARIOS = {"newtonian": (("two_level",), "g", REAL),
+              "desitter": (("oscillator",), "hubble", POSITIVE),
+              "custom": (tuple(_SYSTEM_FIELDS), "frame_tables", dict)}
 _TOLERANCE_FIELDS = {"frame_symmetry": POSITIVE}
 
 
@@ -149,12 +149,15 @@ class ScenarioConfig:
         missing = [key for key in _REQUIRED_SYSTEM[kind] if key not in self.system]
         _require(not missing, f"{kind} system needs {' and '.join(missing)}")
         _check_fields("system", self.system, _SYSTEM_FIELDS[kind])
-        _check_fields("geometry", self.geometry, _GEOMETRY_FIELDS)
         _check_fields("tolerances", self.tolerances, _TOLERANCE_FIELDS)
-        kinds, key = _SCENARIOS[self.scenario]
+        kinds, key, key_type = _SCENARIOS[self.scenario]
         _require(kind in kinds, f"the {self.scenario} scenario runs "
                  f"{'an' if kinds[0][0] in 'aeiou' else 'a'} {' or '.join(kinds)} system")
         _require(key in self.geometry, f"{self.scenario} geometry needs {key!r}")
+        foreign = sorted(set(self.geometry) - {key})
+        _require(not foreign,
+                 f"geometry keys {foreign} do not apply to the {self.scenario} scenario")
+        _check_fields("geometry", self.geometry, {key: key_type})
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
@@ -178,7 +181,10 @@ class ScenarioConfig:
 
 @dataclass
 class RunArtifacts:
-    """Everything one scenario run emits: summary report, distributions, curves, metadata."""
+    """Everything one scenario run emits: summary report, distributions, curves, metadata.
+
+    `curves` is one column table, column name to values, with the x column first.
+    """
 
     report: ProtocolReport
     forward: WorkDistribution
@@ -193,19 +199,14 @@ class RunArtifacts:
         with open(outdir / "report.json", "w") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
-        for name, dist in (("forward", self.forward), ("reverse", self.reverse)):
+        tables = {"forward": {"work": self.forward.works, "probability": self.forward.probs},
+                  "reverse": {"work": self.reverse.works, "probability": self.reverse.probs},
+                  "curves": self.curves}
+        for name, columns in tables.items():
             with open(outdir / f"{name}.csv", "w", newline="") as fh:
                 writer = csv.writer(fh)
-                writer.writerow(["work", "probability"])
-                for w, p in zip(dist.works, dist.probs):
-                    writer.writerow([repr(float(w)), repr(float(p))])
-        x_name = self.curves["x_name"]
-        series = self.curves["series"]
-        with open(outdir / "curves.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([x_name, *series.keys()])
-            for i, x in enumerate(self.curves["x"]):
-                writer.writerow([repr(float(x))] + [repr(float(series[k][i])) for k in series])
+                writer.writerow(columns)
+                writer.writerows([repr(float(v)) for v in row] for row in zip(*columns.values()))
 
 
 def _base_metadata(config: ScenarioConfig) -> dict:
@@ -277,11 +278,8 @@ def _newtonian(config: ScenarioConfig):
         if zf > 0 else None,
         "entropy_thermal_oracle": config.beta * dissipated_work_thermal(b0, bt, config.beta)[1],
     }}
-    curves = {
-        "x_name": "zfactor",
-        "x": zgrid,
-        "series": {"entropy_closed_form": sigma_formula, "entropy_thermal_oracle": sigma_oracle},
-    }
+    curves = {"zfactor": zgrid, "entropy_closed_form": sigma_formula,
+              "entropy_thermal_oracle": sigma_oracle}
     return b0, bt, UnitaryOperator(np.eye(2)), blocks, curves
 
 
@@ -345,23 +343,13 @@ def _desitter(config: ScenarioConfig):
     blocks["hubble_ratio"] = hubble / omega0
 
     times = np.linspace(0.0, config.duration, config.curve_points)
-    # <2|U(t)|0> = sum_k v[1, k] e^(-i w_k t) v[0, k]: |0> and |2> are rows 0 and 1
-    # of the even sector, whose eigenvectors v are real
-    _, w, v = spectrum.sectors[0]
-    p_exact = np.abs((v[1] * v[0]) @ np.exp(-1j * np.outer(w, times))) ** 2
+    p_exact = np.abs(spectrum.amplitudes(2, 0, times)) ** 2
     p_pert = np.array([abs(perturbative_amplitude(
         mass, omega0, frame.tau, frame.riemann_titj[:, 0, 0], 2, 0, t)) ** 2 for t in times])
     p_formula = np.array([transition_probability_formula(mass, omega0, hubble, 2, 0, t)
                           if t > 0 else 0.0 for t in times])
-    curves = {
-        "x_name": "t",
-        "x": times,
-        "series": {
-            "p20_exact": p_exact,
-            "p20_perturbative": p_pert,
-            "p20_formula": p_formula,
-        },
-    }
+    curves = {"t": times, "p20_exact": p_exact, "p20_perturbative": p_pert,
+              "p20_formula": p_formula}
     return b0, b0, u, blocks, curves
 
 
@@ -374,9 +362,8 @@ def _frame_from_tables(tables: dict, tolerances: dict) -> FrameData:
         key: _reals(f"frame_tables.{key}", tables[key], (taus.size, *shape))
         for key, shape in ROW_SHAPES.items()})
     tol = float(tolerances.get("frame_symmetry", 1e-9))
-    result = validate_frame(frame, tol=tol)
-    if not result.passed:
-        bad = {k: v for k, v in result.violations.items() if v > tol}
+    bad = {k: v for k, v in validate_frame(frame).items() if v > tol}
+    if bad:
         raise InputError(f"frame tables violate Riemann symmetries: {bad}")
     return frame
 
@@ -399,11 +386,8 @@ def _custom(config: ScenarioConfig):
 
     if kind == "oscillator":
         _, b0, u, blocks = _oscillator_protocol(config, frame)
-        curves = {
-            "x_name": "t",
-            "x": times,
-            "series": {"curvature_tt": np.interp(times, frame.tau, frame.riemann_titj[:, 0, 0])},
-        }
+        curves = {"t": times,
+                  "curvature_tt": np.interp(times, frame.tau, frame.riemann_titj[:, 0, 0])}
         return b0, b0, u, blocks, curves
     if kind == "two_level":
         h_int = two_level_hamiltonian(float(config.system["eps"]))
@@ -426,11 +410,7 @@ def _custom(config: ScenarioConfig):
         "zfactor_final": zfactor(duration),
         "unitarity_defect": u.unitarity_defect,
     }}
-    curves = {
-        "x_name": "t",
-        "x": times,
-        "series": {"zfactor": np.array([zfactor(t) for t in times])},
-    }
+    curves = {"t": times, "zfactor": np.array([zfactor(t) for t in times])}
     return b_init, b_final, u, blocks, curves
 
 

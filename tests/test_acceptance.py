@@ -5,6 +5,8 @@ its stated tolerance and prints a single pass/fail line. Documented findings
 (expected analytic discrepancies, not failures) are printed alongside.
 """
 
+import json
+
 import pytest
 
 from curvedwork.errors import InputError
@@ -75,6 +77,20 @@ class TestAcceptance:
     def test_suite_passes_overall(self, summary):
         assert summary["passed"]
         assert summary["level"] == "full"
+
+    def test_summary_is_plain_json(self, summary):
+        def walk(value):
+            if isinstance(value, dict):
+                assert all(type(key) is str for key in value)
+                value = list(value.values())
+            if isinstance(value, list):
+                for item in value:
+                    walk(item)
+            else:  # no numpy scalar, which subclasses float or passes for a bool
+                assert type(value) in (bool, int, float, str, type(None)), (type(value), value)
+
+        walk(summary)
+        assert json.loads(json.dumps(summary)) == summary
 
 
 def test_unknown_level_is_an_input_error():

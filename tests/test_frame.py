@@ -229,17 +229,17 @@ def test_non_finite_point_momentum_or_mass_rejected(entry, x, p, mass):
 
 class TestValidateFrame:
     def test_flat_frame_passes_exactly(self):
-        result = validate_frame(flat_frame())
-        assert result.passed
-        assert max(result.violations.values()) == 0.0
+        violations = validate_frame(flat_frame())
+        assert len(violations) == 5
+        assert max(violations.values()) == 0.0
 
     def test_desitter_frame_passes(self):
-        result = validate_frame(desitter_frame(0.5))
-        assert result.passed
+        assert max(validate_frame(desitter_frame(0.5)).values()) < 1e-12
 
     def test_asymmetric_titj_reported(self):
         bad = np.zeros((3, 3))
         bad[0, 1] = 1e-3
-        result = validate_frame(one_row(riemann_titj=bad))
-        assert not result.passed
-        assert result.violations["titj_symmetric"] == pytest.approx(1e-3)
+        violations = validate_frame(one_row(riemann_titj=bad))
+        assert violations["titj_symmetric"] == pytest.approx(1e-3)
+        assert {k: v for k, v in violations.items() if v > 0} == {
+            "titj_symmetric": violations["titj_symmetric"]}

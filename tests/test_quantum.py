@@ -119,6 +119,19 @@ class TestEnergyBasis:
         recon = basis.eigenvectors @ np.diag(basis.eigenvalues) @ basis.eigenvectors.conj().T
         assert np.max(np.abs(recon - h.entries)) < 1e-10
 
+    @pytest.mark.parametrize("n", [2, np.array([0, 3, 1]), slice(1, None, 2)],
+                             ids=["scalar", "indices", "slice"])
+    def test_amplitudes_match_dense_evolution(self, n):
+        times = np.linspace(0.0, 3.0, 7)
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+            basis = energy_basis(HermitianOperator(0.5 * (m + m.conj().T)))
+            w, v = basis.eigenvalues, basis.eigenvectors
+            dense = np.array([(v * np.exp(-1j * w * t)) @ v.conj().T for t in times])
+            np.testing.assert_allclose(basis.amplitudes(n, 4, times),
+                                       np.moveaxis(dense[:, n, 4], 0, -1), rtol=0, atol=1e-13)
+
 
 def constant_path(h):
     """H(tau) = h along the whole path."""
@@ -176,6 +189,19 @@ class TestPropagator:
     def test_invalid_interval(self):
         with pytest.raises(InputError):
             propagator(constant_path(HermitianOperator(np.zeros((2, 2)))), 1.0, 0.0, 5)
+
+    @pytest.mark.parametrize("tau0, tau1, steps", [
+        (0.0, math.inf, 5), (-math.inf, 1.0, 5), (0.0, math.nan, 5),
+        (0.0, 1.0, 2.5), (0.0, 1.0, 3.0), (0.0, 1.0, True),
+    ], ids=["tau1-inf", "tau0-minus-inf", "tau1-nan", "steps-fraction", "steps-float",
+            "steps-bool"])
+    def test_bad_bounds_or_steps_are_input_errors(self, tau0, tau1, steps):
+        path = AffinePath(qho_hamiltonian(1.0, 1.0, 4), x_squared_matrix(1.0, 1.0, 4),
+                          lambda tau: 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError):
+                propagator(path, tau0, tau1, steps)
 
 
 class TestPerturbativeAmplitude:

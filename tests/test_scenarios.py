@@ -10,7 +10,7 @@ import pytest
 
 from curvedwork.cli import main as cli_main
 from curvedwork.errors import ConfigError, ConvergenceError, InputError
-from curvedwork.quantum import AffinePath, qho_hamiltonian, x_squared_matrix
+from curvedwork.quantum import qho_hamiltonian, x_squared_matrix
 from curvedwork.scenarios import (
     RunArtifacts,
     ScenarioConfig,
@@ -124,6 +124,14 @@ class TestScenarioConfig:
              "desitter geometry needs 'hubble'"),
             ({**base, "scenario": "custom", "geometry": {"hubble": 0.01}},
              "custom geometry needs 'frame_tables'"),
+            ({**base, "scenario": "desitter", "system": oscillator,
+              "geometry": {"hubble": 0.01, "g": 0.1}},
+             r"geometry keys \['g'\] do not apply to the desitter scenario"),
+            ({**base, "scenario": "newtonian", "geometry": {"g": 0.1, "hubble": 0.01}},
+             r"geometry keys \['hubble'\] do not apply to the newtonian scenario"),
+            ({**base, "scenario": "custom",
+              "geometry": {"frame_tables": uniform_gravity_tables(), "g": 0.1}},
+             r"geometry keys \['g'\] do not apply to the custom scenario"),
         ]
         for data, message in cases:
             with pytest.raises(ConfigError, match=message):
@@ -161,9 +169,10 @@ class TestRunNewtonian:
 
     def test_entropy_curve_matches_closed_form(self):
         art = run_scenario(newtonian_config(zfactor_grid=[0.8, 1.0, 1.2]))
-        series = art.curves["series"]["entropy_closed_form"]
+        assert list(art.curves) == ["zfactor", "entropy_closed_form", "entropy_thermal_oracle"]
+        np.testing.assert_array_equal(art.curves["zfactor"], [0.8, 1.0, 1.2])
         expected = [entropy_production_two_level(z, 1.0) for z in (0.8, 1.0, 1.2)]
-        np.testing.assert_allclose(series, expected, atol=1e-14)
+        np.testing.assert_allclose(art.curves["entropy_closed_form"], expected, atol=1e-14)
 
     def test_oscillator_system_rejected(self):
         with pytest.raises(ConfigError):
@@ -189,10 +198,9 @@ class TestRunDesitter:
 
     def test_transition_curves_agree_at_peaks(self):
         art = run_scenario(desitter_config(duration=10.0, curve_points=50))
-        series = art.curves["series"]
-        formula = np.asarray(series["p20_formula"])
-        exact = np.asarray(series["p20_exact"])
-        pert = np.asarray(series["p20_perturbative"])
+        assert list(art.curves) == ["t", "p20_exact", "p20_perturbative", "p20_formula"]
+        formula, exact, pert = (art.curves[k] for k in ("p20_formula", "p20_exact",
+                                                         "p20_perturbative"))
         mask = formula >= 0.5 * formula.max()
         assert np.max(np.abs(exact[mask] - formula[mask]) / formula[mask]) < 0.05
         np.testing.assert_allclose(pert[mask], formula[mask], rtol=1e-9)
@@ -222,13 +230,12 @@ class TestRunDesitter:
         art = run_scenario(desitter_config(
             geometry={"hubble": hubble},
             system={"kind": "oscillator", "mass": mass, "omega0": omega0, "dim": dim}))
-        tidal = -0.5 * mass * hubble ** 2
-        path = AffinePath(qho_hamiltonian(mass, omega0, dim), x_squared_matrix(mass, omega0, dim),
-                          lambda tau: tidal)
-        spectrum = path.spectrum(tidal)
-        expected = [abs(spectrum.evolution(t)[2, 0]) ** 2 for t in art.curves["x"]]
-        np.testing.assert_allclose(art.curves["series"]["p20_exact"], expected,
-                                   rtol=1e-13, atol=1e-30)
+        h = (qho_hamiltonian(mass, omega0, dim).entries
+             - 0.5 * mass * hubble ** 2 * x_squared_matrix(mass, omega0, dim).entries)
+        w, v = np.linalg.eigh(h)
+        expected = [abs(((v * np.exp(-1j * w * t)) @ v.conj().T)[2, 0]) ** 2
+                    for t in art.curves["t"]]
+        np.testing.assert_allclose(art.curves["p20_exact"], expected, rtol=1e-12, atol=1e-30)
 
     def test_truncation_guard_trips(self):
         cfg = desitter_config(
@@ -361,7 +368,7 @@ class TestArtifactsEmission:
             assert 0.0 <= prob <= 1.0
         with open(tmp_path / "curves.csv", newline="") as fh:
             header = next(csv.reader(fh))
-        assert header[0] == "zfactor"
+        assert header == list(art.curves) and header[0] == "zfactor"
 
 
 class TestConfigHash:
@@ -474,6 +481,13 @@ class TestCli:
         pytest.param({"system": {"kind": "oscillator", "mass": 1.0, "omega0": 1.0}},
                      id="scenario-system-mismatch"),
         pytest.param({"geometry": {}}, id="geometry-key-missing"),
+        pytest.param({"scenario": "desitter", "geometry": {"hubble": 0.01, "g": 0.1},
+                      "system": {"kind": "oscillator", "mass": 1.0, "omega0": 1.0}},
+                     id="desitter-with-g"),
+        pytest.param({"geometry": {"g": 0.1, "hubble": 0.01}}, id="newtonian-with-hubble"),
+        pytest.param({"scenario": "custom",
+                      "geometry": {"frame_tables": uniform_gravity_tables(n=2), "g": 0.1}},
+                     id="custom-with-g"),
         pytest.param({"scenario": "custom", "duration": 10.0,
                       "geometry": {"frame_tables": uniform_gravity_tables()}},
                      id="table-ends-before-duration"),

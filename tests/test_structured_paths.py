@@ -141,11 +141,16 @@ class TestParitySelection:
     def test_spectrum_matches_dense_eigenvalues_and_evolution(self):
         path = banded_path(5, 9, smooth)
         spectrum = path.spectrum(0.7)
-        h = path.h0.entries + 0.7 * path.x.entries
-        np.testing.assert_allclose(spectrum.eigenvalues, np.linalg.eigvalsh(h), atol=1e-13)
-        w, v = np.linalg.eigh(h)
-        expected = (v * np.exp(-1j * w * 1.3)) @ v.conj().T
-        np.testing.assert_allclose(spectrum.evolution(1.3), expected, rtol=0, atol=1e-13)
+        w, v = np.linalg.eigh(path.h0.entries + 0.7 * path.x.entries)
+        np.testing.assert_allclose(spectrum.eigenvalues, w, atol=1e-13)
+        times = np.array([0.0, 0.4, 1.3])
+        for m in range(9):
+            expected = [((v * np.exp(-1j * w * t)) @ v.conj().T)[:, m] for t in times]
+            np.testing.assert_allclose(spectrum.amplitudes(slice(None), m, times),
+                                       np.transpose(expected), rtol=0, atol=1e-13)
+        # every eigenvector lies in one parity sector, exactly zero on the other
+        vectors = spectrum.eigenvectors
+        assert np.all(np.all(vectors[0::2] == 0, axis=0) != np.all(vectors[1::2] == 0, axis=0))
 
 
 def test_catalog_desitter_collapses_to_one_solve_per_sector(monkeypatch):
