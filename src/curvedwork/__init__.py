@@ -23,6 +23,7 @@ from .frame import (
 )
 from .spacetimes import desitter_frame, flat_frame, uniform_gravity_frame
 from .quantum import (
+    AffinePath,
     EnergyBasis,
     HermitianOperator,
     ThermalState,

@@ -2,10 +2,9 @@
 
 Dense complex matrices with checked structure, Gibbs states computed via
 eigendecomposition, a midpoint exponential-product propagator along the one
-Hamiltonian path shape h0 + f(tau) x (a system rescaled by z(tau) is the path
-with h0 = 0), and the first-order interaction-picture amplitude for the
-curvature-driven oscillator, integrated exactly over a piecewise-linear
-curvature history.
+Hamiltonian path shape h0 + f(tau) x, and the first-order interaction-picture
+amplitude for the curvature-driven oscillator, integrated exactly over a
+piecewise-linear curvature history.
 """
 
 from __future__ import annotations
@@ -106,6 +105,11 @@ class EnergyBasis:
         """<n|exp(-i H t)|m> at each of `times`; `n` may be an index array or a slice."""
         v = self.eigenvectors
         return (v[n] * v[m].conj()) @ np.exp(-1j * np.multiply.outer(self.eigenvalues, times))
+
+    def scaled(self, z: float) -> "EnergyBasis":
+        """Energy basis of z H: the eigenvalues times z, reordered ascending (z < 0 reverses)."""
+        order = np.argsort(z * self.eigenvalues, kind="stable")
+        return EnergyBasis(z * self.eigenvalues[order], self.eigenvectors[:, order])
 
     def gibbs(self, beta: float) -> tuple[np.ndarray, float]:
         """Gibbs populations of the eigenstates at beta and ln Z, shifted against overflow."""
@@ -218,7 +222,7 @@ def _sector_eigh(sector, value):
 
 @dataclass(frozen=True)
 class AffinePath:
-    """Hamiltonian path H(tau) = h0 + f(tau) x, with real-valued f; z(tau) h is h0 = 0, x = h."""
+    """Hamiltonian path H(tau) = h0 + f(tau) x, with real-valued f."""
 
     h0: HermitianOperator
     x: HermitianOperator
@@ -288,13 +292,11 @@ def propagator(path: AffinePath, tau0: float, tau1: float, steps: int) -> Unitar
     U = prod_j exp(-i H(tau_j + dt/2) dt) applied right to left; each factor
     is exactly unitary (Hermitian eigendecomposition), global error O(dt^2).
     f is evaluated once per midpoint, and the structure of the path picks the
-    solver.  With h0 = 0 (a rescaled system z(tau) x) the factors commute, so
-    one eigendecomposition of x gives the whole product.  A parity-banded path
-    takes one real tridiagonal solve per parity sector and step and chains the
-    steps through the real overlaps of consecutive eigenbases, or takes one
-    solve per sector in all when f is equal at every midpoint.  Any other path
-    takes batched dense solves, one np.linalg.eigh call per stack of
-    DENSE_BATCH_ENTRIES matrix entries.
+    solver.  A parity-banded path takes one real tridiagonal solve per parity
+    sector and step and chains the steps through the real overlaps of
+    consecutive eigenbases, or takes one solve per sector in all when f is
+    equal at every midpoint.  Any other path takes batched dense solves, one
+    np.linalg.eigh call per stack of DENSE_BATCH_ENTRIES matrix entries.
     """
     if not isinstance(path, AffinePath):
         raise InputError(f"propagator needs an AffinePath, got {type(path).__name__}")
@@ -306,9 +308,7 @@ def propagator(path: AffinePath, tau0: float, tau1: float, steps: int) -> Unitar
     values = np.array([path.f(tau0 + (j + 0.5) * dt) for j in range(steps)], dtype=float)
     if not np.all(np.isfinite(values)):
         raise InputError("non-finite path coefficient at a propagator midpoint")
-    if not np.any(path.h0.entries):  # before the parity test: x alone may be banded
-        u = _exp_factor(*np.linalg.eigh(path.x.entries), float(np.sum(values)) * dt)
-    elif path.sectors is not None:
+    if path.sectors is not None:
         u = _parity_product(path, values, dt, tau1 - tau0)
     else:
         u = _dense_product(path, values, dt)

@@ -239,20 +239,12 @@ def _protocol_outputs(b_init, b_final, u, config):
 
 
 def _newtonian(config: ScenarioConfig):
-    """Uniform-gravity two-level protocol with semiclassical diagonal evolution.
-
-    The internal Hamiltonian is rescaled by the time-dilation factor at the
-    final position and momentum; the propagator is diagonal in the shared
-    energy basis, so it is taken as the identity.
-    """
+    """Uniform-gravity two-level protocol: the quench of `_rescaled` on the frame of g."""
     g = float(config.geometry["g"])
     eps = float(config.system["eps"])
     sysmass = float(config.system.get("mass", 1.0))
-    frame = uniform_gravity_frame(g)
-    point = FramePoint(tau=config.duration, x=np.asarray(config.position, dtype=float))
-    zf = time_dilation(frame, point, np.asarray(config.momentum, dtype=float), sysmass)
-    h0 = two_level_hamiltonian(eps)
-    b0, bt = energy_basis(h0), energy_basis(HermitianOperator(zf * h0.entries))
+    b0, bt, u, zfactor = _rescaled(config, uniform_gravity_frame(g), two_level_hamiltonian(eps))
+    zf = zfactor(config.duration)
 
     zgrid = np.asarray(
         config.zfactor_grid if config.zfactor_grid is not None else np.linspace(0.5, 1.5, 41),
@@ -261,11 +253,8 @@ def _newtonian(config: ScenarioConfig):
     sigma_formula = np.array(
         [entropy_production_two_level(z, config.beta * eps) for z in zgrid]
     )
-    sigma_oracle = np.empty_like(sigma_formula)
-    for i, z in enumerate(zgrid):
-        # the closed form above has rejected z <= 0, and z > 0 keeps the level order
-        bz = EnergyBasis(z * b0.eigenvalues, b0.eigenvectors)
-        sigma_oracle[i] = config.beta * dissipated_work_thermal(b0, bz, config.beta)[1]
+    sigma_oracle = np.array([config.beta * dissipated_work_thermal(b0, b0.scaled(z), config.beta)[1]
+                             for z in zgrid])
 
     gx = g * float(config.position[0])
     p2 = float(np.asarray(config.momentum, dtype=float) @ np.asarray(config.momentum, dtype=float))
@@ -280,7 +269,32 @@ def _newtonian(config: ScenarioConfig):
     }}
     curves = {"zfactor": zgrid, "entropy_closed_form": sigma_formula,
               "entropy_thermal_oracle": sigma_oracle}
-    return b0, bt, UnitaryOperator(np.eye(2)), blocks, curves
+    return b0, bt, u, blocks, curves
+
+
+def _rescaled(config: ScenarioConfig, frame: FrameData, h: HermitianOperator):
+    """Quench z_0 h -> z_T h, z(tau) the time-dilation factor on the straight line from
+    rest at the origin to the configured position and momentum at tau = duration.
+
+    z(tau) h commutes with itself, so in h's eigenbasis U is the identity and each
+    endpoint basis is h's spectrum times z.  Returns both endpoint bases, U and z.
+    """
+    sysmass = float(config.system.get("mass", 1.0))
+    x_end = np.asarray(config.position, dtype=float)
+    p_end = np.asarray(config.momentum, dtype=float)
+
+    def zfactor(tau):
+        s = tau / config.duration
+        return time_dilation(frame, FramePoint(tau=tau, x=s * x_end), s * p_end, sysmass)
+
+    # time_dilation guards only the points it is given, and a table row may leave the
+    # expansion bound between the endpoints, so z is also taken at the step midpoints
+    midpoints = ((np.arange(config.steps) + 0.5) * (config.duration / config.steps)).tolist()
+    zs = [zfactor(tau) for tau in (0.0, config.duration, *midpoints)]
+    if not np.all(np.isfinite(zs)):
+        raise InputError("non-finite time-dilation factor on the trajectory")
+    basis = EnergyBasis(np.linalg.eigvalsh(h.entries), np.eye(h.dim))
+    return basis.scaled(zs[0]), basis.scaled(zs[1]), UnitaryOperator(np.eye(h.dim)), zfactor
 
 
 def _oscillator_protocol(config, frame):
@@ -371,9 +385,7 @@ def _frame_from_tables(tables: dict, tolerances: dict) -> FrameData:
 def _custom(config: ScenarioConfig):
     """Generic pipeline over tabulated frame data.
 
-    Internal-system protocols (two_level, matrix) rescale the internal
-    Hamiltonian by the time-dilation factor along a straight-line trajectory
-    from rest at the origin to the configured endpoint; the oscillator system
+    The two_level and matrix systems run the quench of `_rescaled`; the oscillator
     runs the center-of-mass protocol driven by the tabulated tidal curvature.
     """
     tables = config.geometry["frame_tables"]
@@ -393,21 +405,10 @@ def _custom(config: ScenarioConfig):
         h_int = two_level_hamiltonian(float(config.system["eps"]))
     else:
         h_int = HermitianOperator(np.asarray(config.system["entries"], dtype=float))
-    sysmass = float(config.system.get("mass", 1.0))
-    x_end = np.asarray(config.position, dtype=float)
-    p_end = np.asarray(config.momentum, dtype=float)
-    duration = config.duration
-
-    def zfactor(tau):
-        s = tau / duration
-        return time_dilation(frame, FramePoint(tau=tau, x=s * x_end), s * p_end, sysmass)
-
-    path = AffinePath(HermitianOperator(np.zeros_like(h_int.entries)), h_int, zfactor)
-    u = propagator(path, 0.0, duration, config.steps)
-    b_init, b_final = energy_basis(path(0.0)), energy_basis(path(duration))
+    b_init, b_final, u, zfactor = _rescaled(config, frame, h_int)
     blocks = {"custom": {
         "zfactor_initial": zfactor(0.0),
-        "zfactor_final": zfactor(duration),
+        "zfactor_final": zfactor(config.duration),
         "unitarity_defect": u.unitarity_defect,
     }}
     curves = {"t": times, "zfactor": np.array([zfactor(t) for t in times])}

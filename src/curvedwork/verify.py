@@ -18,7 +18,6 @@ from .frame import FramePoint, metric_components, redshift_exact, redshift_weakf
     time_dilation
 from .quantum import (
     AffinePath,
-    EnergyBasis,
     HermitianOperator,
     energy_basis,
     propagator,
@@ -105,8 +104,7 @@ def criterion_entropy_two_level(level="full"):
     max_mismatch = 0.0
     b_ref = energy_basis(two_level_hamiltonian(1.0))
     for z in np.linspace(0.5, 1.5, 21):
-        # z > 0 keeps the level order, so z h_ref has the eigenvectors of h_ref
-        bz = EnergyBasis(float(z) * b_ref.eigenvalues, b_ref.eigenvectors)
+        bz = b_ref.scaled(float(z))
         for c in np.linspace(0.1, 10.0, 21):
             sigma = entropy_production_two_level(float(z), float(c))
             if not math.isclose(z, 1.0) and np.sign(sigma) != np.sign(z - 1.0):

@@ -8,6 +8,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import curvedwork
 
 SRC = Path(curvedwork.__file__).resolve().parents[1]
@@ -31,6 +34,18 @@ README_DESITTER = {
     "duration": 5.0,
     "steps": 100,
 }
+
+
+# the console-script configs of the custom two_level and matrix runs: one constant
+# uniform-gravity row of g = 0.1 held over [0, 1]
+CI_TABLES = {"tau": [0.0, 1.0], "accel": [[0.1, 0.0, 0.0]] * 2,
+             **{key: np.zeros((2,) + (3,) * n).tolist()
+                for key, n in (("riemann_titj", 2), ("riemann_tjik", 3), ("riemann_ikjl", 4))}}
+CI_CUSTOM = {"scenario": "custom", "beta": 1.0, "system": {"kind": "two_level", "eps": 1.0},
+             "geometry": {"frame_tables": CI_TABLES}, "position": [0.5, 0.0, 0.0],
+             "duration": 1.0, "steps": 50}
+CI_MATRIX = {**CI_CUSTOM, "system": {"kind": "matrix", "entries": [
+    [1.0, 0.2, 0.0], [0.2, 0.5, 0.1], [0.0, 0.1, -0.3]]}}
 
 
 def fresh_run(tmp_path, argv=None):
@@ -67,10 +82,12 @@ def test_import_adds_no_hashlib(tmp_path):
     assert after == before
 
 
-def test_newtonian_run_loads_no_scipy(tmp_path):
+@pytest.mark.parametrize("cfg", [README_NEWTONIAN, CI_CUSTOM, CI_MATRIX],
+                         ids=["newtonian", "custom_two_level", "custom_matrix"])
+def test_rescaled_run_loads_no_scipy(tmp_path, cfg):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps(README_NEWTONIAN))
-    argv = ["newtonian", "--config", str(config), "--out", str(tmp_path / "out")]
+    config.write_text(json.dumps(cfg))
+    argv = [cfg["scenario"], "--config", str(config), "--out", str(tmp_path / "out")]
     assert fresh_run(tmp_path, argv) == [0, []]
 
 

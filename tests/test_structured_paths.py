@@ -230,22 +230,8 @@ def test_batched_dense_product_matches_reference_loop(dim, steps, per_batch, mon
     np.testing.assert_allclose(u, reference_loop(path, 0.1, 2.3, steps), rtol=0, atol=1e-14)
 
 
-@pytest.mark.parametrize("dim", DIMS)
-@pytest.mark.parametrize("steps", STEPS)
-def test_zero_h0_takes_one_eigh(dim, steps, monkeypatch):
-    # x is parity-banded, as the custom two_level's diag(0, eps) is: h0 = 0 must win
-    path = rescaled(banded_path(5 * dim + steps, dim, smooth).x, smooth)
-    calls = []
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m) or eigh(m))
-    u = propagator(path, 0.4, 2.9, steps).entries
-    assert len(calls) == 1
-    monkeypatch.setattr(np.linalg, "eigh", eigh)
-    np.testing.assert_allclose(u, reference_loop(path, 0.4, 2.9, steps), rtol=0, atol=1e-12)
-
-
 @pytest.mark.parametrize("kind, solver", [
-    ("zero_h0", None), ("banded", "_parity_product"), ("dense", "_dense_product")])
+    ("zero_h0", "_parity_product"), ("banded", "_parity_product"), ("dense", "_dense_product")])
 def test_solver_follows_structure(kind, solver, monkeypatch):
     dim = 7
     path = {"zero_h0": rescaled(banded_path(1, dim, smooth).x, smooth),
@@ -257,7 +243,7 @@ def test_solver_follows_structure(kind, solver, monkeypatch):
         monkeypatch.setattr(quantum, name,
                             lambda *args, name=name, solve=solve: taken.append(name) or solve(*args))
     u = propagator(path, 0.0, 1.5, 30).entries
-    assert taken == ([] if solver is None else [solver])
+    assert taken == [solver]
     np.testing.assert_allclose(u, reference_loop(path, 0.0, 1.5, 30), rtol=0, atol=1e-12)
 
 

@@ -8,7 +8,6 @@ import pytest
 from curvedwork.errors import InputError, NumericError
 from curvedwork.quantum import (
     AffinePath,
-    EnergyBasis,
     HermitianOperator,
     UnitaryOperator,
     energy_basis,
@@ -244,15 +243,20 @@ class TestDissipatedWork:
             np.testing.assert_allclose(from_ops, trace_oracle(h0, ht, beta), rtol=0, atol=1e-12)
 
     def test_rescaled_basis_matches_rescaled_hamiltonian(self):
-        # EnergyBasis(z w, v) is the basis of z h for z > 0, as A3 and the newtonian curve use it
-        b = energy_basis(two_level_hamiltonian(1.0))
-        for z in np.linspace(0.5, 1.5, 7):
-            for beta in (0.1, 1.0, 10.0):
-                rescaled = EnergyBasis(z * b.eigenvalues, b.eigenvectors)
-                hz = HermitianOperator(z * two_level_hamiltonian(1.0).entries)
-                np.testing.assert_allclose(dissipated_work_thermal(b, rescaled, beta),
-                                           dissipated_work_thermal(b, hz, beta),
+        # EnergyBasis.scaled(z) is the basis of z h for every real z; z < 0 reverses the levels
+        m = np.random.default_rng(4).normal(size=(5, 5))
+        for h in (two_level_hamiltonian(1.0), HermitianOperator(0.5 * (m + m.T))):
+            b = energy_basis(h)
+            for z in (-1.3, -0.5, 0.0, 0.5, 1.0, 1.5):
+                bz = b.scaled(z)
+                hz = HermitianOperator(z * h.entries)
+                v = bz.eigenvectors
+                np.testing.assert_allclose(v.conj().T @ hz.entries @ v, np.diag(bz.eigenvalues),
                                            rtol=0, atol=1e-12)
+                for beta in (0.1, 1.0, 10.0):
+                    np.testing.assert_allclose(dissipated_work_thermal(b, bz, beta),
+                                               dissipated_work_thermal(b, hz, beta),
+                                               rtol=1e-12, atol=1e-12)
 
     def test_a3_diagonalises_once(self, monkeypatch):
         calls = []
