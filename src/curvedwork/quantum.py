@@ -27,6 +27,8 @@ DENSE_BATCH_ENTRIES = 2 ** 12
 # its weights, and the series' term count: the direct formulas cancel as omega h -> 0.
 SERIES_SWITCH = 0.5
 SERIES_TERMS = 16
+NODE_TOL = 1e-16  # bound on the interpolation error of a parity-sector step factor
+NODE_ENTRIES = 2 ** 22  # complex entries of a sector's node factors (64 MB): bounds its runs
 
 
 def _check_hermitian(m: np.ndarray) -> None:
@@ -193,31 +195,29 @@ def _exp_factor(w, v, t):
 
 
 def _parity_sectors(h0: np.ndarray, x: np.ndarray):
-    """Per-parity tridiagonal bands of h0 + f x, or None unless the path is parity-banded.
+    """Per-parity real blocks of h0 and x, or None unless the path is parity-banded.
 
     Banded means h0 real diagonal and x real symmetric with nonzeros only on
     diagonals 0 and +-2; then even and odd indices never couple.  Each sector
-    is (indices, diagonal of h0, diagonal of x, the +-2 diagonal of x).
+    is (indices, block of h0, block of x).
     """
     i, j = np.indices(h0.shape)
     gap = np.abs(i - j)
     if (np.any(h0.imag) or np.any(x.imag) or np.any(h0[gap != 0])
             or np.any(x[(gap != 0) & (gap != 2)]) or np.any(x != x.T)):
         return None
-    h0, x = h0.real, x.real
     sectors = []
     for parity in (0, 1):
         idx = np.arange(parity, h0.shape[0], 2)
         if idx.size:
-            sectors.append((idx, np.diag(h0)[idx], np.diag(x)[idx], x[idx[:-1], idx[1:]]))
+            sectors.append((idx, h0.real[np.ix_(idx, idx)], x.real[np.ix_(idx, idx)]))
     return tuple(sectors)
 
 
-def _sector_eigh(sector, value):
-    from scipy.linalg import eigh_tridiagonal  # scipy loads only where a sector is solved
-
-    _, d0, dx, ex = sector
-    return eigh_tridiagonal(d0 + value * dx, value * ex)
+def _sector_eigh(sector, values):
+    """Eigenpairs of the sector's block of h0 + f x at f = `values`, a scalar or a 1-d stack."""
+    _, a, b = sector
+    return np.linalg.eigh(a + np.multiply.outer(values, b))
 
 
 @dataclass(frozen=True)
@@ -241,7 +241,7 @@ class AffinePath:
         return _parity_sectors(self.h0.entries, self.x.entries)
 
     def spectrum(self, value: float) -> EnergyBasis:
-        """Energy basis of h0 + value x by one tridiagonal solve per sector; the real
+        """Energy basis of h0 + value x by one real solve per sector; the
         eigenvectors are exactly zero between the even and odd indices."""
         if self.sectors is None:
             raise InputError("spectrum needs a parity-banded path")
@@ -267,36 +267,57 @@ def _dense_product(path: AffinePath, values, dt):
     return u
 
 
-def _parity_product(path: AffinePath, values, dt, duration):
+def _parity_product(path: AffinePath, values, dt):
+    """Midpoint product per parity sector, from step factors interpolated in f run by run:
+    e^(i mu dt) exp(-i H(f) dt) - 1 = V diag(e^(-i (w - mu) dt) - 1) V^T at the fewest Chebyshev
+    nodes m whose error bound 2 (rho/2)^m / m! is within NODE_TOL, since the m-th f-derivative
+    of the factor is at most (dt ||x||)^m; rho = dt ||x|| (max f - min f) / 2 over the run."""
     u = np.zeros((path.h0.dim, path.h0.dim), dtype=complex)
     for sector in path.sectors:
-        if np.all(values == values[0]):  # the factors commute: one solve for the duration
-            block = _exp_factor(*_sector_eigh(sector, values[0]), duration)
-        else:
-            # V_N P_N (V_N^T V_{N-1}) P_{N-1} ... P_1 V_1^T, carried in the current eigenbasis;
-            # a real overlap acts on the complex block as one product over its (re, im) pairs
-            w, prev = _sector_eigh(sector, values[0])
-            block = np.exp(-1j * w * dt)[:, None] * prev.T
-            for value in values[1:]:
-                w, v = _sector_eigh(sector, value)
-                block = (v.T @ prev @ block.view(np.float64)).view(complex)
-                block, prev = np.exp(-1j * w * dt)[:, None] * block, v
-            block = (prev @ block.view(np.float64)).view(complex)
-        u[np.ix_(sector[0], sector[0])] = block
+        idx, _, x = sector
+        block = np.eye(idx.size, dtype=complex)
+        run = max(1, min(NODE_ENTRIES // idx.size ** 2, math.isqrt(NODE_ENTRIES)))
+        for vals in (values[start:start + run] for start in range(0, values.size, run)):
+            lo, hi = float(vals.min()), float(vals.max())
+            if lo == hi:  # the factors commute
+                block = _exp_factor(*_sector_eigh(sector, lo), vals.size * dt) @ block
+                continue
+            rho = dt * (hi - lo) / 2 * float(np.max(np.sum(np.abs(x), axis=1)))
+            m, bound = 1, rho
+            while bound > NODE_TOL and m < vals.size:
+                m, bound = m + 1, bound * rho / (2 * m + 2)
+            nodes, weights = vals, np.eye(vals.size)  # where m reaches the run's length
+            if m < vals.size:  # weights sum_k c_k T_k(s) T_k(s_j) of the interpolant on [-1, 1]
+                k = np.arange(m)
+                angles = (k + 0.5) * np.pi / m
+                s = np.clip((2 * vals - lo - hi) / (hi - lo), -1.0, 1.0)
+                weights = np.cos(np.outer(np.arccos(s), k)) @ (np.cos(np.outer(k, angles))
+                                                             * np.where(k, 2 / m, 1 / m)[:, None])
+                nodes = (lo + hi) / 2 + (hi - lo) / 2 * np.cos(angles)
+            w, v = _sector_eigh(sector, nodes)
+            mu = (w.min() + w.max()) / 2
+            bracket = np.expm1(-1j * (w - mu) * dt)  # as -2 sin^2(t/2) - i sin t: no cancellation
+            d = ((v * bracket[:, None, :]) @ v.transpose(0, 2, 1)).reshape(nodes.size, -1)
+            chunk = max(1, DENSE_BATCH_ENTRIES // d.shape[1])
+            for start in range(0, vals.size, chunk):
+                for factor in (weights[start:start + chunk] @ d).reshape(-1, *x.shape):
+                    block += factor @ block
+            block *= np.exp(-1j * mu * vals.size * dt)
+        u[np.ix_(idx, idx)] = block
     return u
 
 
 def propagator(path: AffinePath, tau0: float, tau1: float, steps: int) -> UnitaryOperator:
     """Time-ordered propagator of H(tau) = h0 + f(tau) x by the midpoint exponential-product rule.
 
-    U = prod_j exp(-i H(tau_j + dt/2) dt) applied right to left; each factor
-    is exactly unitary (Hermitian eigendecomposition), global error O(dt^2).
-    f is evaluated once per midpoint, and the structure of the path picks the
-    solver.  A parity-banded path takes one real tridiagonal solve per parity
-    sector and step and chains the steps through the real overlaps of
-    consecutive eigenbases, or takes one solve per sector in all when f is
-    equal at every midpoint.  Any other path takes batched dense solves, one
-    np.linalg.eigh call per stack of DENSE_BATCH_ENTRIES matrix entries.
+    U = prod_j exp(-i H(tau_j + dt/2) dt) applied right to left, global error O(dt^2);
+    each factor comes from a Hermitian eigendecomposition, or lies within NODE_TOL of
+    one.  f is evaluated once per midpoint, and the structure of the path picks the
+    solver.  A parity-banded path takes real solves per parity sector at a few
+    Chebyshev nodes of f's range, and interpolates each step factor between them, or
+    one solve per sector in all when f is equal at every midpoint.  Any other path
+    takes batched dense solves, one np.linalg.eigh call per stack of
+    DENSE_BATCH_ENTRIES matrix entries.
     """
     if not isinstance(path, AffinePath):
         raise InputError(f"propagator needs an AffinePath, got {type(path).__name__}")
@@ -309,7 +330,7 @@ def propagator(path: AffinePath, tau0: float, tau1: float, steps: int) -> Unitar
     if not np.all(np.isfinite(values)):
         raise InputError("non-finite path coefficient at a propagator midpoint")
     if path.sectors is not None:
-        u = _parity_product(path, values, dt, tau1 - tau0)
+        u = _parity_product(path, values, dt)
     else:
         u = _dense_product(path, values, dt)
     if not np.all(np.isfinite(u)):

@@ -290,7 +290,8 @@ def _rescaled(config: ScenarioConfig, frame: FrameData, h: HermitianOperator):
     # time_dilation guards only the points it is given, and a table row may leave the
     # expansion bound between the endpoints, so z is also taken at the step midpoints
     midpoints = ((np.arange(config.steps) + 0.5) * (config.duration / config.steps)).tolist()
-    zs = [zfactor(tau) for tau in (0.0, config.duration, *midpoints)]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is a non-finite z
+        zs = [zfactor(tau) for tau in (0.0, config.duration, *midpoints)]
     if not np.all(np.isfinite(zs)):
         raise InputError("non-finite time-dilation factor on the trajectory")
     basis = EnergyBasis(np.linalg.eigvalsh(h.entries), np.eye(h.dim))

@@ -56,11 +56,12 @@ class TestAcceptance:
     def test_A5_transition_probability(self, by_name):
         crit = _check(by_name, "A5")
         assert crit["details"]["max_peak_relative_error"] < 0.05
-        assert crit["details"]["max_odd_transition"] < 1e-12
+        assert crit["details"]["max_parity_vs_dense_deviation"] < 1e-12
 
     def test_A6_propagator_convergence(self, by_name):
         crit = _check(by_name, "A6")
         assert abs(crit["details"]["mean_order"] - 2.0) <= 0.2
+        assert abs(crit["details"]["banded_mean_order"] - 2.0) <= 0.2
         assert max(crit["details"]["unitarity_defects"].values()) < 1e-9
 
     def test_A7_metric_and_redshift(self, by_name):

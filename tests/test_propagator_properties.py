@@ -1,12 +1,15 @@
 """Property tests of the propagator: unitarity of every solver the path shape selects,
-and parity selection in the curvature-driven oscillator."""
+the node rule of the parity-sector product, and parity selection in the
+curvature-driven oscillator."""
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from curvedwork import quantum
 from curvedwork.quantum import (
     AffinePath,
     HermitianOperator,
@@ -72,6 +75,64 @@ def protocols(draw):
 def test_every_propagator_kind_is_unitary(protocol):
     u = propagator(*protocol)
     assert unitarity_defect(u.entries) < 1e-12
+
+
+def per_step_product(path, tau0, tau1, steps):
+    """The midpoint product with one dense exp(-i H dt) factor per step."""
+    dt = (tau1 - tau0) / steps
+    u = np.eye(path.h0.dim, dtype=complex)
+    for j in range(steps):
+        w, v = np.linalg.eigh(path(tau0 + (j + 0.5) * dt).entries)
+        u = ((v * np.exp(-1j * w * dt)) @ v.conj().T) @ u
+    return u
+
+
+@st.composite
+def ramps(draw, wide):
+    """A banded path whose f is a linear ramp, with a window and step count on one side of
+    the node rule: a wide ramp in few steps needs as many nodes as steps, a narrow one fewer."""
+    dim = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    # |x| entries in [0.5, 2], so every sector's ||x||_inf lies in [0.5, 6]
+    entries = rng.uniform(0.5, 2.0, (2, dim)) * rng.choice([-1.0, 1.0], (2, dim))
+    x = np.diag(entries[0]) + np.diag(entries[1, 2:], 2) + np.diag(entries[1, 2:], -2)
+    h0 = np.diag(np.sort(rng.uniform(0.0, 4.0, dim)))
+    slope = draw(st.floats(5.0, 20.0) if wide else st.floats(0.01, 1.0))
+    slope *= draw(st.sampled_from([-1.0, 1.0]))
+    offset = draw(st.floats(-1.0, 1.0))
+    path = AffinePath(HermitianOperator(h0), HermitianOperator(x),
+                      lambda tau: offset + slope * tau)
+    steps = draw(st.integers(2, 4) if wide else st.integers(30, 80))
+    return path, draw(st.floats(1.0, 3.0)), steps
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["chebyshev_nodes", "midpoint_nodes"])
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_node_rule_and_accuracy_on_random_banded_ramps(wide, data):
+    path, duration, steps = data.draw(ramps(wide))
+    solves = []
+    sector_eigh = quantum._sector_eigh
+    quantum._sector_eigh = lambda sector, values: (solves.append(np.size(values))
+                                                   or sector_eigh(sector, values))
+    try:
+        u = propagator(path, 0.0, duration, steps).entries
+    finally:
+        quantum._sector_eigh = sector_eigh
+    # per sector the least m with 2 (rho/2)^m / m! <= NODE_TOL, at most the step count
+    dt = duration / steps
+    spread = dt * abs(path.f((steps - 0.5) * dt) - path.f(0.5 * dt)) / 2
+    expected = []
+    for _, _, x in path.sectors:
+        rho, m = spread * np.max(np.sum(np.abs(x), axis=1)), 1
+        while 2 * (rho / 2) ** m / math.factorial(m) > quantum.NODE_TOL and m < steps:
+            m += 1
+        expected.append(m)
+    assert solves == expected
+    assert all((m == steps) if wide else (m < steps) for m in expected)
+    np.testing.assert_allclose(u, per_step_product(path, 0.0, duration, steps),
+                               rtol=0, atol=1e-12)
+    assert unitarity_defect(u) < 1e-12
 
 
 @PROPERTY_SETTINGS

@@ -4,10 +4,15 @@ import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import curvedwork
 from curvedwork.cli import main as cli_main
 from curvedwork.errors import ConfigError, ConvergenceError, InputError
 from curvedwork.quantum import qho_hamiltonian, x_squared_matrix
@@ -18,6 +23,9 @@ from curvedwork.scenarios import (
     sample_work,
 )
 from curvedwork.tpm import WorkDistribution, entropy_production_two_level
+
+
+SRC = Path(curvedwork.__file__).resolve().parents[1]
 
 
 def canonical_json(cfg):
@@ -493,9 +501,8 @@ class TestCli:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "expansion bound" in err[0]
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    @pytest.mark.parametrize("scenario", ["newtonian", "custom"])
-    def test_non_finite_zfactor_exit_code(self, tmp_path, capsys, scenario):
+    @staticmethod
+    def overflowing_momentum_config(tmp_path, scenario):
         # p.p overflows, so z is -inf everywhere after tau = 0
         data = {**vars(newtonian_config()), "momentum": [1e200, 0.0, 0.0]}
         if scenario == "custom":
@@ -503,10 +510,28 @@ class TestCli:
                         geometry={"frame_tables": uniform_gravity_tables(n=2)})
         path = tmp_path / "config.json"
         path.write_text(json.dumps(data))
+        return path
+
+    @pytest.mark.parametrize("scenario", ["newtonian", "custom"])
+    def test_non_finite_zfactor_exit_code(self, tmp_path, capsys, scenario):
+        path = self.overflowing_momentum_config(tmp_path, scenario)
         rc = cli_main([scenario, "--config", str(path), "--out", str(tmp_path / "o")])
         assert rc == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert err == ["error: non-finite time-dilation factor on the trajectory"]
+
+    @pytest.mark.parametrize("scenario", ["newtonian", "custom"])
+    def test_non_finite_zfactor_with_warnings_as_errors(self, tmp_path, scenario):
+        # as the CI console-script step runs: a RuntimeWarning would end in a traceback
+        path = self.overflowing_momentum_config(tmp_path, scenario)
+        pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONWARNINGS": "error::RuntimeWarning", "PYTHONPATH": pythonpath}
+        done = subprocess.run([sys.executable, "-m", "curvedwork.cli", scenario, "--config",
+                               str(path), "--out", str(tmp_path / "o")],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 1
+        assert done.stderr.splitlines() == [
+            "error: non-finite time-dilation factor on the trajectory"]
 
     def test_output_path_key_rejected(self, tmp_path, capsys):
         path = tmp_path / "config.json"

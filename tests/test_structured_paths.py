@@ -159,12 +159,9 @@ def test_catalog_desitter_collapses_to_one_solve_per_sector(monkeypatch):
     frame = desitter_frame(hubble)
     path = AffinePath(qho_hamiltonian(1.0, 1.0, dim), x_squared_matrix(1.0, 1.0, dim),
                       lambda tau: 0.5 * frame.at(tau)[1][0, 0])
-    solves = []
-    sector_eigh = quantum._sector_eigh
-    monkeypatch.setattr(quantum, "_sector_eigh",
-                        lambda *args: solves.append(args) or sector_eigh(*args))
+    solves = count_node_solves(monkeypatch)
     u = propagator(path, 0.0, duration, steps).entries
-    assert len(solves) == 2
+    assert sum(solves) == 2
     np.testing.assert_allclose(u, reference_loop(path, 0.0, duration, steps), rtol=0, atol=1e-12)
 
 
@@ -181,20 +178,72 @@ def per_step_parity_loop(path, tau0, tau1, steps):
     return u
 
 
+def count_node_solves(monkeypatch):
+    """Patch quantum._sector_eigh to record the number of f values each call solves at."""
+    solves = []
+    sector_eigh = quantum._sector_eigh
+    monkeypatch.setattr(quantum, "_sector_eigh",
+                        lambda sector, values: solves.append(np.size(values))
+                        or sector_eigh(sector, values))
+    return solves
+
+
+def bound_node_count(path, tau0, tau1, steps):
+    """Node solves the interpolation bound asks for: per sector the least m with
+    2 (rho/2)^m / m! <= NODE_TOL, rho = dt ||x_sector||_inf (max f - min f)/2, at most steps."""
+    dt = (tau1 - tau0) / steps
+    values = [path.f(tau0 + (j + 0.5) * dt) for j in range(steps)]
+    total = 0
+    for _, _, x in path.sectors:
+        rho = dt * (max(values) - min(values)) / 2 * np.max(np.sum(np.abs(x), axis=1))
+        m = 1
+        while 2 * (rho / 2) ** m / math.factorial(m) > quantum.NODE_TOL and m < steps:
+            m += 1
+        total += m
+    return total
+
+
 @pytest.mark.parametrize("dim", (2, 3, 7, 40, 120))
 @pytest.mark.parametrize("steps", (2, 3, 50, 500))
 def test_chained_eigenbasis_product_matches_per_step_factors(dim, steps, monkeypatch):
     path = banded_path(11 * dim + steps, dim, smooth)
-    solves = []
-    sector_eigh = quantum._sector_eigh
-    monkeypatch.setattr(quantum, "_sector_eigh",
-                        lambda *args: solves.append(args) or sector_eigh(*args))
+    solves = count_node_solves(monkeypatch)
     u = propagator(path, 0.3, 3.1, steps).entries
-    assert len(solves) == 2 * steps
-    monkeypatch.setattr(quantum, "_sector_eigh", sector_eigh)
+    assert sum(solves) == bound_node_count(path, 0.3, 3.1, steps)
+    if steps == 500:
+        assert sum(solves) < steps
+    monkeypatch.undo()
     np.testing.assert_allclose(u, per_step_parity_loop(path, 0.3, 3.1, steps), rtol=0, atol=1e-13)
     parity = np.arange(dim) % 2
     assert np.all(u[parity[:, None] != parity[None, :]] == 0.0)
+    assert unitarity_defect(u) < 1e-12
+
+
+def test_wide_f_range_takes_the_midpoints_as_nodes(monkeypatch):
+    # f sweeps [-40, 40] in 3 steps: the bound asks for more nodes than there are steps
+    dim, steps = 40, 3
+    path = banded_path(8, dim, lambda tau: 40.0 * math.sin(tau))
+    assert bound_node_count(path, 0.0, 3.0, steps) == 2 * steps
+    solves = count_node_solves(monkeypatch)
+    u = propagator(path, 0.0, 3.0, steps).entries
+    assert solves == [steps, steps]
+    monkeypatch.undo()
+    np.testing.assert_allclose(u, per_step_parity_loop(path, 0.0, 3.0, steps), rtol=0, atol=1e-13)
+    assert unitarity_defect(u) < 1e-12
+
+
+@pytest.mark.parametrize("node_entries", [112, 16], ids=["runs_of_7", "runs_of_1"])
+def test_runs_bounded_by_node_entries_match_per_step_factors(node_entries, monkeypatch):
+    # f is constant until tau = 1 and then varies, so some runs are one solve each
+    monkeypatch.setattr(quantum, "NODE_ENTRIES", node_entries)
+    path = banded_path(9, 7, lambda tau: 0.3 if tau < 1.0 else 0.3 + math.sin(tau - 1.0))
+    solves = count_node_solves(monkeypatch)
+    u = propagator(path, 0.0, 3.0, 50).entries
+    # runs of min(NODE_ENTRIES // n**2, isqrt(NODE_ENTRIES)) steps: at 112, 7 steps for the
+    # 4-index sector and 10 for the 3-index one; at 16, one step each
+    assert 1 in solves and max(solves) <= (10 if node_entries == 112 else 1)
+    monkeypatch.undo()
+    np.testing.assert_allclose(u, per_step_parity_loop(path, 0.0, 3.0, 50), rtol=0, atol=1e-13)
     assert unitarity_defect(u) < 1e-12
 
 
