@@ -40,34 +40,39 @@ def _check_hermitian(m: np.ndarray) -> None:
         raise InputError(f"matrix is not Hermitian: max deviation {dev:.3g}")
 
 
+def _square_stack(entries) -> np.ndarray:
+    """`entries` as a complex array of square matrices, shape (..., d, d)."""
+    m = np.asarray(entries, dtype=complex)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise InputError(f"operator must be square, got shape {m.shape}")
+    return m
+
+
 @dataclass(frozen=True)
 class HermitianOperator:
-    """Dense Hermitian matrix; hermiticity enforced at construction."""
+    """Dense Hermitian matrix, or a stack of them with leading axes (..., d, d);
+    hermiticity enforced at construction."""
 
     entries: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.entries, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise InputError(f"operator must be square, got shape {m.shape}")
+        m = _square_stack(self.entries)
         _check_hermitian(m)
         object.__setattr__(self, "entries", m)
 
     @property
     def dim(self) -> int:
-        return self.entries.shape[0]
+        return self.entries.shape[-1]
 
 
 @dataclass(frozen=True)
 class UnitaryOperator:
-    """Dense unitary matrix; unitarity enforced at construction."""
+    """Dense unitary matrix, or a stack of them (..., d, d); unitarity enforced at construction."""
 
     entries: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.entries, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise InputError(f"operator must be square, got shape {m.shape}")
+        m = _square_stack(self.entries)
         if not np.all(np.isfinite(m)):
             raise NumericError("non-finite unitary entries")
         object.__setattr__(self, "entries", m)
@@ -76,17 +81,19 @@ class UnitaryOperator:
 
     @property
     def dim(self) -> int:
-        return self.entries.shape[0]
+        return self.entries.shape[-1]
 
     @property
     def unitarity_defect(self) -> float:
+        """max |U^dagger U - I| over the entries of every matrix in the stack."""
         m = self.entries
-        return float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))
+        return float(np.max(np.abs(np.swapaxes(m.conj(), -1, -2) @ m - np.eye(m.shape[-1]))))
 
 
 @dataclass(frozen=True)
 class EnergyBasis:
-    """Ascending eigenvalues with eigenvector columns."""
+    """Ascending eigenvalues (..., d) with eigenvector columns (..., d, d); the methods
+    below read a single basis, shape ()."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
@@ -94,14 +101,14 @@ class EnergyBasis:
     def __post_init__(self):
         w = np.asarray(self.eigenvalues, dtype=float)
         v = np.asarray(self.eigenvectors, dtype=complex)
-        if np.any(np.diff(w) < 0):
+        if np.any(np.diff(w, axis=-1) < 0):
             raise InputError("eigenvalues must be ascending")
         object.__setattr__(self, "eigenvalues", w)
         object.__setattr__(self, "eigenvectors", v)
 
     @property
     def dim(self) -> int:
-        return self.eigenvalues.size
+        return self.eigenvalues.shape[-1]
 
     def amplitudes(self, n, m, times) -> np.ndarray:
         """<n|exp(-i H t)|m> at each of `times`; `n` may be an index array or a slice."""
@@ -124,12 +131,15 @@ class EnergyBasis:
 
 
 def energy_basis(op: HermitianOperator) -> EnergyBasis:
-    """Eigendecomposition of a Hermitian operator, checked for faithful reconstruction."""
+    """Eigendecomposition of a Hermitian operator, or of a stack in one eigh call, each
+    matrix checked for faithful reconstruction against its own scale."""
     w, v = np.linalg.eigh(op.entries)
-    recon = float(np.max(np.abs(v @ np.diag(w) @ v.conj().T - op.entries)))
-    scale = max(float(np.max(np.abs(w))), 1.0)
-    if recon > 1e-10 * scale:
-        raise NumericError(f"eigendecomposition reconstruction error {recon:.3g}")
+    recon = np.max(np.abs((v * w[..., None, :]) @ np.swapaxes(v.conj(), -1, -2) - op.entries),
+                   axis=(-2, -1))
+    excess = recon / np.maximum(np.max(np.abs(w), axis=-1), 1.0)
+    worst = np.argmax(excess)
+    if excess.flat[worst] > 1e-10:
+        raise NumericError(f"eigendecomposition reconstruction error {recon.flat[worst]:.3g}")
     return EnergyBasis(eigenvalues=w, eigenvectors=v)
 
 
@@ -222,22 +232,26 @@ def _sector_eigh(sector, values):
 
 @dataclass(frozen=True)
 class AffinePath:
-    """Hamiltonian path H(tau) = h0 + f(tau) x, with real-valued f."""
+    """Hamiltonian path H(tau) = h0 + f(tau) x, with real-valued f; h0 and x may be
+    stacks of one shape (..., d, d), a stack of paths that share f."""
 
     h0: HermitianOperator
     x: HermitianOperator
     f: Callable[[float], float]
 
     def __post_init__(self):
-        if self.h0.dim != self.x.dim:
-            raise InputError(f"dimension mismatch: {self.h0.dim} != {self.x.dim}")
+        if self.h0.entries.shape != self.x.entries.shape:
+            raise InputError(f"dimension mismatch: h0 has shape {self.h0.entries.shape}, "
+                             f"x {self.x.entries.shape}")
 
     def __call__(self, tau: float) -> HermitianOperator:
         return HermitianOperator(self.h0.entries + self.f(tau) * self.x.entries)
 
     @cached_property
     def sectors(self):
-        """Parity sectors when the path is parity-banded, else None."""
+        """Parity sectors when the path is a single parity-banded one, else None."""
+        if self.h0.entries.ndim > 2:
+            return None
         return _parity_sectors(self.h0.entries, self.x.entries)
 
     def spectrum(self, value: float) -> EnergyBasis:
@@ -255,12 +269,13 @@ class AffinePath:
 
 
 def _dense_product(path: AffinePath, values, dt):
-    """Midpoint product over checked stacks of <= DENSE_BATCH_ENTRIES entries, one eigh each."""
+    """Midpoint product over checked stacks of <= DENSE_BATCH_ENTRIES entries, one eigh each;
+    on a stack of paths the entries count the whole stack, and a step is one batched matmul."""
     h0, x = path.h0.entries, path.x.entries
-    u = np.eye(h0.shape[0], dtype=complex)
+    u = np.broadcast_to(np.eye(path.h0.dim, dtype=complex), h0.shape)
     size = max(1, DENSE_BATCH_ENTRIES // h0.size)
     for start in range(0, values.size, size):
-        stack = h0 + values[start:start + size, None, None] * x
+        stack = h0 + values[start:start + size].reshape(-1, *(1,) * h0.ndim) * x
         _check_hermitian(stack)
         for factor in _exp_factor(*np.linalg.eigh(stack), dt):
             u = factor @ u
@@ -315,9 +330,10 @@ def propagator(path: AffinePath, tau0: float, tau1: float, steps: int) -> Unitar
     one.  f is evaluated once per midpoint, and the structure of the path picks the
     solver.  A parity-banded path takes real solves per parity sector at a few
     Chebyshev nodes of f's range, and interpolates each step factor between them, or
-    one solve per sector in all when f is equal at every midpoint.  Any other path
-    takes batched dense solves, one np.linalg.eigh call per stack of
-    DENSE_BATCH_ENTRIES matrix entries.
+    one solve per sector in all when f is equal at every midpoint.  Any other path,
+    and any stack of paths, takes batched dense solves, one np.linalg.eigh call per
+    stack of DENSE_BATCH_ENTRIES matrix entries, and returns a stack of the same shape.
+    A result that is not unitary is a NumericError: the input was a checked path.
     """
     if not isinstance(path, AffinePath):
         raise InputError(f"propagator needs an AffinePath, got {type(path).__name__}")
@@ -333,9 +349,10 @@ def propagator(path: AffinePath, tau0: float, tau1: float, steps: int) -> Unitar
         u = _parity_product(path, values, dt)
     else:
         u = _dense_product(path, values, dt)
-    if not np.all(np.isfinite(u)):
-        raise NumericError("non-finite propagator entries")
-    return UnitaryOperator(u)
+    try:
+        return UnitaryOperator(u)
+    except InputError as exc:  # the path was checked, so the fault is the program's
+        raise NumericError(f"propagator result: {exc}") from None
 
 
 def _segment_weights(theta: np.ndarray):

@@ -18,7 +18,9 @@ from .frame import FramePoint, metric_components, redshift_exact, redshift_weakf
     time_dilation
 from .quantum import (
     AffinePath,
+    EnergyBasis,
     HermitianOperator,
+    UnitaryOperator,
     _dense_product,
     energy_basis,
     propagator,
@@ -53,31 +55,38 @@ def _random_symmetric(rng, dim, scale=0.3):
     return 0.5 * (m + m.T)
 
 
-def _random_protocol(rng, dim, steps=40):
-    """Endpoint energy bases and propagator of H(tau) = a + sin(tau) b over [0, 1]."""
-    path = AffinePath(HermitianOperator(_random_symmetric(rng, dim)),
-                      HermitianOperator(_random_symmetric(rng, dim)), math.sin)
-    duration = 1.0
-    u = propagator(path, 0.0, duration, steps)
-    return energy_basis(path(0.0)), energy_basis(path(duration)), u
-
-
 def check_fluctuation_relations(n_protocols=200, seed=7):
-    """Shared ensemble for the detailed and integral fluctuation relations."""
+    """Shared ensemble for the detailed and integral fluctuation relations.
+
+    Protocol i has dimension 2, 4 or 8 in turn, beta, and H(tau) = a + sin(tau) b over
+    [0, 1] with random real-symmetric a and b, drawn in that order.  The protocols of one
+    dimension are one stacked path: one propagator call, and one energy_basis call per
+    endpoint; each protocol's distributions are then built from its own slice.
+    """
     rng = np.random.default_rng(seed)
     dims = [2, 4, 8]
-    max_crooks = 0.0
-    max_jarzynski = 0.0
+    draws = {dim: [] for dim in dims}
     for i in range(n_protocols):
         dim = dims[i % len(dims)]
         beta = float(rng.uniform(0.1, 5.0))
-        b0, bt, u = _random_protocol(rng, dim)
-        fwd = forward_distribution(b0, bt, u, beta)
-        rev = reverse_distribution(b0, bt, u, beta)
-        df = delta_F(b0, bt, beta)
-        max_crooks = max(max_crooks, crooks_check(fwd, rev, beta, df))
-        zratio = math.exp(-beta * df)
-        max_jarzynski = max(max_jarzynski, abs(jarzynski_average(fwd, beta) - zratio))
+        draws[dim].append((beta, _random_symmetric(rng, dim), _random_symmetric(rng, dim)))
+    max_crooks = 0.0
+    max_jarzynski = 0.0
+    for protocols in filter(None, draws.values()):
+        betas, a, b = zip(*protocols)
+        path = AffinePath(HermitianOperator(np.array(a)), HermitianOperator(np.array(b)),
+                          math.sin)
+        u = propagator(path, 0.0, 1.0, 40).entries
+        ends = [energy_basis(path(tau)) for tau in (0.0, 1.0)]
+        for k, beta in enumerate(betas):
+            b0, bt = (EnergyBasis(e.eigenvalues[k], e.eigenvectors[k]) for e in ends)
+            uk = UnitaryOperator(u[k])
+            fwd = forward_distribution(b0, bt, uk, beta)
+            rev = reverse_distribution(b0, bt, uk, beta)
+            df = delta_F(b0, bt, beta)
+            max_crooks = max(max_crooks, crooks_check(fwd, rev, beta, df))
+            zratio = math.exp(-beta * df)
+            max_jarzynski = max(max_jarzynski, abs(jarzynski_average(fwd, beta) - zratio))
     return max_crooks, max_jarzynski
 
 

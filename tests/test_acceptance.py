@@ -2,14 +2,22 @@
 
 The full verification suite runs once; each test then checks one criterion at
 its stated tolerance and prints a single pass/fail line. Documented findings
-(expected analytic discrepancies, not failures) are printed alongside.
+(expected analytic discrepancies, not failures) are printed alongside.  A1's
+stacked ensemble is also checked against the same protocols run one path at a
+time.
 """
 
 import json
+import math
 
+import numpy as np
 import pytest
 
+from curvedwork import verify
 from curvedwork.errors import InputError
+from curvedwork.quantum import AffinePath, HermitianOperator, energy_basis, propagator
+from curvedwork.tpm import (crooks_check, delta_F, forward_distribution, jarzynski_average,
+                            reverse_distribution)
 from curvedwork.verify import run_verification
 
 
@@ -92,6 +100,56 @@ class TestAcceptance:
 
         walk(summary)
         assert json.loads(json.dumps(summary)) == summary
+
+
+def single_path_ensemble(n_protocols=200, seed=7):
+    """A1's ensemble, drawn in its order, with one propagator and two energy_basis calls
+    per protocol: the two figures and each protocol's forward distribution."""
+    rng = np.random.default_rng(seed)
+    max_crooks = max_jarzynski = 0.0
+    forward = []
+    for i in range(n_protocols):
+        dim = (2, 4, 8)[i % 3]
+        beta = float(rng.uniform(0.1, 5.0))
+        a, b = (HermitianOperator(verify._random_symmetric(rng, dim)) for _ in range(2))
+        path = AffinePath(a, b, math.sin)
+        u = propagator(path, 0.0, 1.0, 40)
+        b0, bt = energy_basis(path(0.0)), energy_basis(path(1.0))
+        fwd = forward_distribution(b0, bt, u, beta)
+        forward.append(fwd)
+        df = delta_F(b0, bt, beta)
+        max_crooks = max(max_crooks, crooks_check(fwd, reverse_distribution(b0, bt, u, beta),
+                                                  beta, df))
+        max_jarzynski = max(max_jarzynski,
+                            abs(jarzynski_average(fwd, beta) - math.exp(-beta * df)))
+    return max_crooks, max_jarzynski, forward
+
+
+def test_A1_propagates_one_stack_per_dimension(monkeypatch):
+    results = {}
+
+    def recorded(name, function):
+        def call(*args, **kwargs):
+            results.setdefault(name, []).append(function(*args, **kwargs))
+            return results[name][-1]
+        return call
+
+    for name in ("propagator", "forward_distribution", "reverse_distribution", "delta_F",
+                 "crooks_check"):
+        monkeypatch.setattr(verify, name, recorded(name, getattr(verify, name)))
+    a1, a2 = verify.criterion_crooks_jarzynski("full")
+    assert {name: len(made) for name, made in results.items()} == {
+        "propagator": 3, "forward_distribution": 200, "reverse_distribution": 200,
+        "delta_F": 200, "crooks_check": 200}
+    max_crooks, max_jarzynski, single = single_path_ensemble()
+    assert a1.details["max_crooks_residual"] == pytest.approx(max_crooks, abs=1e-12)
+    assert a2.details["max_jarzynski_deviation"] == pytest.approx(max_jarzynski, abs=1e-12)
+    # the relations hold in any orthonormal endpoint bases, so the figures alone cannot
+    # see a protocol paired with another's slice; its distribution can
+    stack_order = sorted(range(200), key=lambda i: (i % 3, i))
+    for stacked, i in zip(results["forward_distribution"], stack_order):
+        np.testing.assert_array_equal(stacked.works, single[i].works)
+        np.testing.assert_allclose(stacked.probs, single[i].probs, rtol=0, atol=1e-12)
 
 
 def test_unknown_level_is_an_input_error():

@@ -1,6 +1,6 @@
 """Property tests of the propagator: unitarity of every solver the path shape selects,
-the node rule of the parity-sector product, and parity selection in the
-curvature-driven oscillator."""
+the node rule of the parity-sector product, parity selection in the
+curvature-driven oscillator, and stacks of paths against their single paths."""
 
 import math
 
@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvedwork import quantum
+from curvedwork.errors import InputError
 from curvedwork.quantum import (
     AffinePath,
     HermitianOperator,
@@ -157,3 +158,83 @@ def test_oscillator_parity_selection(dim, mass, omega, amplitude, rate, steps, b
     quanta = forward_distribution(basis, basis, u, beta).works / omega
     assert np.all(np.abs(quanta - np.round(quanta)) < 1e-6)
     assert np.all(np.round(quanta) % 2 == 0)
+
+
+@st.composite
+def stacks(draw):
+    """A stack of 1-5 paths of one dim (1-8) that share f, real-symmetric or complex-Hermitian,
+    with a time window and step count (1-50)."""
+    size, dim = draw(st.integers(1, 5)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    complex_entries = draw(st.booleans())
+    h0, x = ([hermitian(rng, dim, complex_entries).entries for _ in range(size)]
+             for _ in range(2))
+    f = drive(draw(st.floats(0.0, 5.0)), draw(st.floats(0.0, 10.0)), draw(st.floats(0.0, 6.3)))
+    path = AffinePath(HermitianOperator(np.array(h0)), HermitianOperator(np.array(x)), f)
+    tau0 = draw(st.floats(-3.0, 3.0))
+    return path, tau0, tau0 + draw(st.floats(0.01, 5.0)), draw(st.integers(1, 50))
+
+
+def members(path):
+    """The single paths of a stack of shape (n,)."""
+    return [AffinePath(HermitianOperator(a), HermitianOperator(b), path.f)
+            for a, b in zip(path.h0.entries, path.x.entries)]
+
+
+@PROPERTY_SETTINGS
+@given(stacks())
+def test_stacked_propagator_matches_each_single_path(protocol):
+    path, tau0, tau1, steps = protocol
+    assert path.sectors is None
+    u = propagator(path, tau0, tau1, steps)
+    assert u.entries.shape == path.h0.entries.shape and u.dim == path.h0.dim
+    assert u.unitarity_defect < 1e-12
+    for k, single in enumerate(members(path)):
+        np.testing.assert_allclose(u.entries[k], propagator(single, tau0, tau1, steps).entries,
+                                   rtol=0, atol=1e-13)
+
+
+@PROPERTY_SETTINGS
+@given(stacks(), st.floats(-3.0, 3.0))
+def test_stacked_energy_basis_equals_each_single_basis(protocol, tau):
+    path = protocol[0]
+    basis = energy_basis(path(tau))
+    assert basis.dim == path.h0.dim
+    for k, single in enumerate(members(path)):
+        alone = energy_basis(single(tau))
+        np.testing.assert_array_equal(basis.eigenvalues[k], alone.eigenvalues)
+        np.testing.assert_array_equal(basis.eigenvectors[k], alone.eigenvectors)
+
+
+@PROPERTY_SETTINGS
+@given(stacks(), st.data())
+def test_stack_with_one_non_hermitian_member_is_an_input_error(protocol, data):
+    path, tau0, tau1, steps = protocol
+    bad = data.draw(st.integers(0, path.h0.entries.shape[0] - 1))
+    h0 = path.h0.entries.copy()
+    h0[bad, 0, -1] += 1e-6j if h0.shape[-1] == 1 else 1e-6
+    with pytest.raises(InputError, match="not Hermitian"):
+        HermitianOperator(h0)
+    # x within tolerance, but a large f amplifies one member's deviation past it
+    x = path.x.entries.copy()
+    x[bad, 0, -1] += 2e-13j if x.shape[-1] == 1 else 2e-13
+    amplified = AffinePath(path.h0, HermitianOperator(x), lambda tau: 100.0)
+    with pytest.raises(InputError, match="not Hermitian"):
+        propagator(amplified, tau0, tau1, steps)
+
+
+@PROPERTY_SETTINGS
+@given(stacks(), st.integers(1, 300))
+def test_stacked_eigh_calls_follow_the_whole_stack_bound(protocol, entries):
+    path, tau0, tau1, steps = protocol
+    calls = []
+    eigh = np.linalg.eigh
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quantum, "DENSE_BATCH_ENTRIES", entries)
+        mp.setattr(np.linalg, "eigh", lambda m: calls.append(m.shape) or eigh(m))
+        u = propagator(path, tau0, tau1, steps)
+    per_call = max(1, entries // path.h0.entries.size)
+    assert len(calls) == -(-steps // per_call)
+    assert all(shape[1:] == path.h0.entries.shape for shape in calls)
+    assert sum(shape[0] for shape in calls) == steps
+    assert u.unitarity_defect < 1e-12

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from curvedwork import quantum
-from curvedwork.errors import InputError
+from curvedwork.errors import InputError, NumericError
 from curvedwork.quantum import (
     AffinePath,
+    EnergyBasis,
     HermitianOperator,
     UnitaryOperator,
     energy_basis,
@@ -77,6 +78,27 @@ class TestOperators:
     def test_unitarity_enforced(self):
         with pytest.raises(InputError):
             UnitaryOperator(np.array([[1.0, 0.0], [0.0, 2.0]]))
+
+    def test_stacks_checked_per_matrix(self):
+        # one bad member of a stack is enough, whatever its place
+        unitary = np.stack([np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2)])
+        assert UnitaryOperator(unitary).dim == 2
+        unitary[2, 1, 1] = 2.0
+        with pytest.raises(InputError, match="not unitary"):
+            UnitaryOperator(unitary)
+        hermitian = np.zeros((2, 3, 4, 4))
+        assert HermitianOperator(hermitian).dim == 4
+        hermitian[1, 2, 0, 3] = 1.0
+        with pytest.raises(InputError, match="not Hermitian"):
+            HermitianOperator(hermitian)
+        with pytest.raises(InputError, match="square"):
+            HermitianOperator(np.zeros((3, 2, 4)))
+
+    def test_stacked_energy_basis_ascending_per_basis(self):
+        v = np.broadcast_to(np.eye(2), (2, 2, 2))
+        assert EnergyBasis(np.array([[0.0, 1.0], [-3.0, -2.0]]), v).dim == 2
+        with pytest.raises(InputError, match="ascending"):
+            EnergyBasis(np.array([[0.0, 1.0], [1.0, 0.0]]), v)
 
 
 class TestThermalState:
@@ -185,6 +207,18 @@ class TestPropagator:
     def test_static_operator_rejected(self):
         with pytest.raises(InputError, match="AffinePath"):
             propagator(qho_hamiltonian(1.0, 1.0, 3), 0.0, 1.0, 10)
+
+    @pytest.mark.parametrize("stack", [(), (4,)], ids=["single", "stacked"])
+    def test_non_unitary_result_is_a_numeric_error(self, stack, monkeypatch):
+        # the path is checked input, so a product that is not unitary is a program fault
+        monkeypatch.setattr(quantum, "_dense_product", lambda path, values, dt: np.broadcast_to(
+            1.01 * np.eye(path.h0.dim), path.h0.entries.shape))
+        rng = np.random.default_rng(5)
+        a, b = rng.normal(size=(2, *stack, 3, 3))
+        path = AffinePath(HermitianOperator(a + np.swapaxes(a, -1, -2)),
+                          HermitianOperator(b + np.swapaxes(b, -1, -2)), math.sin)
+        with pytest.raises(NumericError, match="not unitary"):
+            propagator(path, 0.0, 1.0, 4)
 
     def test_invalid_interval(self):
         with pytest.raises(InputError):

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import curvedwork
+from curvedwork import quantum
 from curvedwork.cli import main as cli_main
 from curvedwork.errors import ConfigError, ConvergenceError, InputError
 from curvedwork.quantum import qho_hamiltonian, x_squared_matrix
@@ -608,6 +609,18 @@ class TestCli:
         path = self.write_config(tmp_path, cfg)
         rc = cli_main(["desitter", "--config", str(path), "--out", str(tmp_path / "o")])
         assert rc == 2
+
+    def test_non_unitary_propagator_is_one_numeric_error_line(self, tmp_path, capsys,
+                                                              monkeypatch):
+        # a faulty solver is a program fault (exit 2), not bad input (exit 1)
+        monkeypatch.setattr(quantum, "_parity_product",
+                            lambda path, values, dt: 1.01 * np.eye(path.h0.dim))
+        path = self.write_config(tmp_path, desitter_config())
+        rc = cli_main(["desitter", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("numeric error:"), err
+        assert "not unitary" in err[0]
 
     def test_verify_fast(self, tmp_path, capsys):
         rc = cli_main(["verify", "--level", "fast", "--out", str(tmp_path)])

@@ -127,6 +127,11 @@ class TestFallback:
         with pytest.raises(InputError, match="dimension mismatch"):
             AffinePath(qho_hamiltonian(1.0, 1.0, 4), x_squared_matrix(1.0, 1.0, 5), smooth)
 
+    def test_stack_shape_mismatch_rejected(self):
+        with pytest.raises(InputError, match="dimension mismatch"):
+            AffinePath(HermitianOperator(np.zeros((3, 2, 2))),
+                       HermitianOperator(np.zeros((2, 2, 2))), smooth)
+
 
 class TestParitySelection:
     @pytest.mark.parametrize("f", [smooth, lambda tau: -0.01], ids=["driven", "constant"])
