@@ -40,6 +40,14 @@ def _check_hermitian(m: np.ndarray) -> None:
         raise InputError(f"matrix is not Hermitian: max deviation {dev:.3g}")
 
 
+def broadcast_stacks(*shapes) -> tuple:
+    """The stack shape that `shapes` broadcast to; shapes that do not are an InputError."""
+    try:
+        return np.broadcast_shapes(*shapes)
+    except ValueError:
+        raise InputError(f"stack shapes {', '.join(map(str, shapes))} do not broadcast") from None
+
+
 def _square_stack(entries) -> np.ndarray:
     """`entries` as a complex array of square matrices, shape (..., d, d)."""
     m = np.asarray(entries, dtype=complex)
@@ -92,8 +100,8 @@ class UnitaryOperator:
 
 @dataclass(frozen=True)
 class EnergyBasis:
-    """Ascending eigenvalues (..., d) with eigenvector columns (..., d, d); the methods
-    below read a single basis, shape ()."""
+    """Ascending eigenvalues (..., d) with eigenvector columns (..., d, d); a single basis
+    is the stack shape ()."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
@@ -101,6 +109,9 @@ class EnergyBasis:
     def __post_init__(self):
         w = np.asarray(self.eigenvalues, dtype=float)
         v = np.asarray(self.eigenvectors, dtype=complex)
+        if w.ndim == 0 or v.shape != w.shape + w.shape[-1:]:
+            raise InputError(f"eigenvectors of shape {v.shape} do not fit eigenvalues of "
+                             f"shape {w.shape}")
         if np.any(np.diff(w, axis=-1) < 0):
             raise InputError("eigenvalues must be ascending")
         object.__setattr__(self, "eigenvalues", w)
@@ -110,24 +121,44 @@ class EnergyBasis:
     def dim(self) -> int:
         return self.eigenvalues.shape[-1]
 
+    @property
+    def stack_shape(self) -> tuple:
+        return self.eigenvalues.shape[:-1]
+
     def amplitudes(self, n, m, times) -> np.ndarray:
         """<n|exp(-i H t)|m> at each of `times`; `n` may be an index array or a slice."""
+        if self.stack_shape:
+            raise InputError(f"amplitudes reads a single basis, got a stack of shape "
+                             f"{self.stack_shape}")
         v = self.eigenvectors
         return (v[n] * v[m].conj()) @ np.exp(-1j * np.multiply.outer(self.eigenvalues, times))
 
-    def scaled(self, z: float) -> "EnergyBasis":
-        """Energy basis of z H: the eigenvalues times z, reordered ascending (z < 0 reverses)."""
-        order = np.argsort(z * self.eigenvalues, kind="stable")
-        return EnergyBasis(z * self.eigenvalues[order], self.eigenvectors[:, order])
+    def scaled(self, z) -> "EnergyBasis":
+        """Energy basis of z H: the eigenvalues times z, reordered ascending (z < 0 reverses);
+        z is a scalar or an array that broadcasts against the stack shape."""
+        w = np.asarray(z, dtype=float)[..., None] * self.eigenvalues
+        order = np.argsort(w, axis=-1, kind="stable")
+        v = np.broadcast_to(self.eigenvectors, w.shape[:-1] + self.eigenvectors.shape[-2:])
+        return EnergyBasis(np.take_along_axis(w, order, -1),
+                           np.take_along_axis(v, order[..., None, :], -1))
 
-    def gibbs(self, beta: float) -> tuple[np.ndarray, float]:
-        """Gibbs populations of the eigenstates at beta and ln Z, shifted against overflow."""
-        if beta <= 0:
-            raise InputError(f"beta must be positive, got {beta}")
-        shift = float(self.eigenvalues[0])
-        boltz = np.exp(-beta * (self.eigenvalues - shift))
-        z_shifted = float(np.sum(boltz))
-        return boltz / z_shifted, math.log(z_shifted) - beta * shift
+    def gibbs(self, beta) -> tuple[np.ndarray, float | np.ndarray]:
+        """Gibbs populations of the eigenstates at beta and ln Z, shifted against overflow.
+
+        beta is a scalar or an array that broadcasts against the stack shape; ln Z is a
+        float for a single basis at a scalar beta, else an array of the broadcast shape.
+        Each ln Z is a math.log, so a stacked row equals its single-basis call exactly.
+        """
+        b = np.asarray(beta, dtype=float)
+        broadcast_stacks(self.stack_shape, b.shape)
+        if np.any(b <= 0):
+            raise InputError(f"beta must be positive, got {float(np.min(b))}")
+        shift = self.eigenvalues[..., :1]
+        boltz = np.exp(-b[..., None] * (self.eigenvalues - shift))
+        z_shifted = np.sum(boltz, axis=-1)
+        log_z = np.fromiter(map(math.log, z_shifted.ravel().tolist()), float, z_shifted.size)
+        log_z = log_z.reshape(z_shifted.shape) - b * shift[..., 0]
+        return boltz / z_shifted[..., None], float(log_z) if log_z.ndim == 0 else log_z
 
 
 def energy_basis(op: HermitianOperator) -> EnergyBasis:
@@ -146,23 +177,26 @@ def energy_basis(op: HermitianOperator) -> EnergyBasis:
 @dataclass(frozen=True)
 class ThermalState:
     """Gibbs state e^(-beta H)/Z with its inverse temperature, log partition function
-    and mean energy Tr(H rho)."""
+    and mean energy Tr(H rho); floats for a single basis at a scalar beta, else arrays
+    shaped like the broadcast stack."""
 
-    beta: float
+    beta: float | np.ndarray
     density: np.ndarray
-    log_partition: float
-    mean_energy: float
+    log_partition: float | np.ndarray
+    mean_energy: float | np.ndarray
 
 
-def thermal_state(op: HermitianOperator | EnergyBasis, beta: float) -> ThermalState:
-    """Thermal state of a Hamiltonian, or of the energy basis it was diagonalised into."""
+def thermal_state(op: HermitianOperator | EnergyBasis, beta) -> ThermalState:
+    """Thermal state of a Hamiltonian, or of the energy basis it was diagonalised into;
+    a stack of either, with beta a scalar or an array that broadcasts against it."""
     basis = op if isinstance(op, EnergyBasis) else energy_basis(op)
     populations, log_partition = basis.gibbs(beta)
     v = basis.eigenvectors
-    rho = (v * populations) @ v.conj().T
-    rho = 0.5 * (rho + rho.conj().T)
+    rho = (v * populations[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
+    rho = 0.5 * (rho + np.swapaxes(rho.conj(), -1, -2))
+    mean = (populations[..., None, :] @ basis.eigenvalues[..., :, None])[..., 0, 0]
     return ThermalState(beta=beta, density=rho, log_partition=log_partition,
-                        mean_energy=float(populations @ basis.eigenvalues))
+                        mean_energy=float(mean) if mean.ndim == 0 else mean)
 
 
 def two_level_hamiltonian(eps: float) -> HermitianOperator:

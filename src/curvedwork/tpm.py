@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericError
-from .quantum import (UNITARITY_TOL, EnergyBasis, HermitianOperator, UnitaryOperator,
+from .quantum import (EnergyBasis, HermitianOperator, UnitaryOperator, broadcast_stacks,
                       energy_basis, thermal_state)
 
 P_FLOOR = 1e-12
@@ -52,20 +52,34 @@ class WorkDistribution:
         mean is preserved exactly.  Each mean is clipped to its group's range
         against rounding, so merged values stay more than merge_tol apart.
         """
-        works = np.asarray(works, dtype=float).ravel()
-        probs = np.asarray(probs, dtype=float).ravel()
-        keep = probs > 0.0  # exactly forbidden outcomes carry no support
-        works, probs = works[keep], probs[keep]
-        if works.size == 0:
-            raise InputError("distribution has no support")
-        order = np.argsort(works, kind="stable")
-        works, probs = works[order], probs[order]
-        # a chain of neighbours each within merge_tol of the previous one is one group
-        starts = np.flatnonzero(np.concatenate(([True], ~(np.diff(works) <= merge_tol))))
-        p = np.add.reduceat(probs, starts)
-        w = np.add.reduceat(works * probs, starts) / p
-        w = np.clip(w, works[starts], works[np.append(starts[1:], works.size) - 1])
-        return cls(w, p, merge_tol=merge_tol)
+        works = np.asarray(works, dtype=float).reshape(1, -1)
+        probs = np.asarray(probs, dtype=float).reshape(1, -1)
+        return _merge_rows(works, probs, np.array([merge_tol], dtype=float))[0]
+
+
+def _merge_rows(works, probs, merge_tols) -> tuple[WorkDistribution, ...]:
+    """from_raw on each row of (works, probs), shape (rows, n), within its row's merge_tol,
+    as one segmented merge: a stable sort along the rows, then one reduceat over all of
+    them with each row's first kept outcome starting a group."""
+    order = np.argsort(works, axis=-1, kind="stable")
+    works = np.take_along_axis(works, order, -1)
+    probs = np.take_along_axis(probs, order, -1)
+    keep = probs > 0.0  # exactly forbidden outcomes carry no support
+    counts = np.count_nonzero(keep, axis=-1)
+    if not np.all(counts):
+        raise InputError("distribution has no support")
+    row = np.repeat(np.arange(counts.size), counts)
+    works, probs = works[keep], probs[keep]
+    # a chain of neighbours each within merge_tol of the previous one is one group
+    new = np.concatenate(([True], ~(np.diff(works) <= merge_tols[row[1:]])))
+    new[np.cumsum(counts)[:-1]] = True
+    starts = np.flatnonzero(new)
+    p = np.add.reduceat(probs, starts)
+    w = np.add.reduceat(works * probs, starts) / p
+    w = np.clip(w, works[starts], works[np.append(starts[1:], works.size) - 1])
+    splits = np.cumsum(np.bincount(row[starts], minlength=counts.size))[:-1]
+    return tuple(WorkDistribution(wk, pk, merge_tol=float(tol)) for wk, pk, tol
+                 in zip(np.split(w, splits), np.split(p, splits), merge_tols))
 
 
 @dataclass(frozen=True)
@@ -90,57 +104,74 @@ class ProtocolReport:
             raise NumericError("entropy_production must equal beta * dissipated_work")
 
 
-def default_merge_tol(*spectra) -> float:
-    span = max(float(np.max(w)) for w in spectra) - min(float(np.min(w)) for w in spectra)
-    return MERGE_TOL_RELATIVE * span if span > 0 else 1e-12
+def default_merge_tol(first, second) -> np.ndarray:
+    """MERGE_TOL_RELATIVE times the span of both spectra's levels, or 1e-12 for one level,
+    per stack row of the spectra (..., d)."""
+    span = (np.maximum(np.max(first, axis=-1), np.max(second, axis=-1))
+            - np.minimum(np.min(first, axis=-1), np.min(second, axis=-1)))
+    return np.where(span > 0, MERGE_TOL_RELATIVE * span, 1e-12)
 
 
 # A protocol endpoint: a Hamiltonian, or its energy basis, so that a caller
 # evaluating several quantities of one protocol diagonalises each endpoint once.
+# Either may be a stack (..., d, d), one protocol per stack entry.
 Endpoint = HermitianOperator | EnergyBasis
 
 
-def _basis(h: Endpoint) -> EnergyBasis:
-    return h if isinstance(h, EnergyBasis) else energy_basis(h)
+def _endpoints(h_init: Endpoint, h_final: Endpoint, beta, u: UnitaryOperator | None = None):
+    """Energy bases of both endpoints, beta as an array when it is one, and the stack shape
+    that the endpoints, u and beta broadcast to; mismatched dims or stacks are InputErrors."""
+    ops = (h_init, h_final) if u is None else (h_init, h_final, u)
+    if len({op.dim for op in ops}) > 1:
+        raise InputError("dimension mismatch: " + ", ".join(
+            f"{name} {op.dim}" for name, op in zip(("h_init", "h_final", "u"), ops)))
+    b0, bt = (h if isinstance(h, EnergyBasis) else energy_basis(h) for h in (h_init, h_final))
+    beta = np.asarray(beta, dtype=float) if np.ndim(beta) else beta
+    shapes = [b0.stack_shape, bt.stack_shape, np.shape(beta)]
+    if u is not None:
+        shapes.append(u.entries.shape[:-2])
+    return b0, bt, beta, broadcast_stacks(*shapes)
 
 
-def delta_F(h_init: Endpoint, h_final: Endpoint, beta: float) -> float:
-    """Free-energy difference -(1/beta)(ln Z_T - ln Z_0) between the endpoint Hamiltonians."""
-    if h_init.dim != h_final.dim:
-        raise InputError(f"dimension mismatch: {h_init.dim} != {h_final.dim}")
-    lz0 = _basis(h_init).gibbs(beta)[1]
-    lzt = _basis(h_final).gibbs(beta)[1]
-    return -(lzt - lz0) / beta
+def delta_F(h_init: Endpoint, h_final: Endpoint, beta):
+    """Free-energy difference -(1/beta)(ln Z_T - ln Z_0) between the endpoint Hamiltonians;
+    an array shaped like the broadcast stack of the endpoints and beta, or a float."""
+    b0, bt, beta, _ = _endpoints(h_init, h_final, beta)
+    return -(bt.gibbs(beta)[1] - b0.gibbs(beta)[1]) / beta
 
 
-def _measured_work(first: EnergyBasis, second: EnergyBasis, u: np.ndarray, beta, merge_tol):
-    """TPM work distribution: Gibbs-weighted measurement in `first`, u, measurement in `second`."""
+def _measured_work(first: EnergyBasis, second: EnergyBasis, u: np.ndarray, beta, merge_tol,
+                   shape):
+    """TPM work distribution: Gibbs-weighted measurement in `first`, u, measurement in
+    `second`; one per entry of the broadcast stack `shape`, in C order, as one batched pass."""
     if merge_tol is None:
         merge_tol = default_merge_tol(first.eigenvalues, second.eigenvalues)
-    amp = second.eigenvectors.conj().T @ u @ first.eigenvectors
-    joint = np.abs(amp) ** 2 * first.gibbs(beta)[0][None, :]
-    works = second.eigenvalues[:, None] - first.eigenvalues[None, :]
-    return WorkDistribution.from_raw(works, joint, merge_tol=merge_tol)
+    amp = np.swapaxes(second.eigenvectors.conj(), -1, -2) @ u @ first.eigenvectors
+    joint = np.abs(amp) ** 2 * first.gibbs(beta)[0][..., None, :]
+    works = second.eigenvalues[..., :, None] - first.eigenvalues[..., None, :]
+    rows = (math.prod(shape), -1)
+    dists = _merge_rows(np.broadcast_to(works, shape + works.shape[-2:]).reshape(rows),
+                        np.broadcast_to(joint, shape + joint.shape[-2:]).reshape(rows),
+                        np.broadcast_to(merge_tol, shape).reshape(-1))
+    return dists if shape else dists[0]
 
 
 def forward_distribution(
-    h_init: Endpoint, h_final: Endpoint, u: UnitaryOperator, beta: float,
+    h_init: Endpoint, h_final: Endpoint, u: UnitaryOperator, beta,
     merge_tol: float | None = None,
-) -> WorkDistribution:
+) -> WorkDistribution | tuple[WorkDistribution, ...]:
     """Forward-protocol work distribution from exact outcome enumeration.
 
     First measurement in the eigenbasis of h_init with Gibbs weights at beta,
-    evolution by u, second measurement in the eigenbasis of h_final.
+    evolution by u, second measurement in the eigenbasis of h_final.  Stacked
+    endpoints, u and beta broadcast against each other, and a stack gives a tuple
+    of distributions, one per protocol in C order.
     """
-    if h_init.dim != h_final.dim or u.dim != h_init.dim:
-        raise InputError("operator dimensions must match")
-    if u.unitarity_defect > UNITARITY_TOL:
-        raise InputError("propagator is not unitary within tolerance")
-    return _measured_work(_basis(h_init), _basis(h_final), u.entries, beta, merge_tol)
+    b0, bt, beta, shape = _endpoints(h_init, h_final, beta, u)
+    return _measured_work(b0, bt, u.entries, beta, merge_tol, shape)
 
 
-def _real_basis(name: str, h: Endpoint) -> EnergyBasis:
-    basis = _basis(h)
+def _check_real(name: str, basis: EnergyBasis) -> EnergyBasis:
     if float(np.max(np.abs(basis.eigenvectors.imag))) > 1e-12:
         raise InputError(
             f"{name} has complex eigenvectors; the reverse protocol assumes time-reversal "
@@ -150,22 +181,22 @@ def _real_basis(name: str, h: Endpoint) -> EnergyBasis:
 
 
 def reverse_distribution(
-    h_init: Endpoint, h_final: Endpoint, u: UnitaryOperator, beta: float,
+    h_init: Endpoint, h_final: Endpoint, u: UnitaryOperator, beta,
     merge_tol: float | None = None,
-) -> WorkDistribution:
+) -> WorkDistribution | tuple[WorkDistribution, ...]:
     """Reverse-protocol distribution over the reverse work variable -W.
 
     The reverse propagator follows from micro-reversibility with the
     time-reversal operator taken as complex conjugation in the computational
     basis, which requires real-symmetric endpoint Hamiltonians; an endpoint
-    given as a basis must have real eigenvectors.
+    given as a basis, or a stack of them, must have real eigenvectors.  Stacks
+    broadcast and return as in forward_distribution.
     """
-    if h_init.dim != h_final.dim or u.dim != h_init.dim:
-        raise InputError("operator dimensions must match")
-    b0 = _real_basis("h_init", h_init)
+    b0, bt, beta, shape = _endpoints(h_init, h_final, beta, u)
     # conjugation-Theta micro-reversibility: Theta U^dagger Theta^dagger = U^T, and
     # Theta acts trivially on the real eigenvectors of the endpoint Hamiltonians
-    return _measured_work(_real_basis("h_final", h_final), b0, u.entries.T, beta, merge_tol)
+    return _measured_work(_check_real("h_final", bt), _check_real("h_init", b0),
+                          np.swapaxes(u.entries, -1, -2), beta, merge_tol, shape)
 
 
 def crooks_check(
@@ -206,19 +237,17 @@ def mean_work(fwd: WorkDistribution) -> float:
     return float(np.sum(fwd.works * fwd.probs))
 
 
-def dissipated_work_thermal(
-    h_init: Endpoint, h_final: Endpoint, beta: float
-) -> tuple[float, float]:
+def dissipated_work_thermal(h_init: Endpoint, h_final: Endpoint, beta):
     """Average and dissipated work with thermal states at both protocol endpoints.
 
     <W> = Tr{h_final rho_T} - Tr{h_init rho_0}, both states Gibbs at beta;
     W_diss = <W> - delta_F, with delta_F from the two states' partition functions.
-    Each endpoint is a Hamiltonian or its energy basis.
+    Each endpoint is a Hamiltonian or its energy basis, or a stack of either; the
+    pair is two floats, or two arrays shaped like the broadcast stack.
     """
-    if h_init.dim != h_final.dim:
-        raise InputError(f"dimension mismatch: {h_init.dim} != {h_final.dim}")
-    state0 = thermal_state(h_init, beta)
-    statet = thermal_state(h_final, beta)
+    b0, bt, beta, _ = _endpoints(h_init, h_final, beta)
+    state0 = thermal_state(b0, beta)
+    statet = thermal_state(bt, beta)
     mw = statet.mean_energy - state0.mean_energy
     delta_f = -(statet.log_partition - state0.log_partition) / beta
     return mw, mw - delta_f

@@ -15,7 +15,8 @@ import pytest
 
 from curvedwork import verify
 from curvedwork.errors import InputError
-from curvedwork.quantum import AffinePath, HermitianOperator, energy_basis, propagator
+from curvedwork.quantum import (AffinePath, EnergyBasis, HermitianOperator, UnitaryOperator,
+                                energy_basis, propagator)
 from curvedwork.tpm import (crooks_check, delta_F, forward_distribution, jarzynski_average,
                             reverse_distribution)
 from curvedwork.verify import run_verification
@@ -45,6 +46,7 @@ class TestAcceptance:
     def test_A1_crooks_relation(self, by_name):
         crit = _check(by_name, "A1")
         assert crit["details"]["max_crooks_residual"] < 1e-8
+        assert crit["details"]["max_mean_work_deviation"] < 1e-10
 
     def test_A2_jarzynski_equality(self, by_name):
         crit = _check(by_name, "A2")
@@ -139,17 +141,42 @@ def test_A1_propagates_one_stack_per_dimension(monkeypatch):
         monkeypatch.setattr(verify, name, recorded(name, getattr(verify, name)))
     a1, a2 = verify.criterion_crooks_jarzynski("full")
     assert {name: len(made) for name, made in results.items()} == {
-        "propagator": 3, "forward_distribution": 200, "reverse_distribution": 200,
-        "delta_F": 200, "crooks_check": 200}
+        "propagator": 3, "forward_distribution": 3, "reverse_distribution": 3,
+        "delta_F": 3, "crooks_check": 200}
     max_crooks, max_jarzynski, single = single_path_ensemble()
     assert a1.details["max_crooks_residual"] == pytest.approx(max_crooks, abs=1e-12)
     assert a2.details["max_jarzynski_deviation"] == pytest.approx(max_jarzynski, abs=1e-12)
     # the relations hold in any orthonormal endpoint bases, so the figures alone cannot
     # see a protocol paired with another's slice; its distribution can
     stack_order = sorted(range(200), key=lambda i: (i % 3, i))
-    for stacked, i in zip(results["forward_distribution"], stack_order):
+    forward = [dist for stack in results["forward_distribution"] for dist in stack]
+    assert len(forward) == 200
+    for stacked, i in zip(forward, stack_order):
         np.testing.assert_array_equal(stacked.works, single[i].works)
         np.testing.assert_allclose(stacked.probs, single[i].probs, rtol=0, atol=1e-12)
+
+
+def test_A1_checks_unitarity_once_per_stacked_propagator(monkeypatch):
+    evaluations = []
+    defect = UnitaryOperator.unitarity_defect
+    monkeypatch.setattr(UnitaryOperator, "unitarity_defect",
+                        property(lambda u: evaluations.append(u) or defect.fget(u)))
+    verify.criterion_crooks_jarzynski("full")
+    assert len(evaluations) == 3
+
+
+def test_A1_fails_on_bases_that_do_not_diagonalise_the_endpoints(monkeypatch):
+    # protocol k's eigenvalues with protocol k-1's eigenvectors: the TPM relations still
+    # hold, and only the mean work against the traces sees it
+    def rolled(op):
+        basis = energy_basis(op)
+        return EnergyBasis(basis.eigenvalues, np.roll(basis.eigenvectors, 1, axis=0))
+
+    monkeypatch.setattr(verify, "energy_basis", rolled)
+    a1, a2 = verify.criterion_crooks_jarzynski("full")
+    assert a1.details["max_crooks_residual"] < 1e-8 and a2.passed
+    assert a1.details["max_mean_work_deviation"] > 1e-10
+    assert not a1.passed
 
 
 def test_unknown_level_is_an_input_error():

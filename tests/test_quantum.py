@@ -100,6 +100,13 @@ class TestOperators:
         with pytest.raises(InputError, match="ascending"):
             EnergyBasis(np.array([[0.0, 1.0], [1.0, 0.0]]), v)
 
+    @pytest.mark.parametrize("shapes", [((3, 2), (4, 2, 2)), ((3, 2), (2, 2)), ((3,), (2, 2)),
+                                        ((), (1, 1))])
+    def test_energy_basis_eigenvectors_fit_the_eigenvalues(self, shapes):
+        w, v = shapes
+        with pytest.raises(InputError, match="do not fit"):
+            EnergyBasis(np.zeros(w), np.zeros(v))
+
 
 class TestThermalState:
     def test_two_level_populations(self):
@@ -130,6 +137,21 @@ class TestThermalState:
     def test_invalid_beta(self):
         with pytest.raises(InputError):
             thermal_state(two_level_hamiltonian(1.0), 0.0)
+
+    def test_log_partition_takes_math_log_in_a_stack(self):
+        # numpy's array log differs from math.log by an ulp on a few of these inputs, and
+        # ln Z must keep the single-basis arithmetic: stacked rows equal single calls
+        rng = np.random.default_rng(6)
+        w = np.sort(rng.normal(scale=3.0, size=(20000, 3)), axis=-1)
+        beta = rng.uniform(0.1, 5.0, size=20000)
+        stack = EnergyBasis(w, np.broadcast_to(np.eye(3), (20000, 3, 3)))
+        boltz = np.exp(-beta[:, None] * (w - w[:, :1]))
+        expected = [math.log(z) - b * s for z, b, s in zip(np.sum(boltz, axis=-1).tolist(),
+                                                            beta.tolist(), w[:, 0].tolist())]
+        assert stack.gibbs(beta)[1].tolist() == expected
+        assert thermal_state(stack, beta).log_partition.tolist() == expected
+        single = EnergyBasis(w[0], np.eye(3))
+        assert single.gibbs(float(beta[0]))[1] == expected[0]
 
 
 class TestEnergyBasis:

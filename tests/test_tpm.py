@@ -8,6 +8,7 @@ import pytest
 from curvedwork.errors import InputError, NumericError
 from curvedwork.quantum import (
     AffinePath,
+    EnergyBasis,
     HermitianOperator,
     UnitaryOperator,
     energy_basis,
@@ -123,6 +124,66 @@ class TestReverseDistribution:
         h = HermitianOperator(m)
         with pytest.raises(InputError, match="time-reversal"):
             reverse_distribution(h, h, UnitaryOperator(np.eye(2)), 1.0)
+
+
+def two_level_stack():
+    """Three two-level protocols as a (3, 2) stack: endpoint bases and propagators."""
+    rng = np.random.default_rng(29)
+    ends = [random_protocol(rng, 2) for _ in range(3)]
+    b0, bt = (energy_basis(HermitianOperator(np.array([e[i].entries for e in ends])))
+              for i in (0, 1))
+    return b0, bt, UnitaryOperator(np.array([e[2].entries for e in ends]))
+
+
+class TestStacks:
+    def test_stacked_readers_return_one_result_per_protocol(self):
+        b0, bt, u = two_level_stack()
+        beta = np.array([0.5, 1.0, 2.0])
+        for fn in (forward_distribution, reverse_distribution):
+            dists = fn(b0, bt, u, beta)
+            assert isinstance(dists, tuple) and len(dists) == 3
+            assert all(isinstance(d, WorkDistribution) for d in dists)
+        assert delta_F(b0, bt, beta).shape == (3,)
+        assert [x.shape for x in dissipated_work_thermal(b0, bt, beta)] == [(3,), (3,)]
+        # a single basis broadcasts against a stack of propagators and of betas
+        one = EnergyBasis(b0.eigenvalues[0], b0.eigenvectors[0])
+        assert len(forward_distribution(one, one, u, 1.0)) == 3
+        assert delta_F(one, one, beta).tolist() == [0.0, 0.0, 0.0]
+
+    def test_amplitudes_read_a_single_basis(self):
+        b0, _, _ = two_level_stack()
+        with pytest.raises(InputError, match="reads a single basis"):
+            b0.amplitudes(1, 0, [0.0, 1.0])
+
+    @pytest.mark.parametrize("mismatch", ["bases", "u", "beta"])
+    def test_stacks_that_do_not_broadcast_are_input_errors(self, mismatch):
+        b0, bt, u = two_level_stack()
+        beta = 1.0
+        if mismatch == "bases":
+            bt = EnergyBasis(bt.eigenvalues[:2], bt.eigenvectors[:2])
+        elif mismatch == "u":
+            u = UnitaryOperator(u.entries[:2])
+        else:
+            beta = np.array([0.5, 1.0])
+        readers = [lambda: forward_distribution(b0, bt, u, beta),
+                   lambda: reverse_distribution(b0, bt, u, beta)]
+        if mismatch != "u":
+            readers += [lambda: delta_F(b0, bt, beta),
+                        lambda: dissipated_work_thermal(b0, bt, beta)]
+        for reader in readers:
+            with pytest.raises(InputError, match="do not broadcast") as err:
+                reader()
+            assert "\n" not in str(err.value)
+        if mismatch == "beta":
+            with pytest.raises(InputError, match="do not broadcast"):
+                b0.gibbs(beta)
+
+    def test_stacked_complex_eigenvectors_rejected_by_reverse(self):
+        b0, bt, u = two_level_stack()
+        bt = EnergyBasis(bt.eigenvalues, bt.eigenvectors * np.array([1.0, 1.0, 1j])[:, None, None])
+        with pytest.raises(InputError, match="complex eigenvectors") as err:
+            reverse_distribution(b0, bt, u, 1.0)
+        assert "\n" not in str(err.value)
 
 
 class TestCrooks:
@@ -264,6 +325,18 @@ class TestDissipatedWork:
         monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m) or eigh(m))
         (result,) = criterion_entropy_two_level()
         assert result.passed and len(calls) == 1
+
+    def test_a3_stacked_oracle_matches_one_call_per_grid_point(self):
+        b_ref = energy_basis(two_level_hamiltonian(1.0))
+        mismatch = 0.0
+        for z in np.linspace(0.5, 1.5, 21):
+            for c in np.linspace(0.1, 10.0, 21):
+                _, wdiss = dissipated_work_thermal(b_ref, b_ref.scaled(float(z)), float(c))
+                mismatch = max(mismatch, abs(entropy_production_two_level(float(z), float(c))
+                                             - float(c) * wdiss))
+        (result,) = criterion_entropy_two_level()
+        assert result.details["max_formula_vs_oracle_mismatch"] == pytest.approx(mismatch,
+                                                                                  abs=1e-12)
 
 
 class TestEntropyProductionTwoLevel:

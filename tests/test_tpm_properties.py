@@ -9,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvedwork.errors import NumericError
-from curvedwork.quantum import AffinePath, HermitianOperator, energy_basis, propagator
+from curvedwork.quantum import (AffinePath, EnergyBasis, HermitianOperator, UnitaryOperator,
+                                energy_basis, propagator)
 from curvedwork.tpm import (
     P_FLOOR,
     WorkDistribution,
     crooks_check,
     delta_F,
+    dissipated_work_thermal,
     forward_distribution,
     jarzynski_average,
     reverse_distribution,
@@ -174,16 +176,21 @@ class TestCrooksMatchesLoop:
 
 
 @st.composite
-def degenerate_protocols(draw):
+def degenerate_protocols(draw, dim=None):
     """Real-symmetric endpoints with exactly repeated levels, and a propagator between them.
 
-    h_init repeats a random block along the diagonal; h_final is a permuted
-    diagonal drawn from a few values.  The propagator follows h_init + sin(tau) c.
+    h_init repeats a random block along the diagonal, twice or three times unless `dim`
+    fixes the size; h_final is a permuted diagonal drawn from a few values.  The
+    propagator follows h_init + sin(tau) c.
     """
     seed = draw(st.integers(0, 2 ** 32 - 1))
     rng = np.random.default_rng(seed)
-    block = draw(st.integers(1, 4))
-    copies = draw(st.integers(2, 3))
+    if dim is None:
+        block = draw(st.integers(1, 4))
+        copies = draw(st.integers(2, 3))
+    else:
+        block = draw(st.sampled_from([b for b in range(1, dim + 1) if dim % b == 0]))
+        copies = dim // block
     m = rng.normal(scale=0.3, size=(block, block))
     h_init = np.kron(np.eye(copies), 0.5 * (m + m.T))
     dim = block * copies
@@ -219,3 +226,80 @@ class TestFluctuationRelationsOnDegenerateSpectra:
             np.testing.assert_array_equal(by_basis.works, by_op.works)
             np.testing.assert_array_equal(by_basis.probs, by_op.probs)
         assert delta_F(b0, bt, beta) == delta_F(h0, ht, beta)
+
+
+@st.composite
+def protocol_stacks(draw):
+    """1-5 protocols of one dim in 1-8 as stacked endpoint bases, propagators and a beta
+    that is a scalar or one per row.
+
+    A row is a degenerate_protocols draw, a flat row whose outcomes all merge into one
+    (h_init = h_final = c I), or a diagonal row under U = I, whose off-diagonal outcomes
+    have exactly zero probability; so rows differ in support size.
+    """
+    dim = draw(st.integers(1, 8))
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(["degenerate", "flat", "diagonal"]),
+                              min_size=1, max_size=5)):
+        beta = draw(st.floats(0.1, 5.0))
+        if kind == "degenerate":
+            h_init, h_final, u, beta = draw(degenerate_protocols(dim))
+            rows.append((h_init.entries, h_final.entries, u.entries, beta))
+        elif kind == "flat":
+            c = draw(st.floats(-2.0, 2.0))
+            rows.append((c * np.eye(dim), c * np.eye(dim), np.eye(dim), beta))
+        else:
+            levels = draw(st.lists(st.sampled_from([-1.0, 0.0, 0.5, 2.0]), min_size=dim,
+                                   max_size=dim))
+            rows.append((np.diag(levels), np.diag(levels[::-1]), np.eye(dim), beta))
+    h_init, h_final, u, betas = (np.array(column) for column in zip(*rows))
+    beta = betas if draw(st.booleans()) else float(betas[0])
+    return (energy_basis(HermitianOperator(h_init)), energy_basis(HermitianOperator(h_final)),
+            UnitaryOperator(u), beta)
+
+
+def stack_row(stack, k):
+    """Row k of a protocol_stacks draw, as the single-protocol arguments."""
+    b0, bt, u, beta = stack
+    return (EnergyBasis(b0.eigenvalues[k], b0.eigenvectors[k]),
+            EnergyBasis(bt.eigenvalues[k], bt.eigenvectors[k]),
+            UnitaryOperator(u.entries[k]), beta if np.ndim(beta) == 0 else float(beta[k]))
+
+
+class TestStackEqualsProtocolsOneAtATime:
+    @PROPERTY_SETTINGS
+    @given(protocol_stacks())
+    def test_rows_equal_single_calls(self, stack):
+        b0, bt, u, beta = stack
+        rows = [stack_row(stack, k) for k in range(u.entries.shape[0])]
+        for fn in (forward_distribution, reverse_distribution):
+            stacked = fn(b0, bt, u, beta)
+            assert len(stacked) == len(rows)
+            for dist, row in zip(stacked, rows):
+                one = fn(*row)
+                np.testing.assert_array_equal(dist.works, one.works)
+                np.testing.assert_array_equal(dist.probs, one.probs)
+                assert dist.merge_tol == one.merge_tol
+        assert delta_F(b0, bt, beta).tolist() == [delta_F(*row[:2], row[3]) for row in rows]
+        stacked = dissipated_work_thermal(b0, bt, beta)
+        singles = [dissipated_work_thermal(*row[:2], row[3]) for row in rows]
+        assert [x.tolist() for x in stacked] == [list(pair) for pair in zip(*singles)]
+
+    def test_row_kinds_give_single_outcomes_zeros_and_different_supports(self):
+        dim, levels = 3, [-1.0, 0.5, 2.0]
+        rng = np.random.default_rng(5)
+        m, c = (0.5 * (a + a.T) for a in rng.normal(scale=0.3, size=(2, dim, dim)))
+        path = AffinePath(HermitianOperator(m), HermitianOperator(c), math.sin)
+        rows = [(m, np.diag(levels), propagator(path, 0.0, 1.0, 20).entries),
+                (0.7 * np.eye(dim), 0.7 * np.eye(dim), np.eye(dim)),
+                (np.diag(levels), np.diag(levels[::-1]), np.eye(dim))]
+        h_init, h_final, u = (np.array(column) for column in zip(*rows))
+        stack = (energy_basis(HermitianOperator(h_init)),
+                 energy_basis(HermitianOperator(h_final)), UnitaryOperator(u),
+                 np.array([0.5, 1.0, 2.0]))
+        fwd = forward_distribution(*stack)
+        assert [d.works.size for d in fwd] == [9, 1, 3]  # 6 outcomes of the last row are 0
+        for k, dist in enumerate(fwd):
+            one = forward_distribution(*stack_row(stack, k))
+            np.testing.assert_array_equal(dist.works, one.works)
+            np.testing.assert_array_equal(dist.probs, one.probs)
