@@ -20,14 +20,16 @@ from .errors import InputError, NumericError
 
 HERMITICITY_TOL = 1e-12
 UNITARITY_TOL = 1e-9
-# Complex entries per stack of midpoint Hamiltonians handed to one batched eigh;
-# bounds the dense propagator's working memory whatever the dimension or step count.
+# Matrix entries per stack of midpoint Hamiltonians handed to one batched Taylor factor
+# call, whose degree and squarings follow the stack's largest ||H dt||_inf (see
+# propagator); bounds the dense propagator's working memory whatever the dimension or
+# step count.
 DENSE_BATCH_ENTRIES = 2 ** 12
 # |omega h| below which a first-order amplitude segment takes the Taylor series of
 # its weights, and the series' term count: the direct formulas cancel as omega h -> 0.
 SERIES_SWITCH = 0.5
 SERIES_TERMS = 16
-NODE_TOL = 1e-16  # bound on the interpolation error of a parity-sector step factor
+NODE_TOL = 1e-16  # bound on the interpolation or truncation error of a step factor
 NODE_ENTRIES = 2 ** 22  # complex entries of a sector's node factors (64 MB): bounds its runs
 
 
@@ -238,6 +240,43 @@ def _exp_factor(w, v, t):
     return (v * np.exp(-1j * w * t)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
 
 
+def _taylor_terms(norm: float) -> tuple[int, int]:
+    """Halvings s that bring r = norm / 2^s to at most 1/2, and the fewest Taylor terms m
+    whose remainder bound e^r r^(m+1) / (m+1)! is at most NODE_TOL."""
+    halvings = 0
+    while norm > 0.5:
+        norm, halvings = norm / 2, halvings + 1
+    degree, bound = 0, math.exp(norm) * norm
+    while bound > NODE_TOL:
+        degree += 1
+        bound *= norm / (degree + 1)
+    return halvings, degree
+
+
+def _taylor_factors(stack: np.ndarray, dt: float) -> np.ndarray:
+    """exp(-i H dt) for each Hermitian H in `stack` (..., d, d): the degree-m Taylor
+    polynomial of exp(-i a) at a = H dt / 2^s, squared s times, with (s, m) from
+    `_taylor_terms` at the largest ||H dt||_inf in the stack.  The polynomial is
+    c - i s, its cosine part c = sum_j (-1)^j b^j / (2j)! and its sine part
+    s = a sum_j (-1)^j b^j / (2j+1)! over the terms up to a^m, each by Horner in
+    b = a^2: m + 1 products, all real for a real stack; a complex stack takes the
+    same operations in complex arithmetic."""
+    a = stack * dt
+    halvings, degree = _taylor_terms(float(np.max(np.sum(np.abs(a), axis=-1))))
+    a *= 0.5 ** halvings
+    eye = np.eye(a.shape[-1])
+    b = a @ a
+    c = s = eye
+    for k in range(degree // 2, 0, -1):
+        c = eye - b @ c * (1 / ((2 * k - 1) * 2 * k))
+    for k in range((degree - 1) // 2, 0, -1):
+        s = eye - b @ s * (1 / (2 * k * (2 * k + 1)))
+    p = c - 1j * (a @ s)
+    for _ in range(halvings):
+        p = p @ p
+    return p
+
+
 def _parity_sectors(h0: np.ndarray, x: np.ndarray):
     """Per-parity real blocks of h0 and x, or None unless the path is parity-banded.
 
@@ -303,15 +342,18 @@ class AffinePath:
 
 
 def _dense_product(path: AffinePath, values, dt):
-    """Midpoint product over checked stacks of <= DENSE_BATCH_ENTRIES entries, one eigh each;
-    on a stack of paths the entries count the whole stack, and a step is one batched matmul."""
+    """Midpoint product over checked stacks of <= DENSE_BATCH_ENTRIES entries, one
+    `_taylor_factors` call each, in real arithmetic when h0 and x are real; on a stack of
+    paths the entries count the whole stack, and a step is one batched matmul."""
     h0, x = path.h0.entries, path.x.entries
+    if not (np.any(h0.imag) or np.any(x.imag)):
+        h0, x = h0.real, x.real
     u = np.broadcast_to(np.eye(path.h0.dim, dtype=complex), h0.shape)
     size = max(1, DENSE_BATCH_ENTRIES // h0.size)
     for start in range(0, values.size, size):
         stack = h0 + values[start:start + size].reshape(-1, *(1,) * h0.ndim) * x
         _check_hermitian(stack)
-        for factor in _exp_factor(*np.linalg.eigh(stack), dt):
+        for factor in _taylor_factors(stack, dt):
             u = factor @ u
     return u
 
@@ -360,13 +402,19 @@ def propagator(path: AffinePath, tau0: float, tau1: float, steps: int) -> Unitar
     """Time-ordered propagator of H(tau) = h0 + f(tau) x by the midpoint exponential-product rule.
 
     U = prod_j exp(-i H(tau_j + dt/2) dt) applied right to left, global error O(dt^2);
-    each factor comes from a Hermitian eigendecomposition, or lies within NODE_TOL of
-    one.  f is evaluated once per midpoint, and the structure of the path picks the
-    solver.  A parity-banded path takes real solves per parity sector at a few
-    Chebyshev nodes of f's range, and interpolates each step factor between them, or
-    one solve per sector in all when f is equal at every midpoint.  Any other path,
-    and any stack of paths, takes batched dense solves, one np.linalg.eigh call per
-    stack of DENSE_BATCH_ENTRIES matrix entries, and returns a stack of the same shape.
+    each factor comes from an eigendecomposition, or from an interpolant or a Taylor
+    polynomial whose error bound is NODE_TOL.  f is evaluated once per midpoint, and the
+    structure of the path picks the solver.  A parity-banded path takes real
+    eigendecompositions per parity sector at a few Chebyshev nodes of f's range, and
+    interpolates each step factor between them, or one solve per sector in all when f
+    is equal at every midpoint.  Any other path, and any stack of paths, takes dense
+    factors from a truncated Taylor polynomial, one batched call per stack of
+    DENSE_BATCH_ENTRIES matrix entries, and returns a stack of the same shape: the
+    stack's largest r = ||H dt||_inf is halved s times to at most 1/2, the degree m is
+    the least with e^r r^(m+1) / (m+1)! <= NODE_TOL, and the polynomial is squared s
+    times; a real path keeps every product but the squarings real.  No np.linalg.eigh
+    call is made there.  The squarings make it slower than eigh at large r: at r = 200,
+    on 1 BLAS thread, 1.3x for a 200 x 200 matrix and 3x for a stack of 1024 2 x 2 ones.
     A result that is not unitary is a NumericError: the input was a checked path.
     """
     if not isinstance(path, AffinePath):

@@ -253,8 +253,7 @@ def _newtonian(config: ScenarioConfig):
     sigma_formula = np.array(
         [entropy_production_two_level(z, config.beta * eps) for z in zgrid]
     )
-    sigma_oracle = np.array([config.beta * dissipated_work_thermal(b0, b0.scaled(z), config.beta)[1]
-                             for z in zgrid])
+    sigma_oracle = config.beta * dissipated_work_thermal(b0, b0.scaled(zgrid), config.beta)[1]
 
     gx = g * float(config.position[0])
     p2 = float(np.asarray(config.momentum, dtype=float) @ np.asarray(config.momentum, dtype=float))

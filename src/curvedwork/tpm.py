@@ -34,12 +34,16 @@ class WorkDistribution:
         probs = np.asarray(self.probs, dtype=float)
         if works.shape != probs.shape or works.ndim != 1:
             raise InputError("works and probs must be matching 1-d arrays")
-        total = float(np.sum(probs))
-        if abs(total - 1.0) > 1e-10:
+        # negated comparisons, so that a NaN fails each check
+        total = float(probs.sum())
+        if not abs(total - 1.0) <= 1e-10:
             raise InputError(f"probabilities sum to {total}, not 1")
-        if np.any(probs < -1e-15) or np.any(probs > 1 + 1e-12):
+        if not (probs.min() >= -1e-15 and probs.max() <= 1 + 1e-12):
             raise InputError("probabilities outside [0, 1]")
-        if works.size > 1 and np.any(np.diff(works) <= self.merge_tol):
+        # increasing values between finite ends are all finite
+        if not (math.isfinite(works[0]) and math.isfinite(works[-1])):
+            raise InputError("work values must be finite")
+        if works.size > 1 and not np.diff(works).min() > self.merge_tol:
             raise InputError("work values must be increasing with gaps above merge_tol")
         object.__setattr__(self, "works", works)
         object.__setattr__(self, "probs", probs)
@@ -61,6 +65,8 @@ def _merge_rows(works, probs, merge_tols) -> tuple[WorkDistribution, ...]:
     """from_raw on each row of (works, probs), shape (rows, n), within its row's merge_tol,
     as one segmented merge: a stable sort along the rows, then one reduceat over all of
     them with each row's first kept outcome starting a group."""
+    if not (np.isfinite(works).all() and np.isfinite(probs).all()):
+        raise InputError("non-finite work or probability values")
     order = np.argsort(works, axis=-1, kind="stable")
     works = np.take_along_axis(works, order, -1)
     probs = np.take_along_axis(probs, order, -1)

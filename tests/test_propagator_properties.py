@@ -1,6 +1,7 @@
 """Property tests of the propagator: unitarity of every solver the path shape selects,
-the node rule of the parity-sector product, parity selection in the
-curvature-driven oscillator, and stacks of paths against their single paths."""
+the node rule of the parity-sector product, the Taylor step factors of the dense
+product, parity selection in the curvature-driven oscillator, and stacks of paths
+against their single paths."""
 
 import math
 
@@ -225,16 +226,72 @@ def test_stack_with_one_non_hermitian_member_is_an_input_error(protocol, data):
 
 @PROPERTY_SETTINGS
 @given(stacks(), st.integers(1, 300))
-def test_stacked_eigh_calls_follow_the_whole_stack_bound(protocol, entries):
+def test_stacked_taylor_calls_follow_the_whole_stack_bound(protocol, entries):
     path, tau0, tau1, steps = protocol
-    calls = []
-    eigh = np.linalg.eigh
+    calls, eigh_calls = [], []
+    taylor_factors, eigh = quantum._taylor_factors, np.linalg.eigh
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(quantum, "DENSE_BATCH_ENTRIES", entries)
-        mp.setattr(np.linalg, "eigh", lambda m: calls.append(m.shape) or eigh(m))
+        mp.setattr(quantum, "_taylor_factors",
+                   lambda stack, dt: calls.append(stack) or taylor_factors(stack, dt))
+        mp.setattr(np.linalg, "eigh", lambda m: eigh_calls.append(m.shape) or eigh(m))
         u = propagator(path, tau0, tau1, steps)
     per_call = max(1, entries // path.h0.entries.size)
     assert len(calls) == -(-steps // per_call)
-    assert all(shape[1:] == path.h0.entries.shape for shape in calls)
-    assert sum(shape[0] for shape in calls) == steps
+    assert all(stack.shape[1:] == path.h0.entries.shape for stack in calls)
+    assert sum(stack.shape[0] for stack in calls) == steps
+    assert eigh_calls == []
+    # a real path's stacks are real, so their polynomials run in real arithmetic
+    real = not (np.any(path.h0.entries.imag) or np.any(path.x.entries.imag))
+    assert all(np.iscomplexobj(stack) != real for stack in calls)
     assert u.unitarity_defect < 1e-12
+
+
+@st.composite
+def hermitian_stacks(draw):
+    """A stack of 1-3 Hermitian matrices of one dim (1-40), real or complex, and a step dt
+    that brings the stack's largest ||H dt||_inf to r in [0, 200]; at r = 0 the stack is zero."""
+    size, dim = draw(st.integers(1, 3)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    m = rng.normal(size=(size, dim, dim))
+    if draw(st.booleans()):
+        m = m + 1j * rng.normal(size=(size, dim, dim))
+    h = 0.5 * (m + np.swapaxes(m.conj(), -1, -2))
+    r = draw(st.floats(0.0, 200.0))
+    if r == 0.0:
+        return np.zeros_like(h), draw(st.floats(0.01, 10.0))
+    return h, r / float(np.max(np.sum(np.abs(h), axis=-1)))
+
+
+@PROPERTY_SETTINGS
+@given(hermitian_stacks())
+def test_taylor_factors_match_eigh_factors(sample):
+    h, dt = sample
+    norms = []
+    taylor_terms = quantum._taylor_terms
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quantum, "_taylor_terms", lambda norm: norms.append(norm) or taylor_terms(norm))
+        u = quantum._taylor_factors(h, dt)
+    r = float(np.max(np.sum(np.abs(h * dt), axis=-1)))
+    assert norms == [r]
+    assert u.shape == h.shape and np.iscomplexobj(u)
+    # both are exact to a few r eps; at r = 200 the eigh factor itself is off by up to
+    # 1.7e-13 from a 40-digit exponential, so the bound grows past 1e-13 beyond r = 50
+    np.testing.assert_allclose(u, quantum._exp_factor(*np.linalg.eigh(h), dt),
+                               rtol=0, atol=max(1e-13, 2e-15 * r))
+    if not np.iscomplexobj(h):
+        # the same operations in real and in complex arithmetic up to the squarings,
+        # and the same complex squarings after them, each of which doubles a gap
+        halvings = taylor_terms(r)[0]
+        np.testing.assert_allclose(quantum._taylor_factors(h.astype(complex), dt), u,
+                                   rtol=0, atol=1e-15 * 2 ** halvings)
+
+
+@PROPERTY_SETTINGS
+@given(st.floats(0.0, 1e4))
+def test_taylor_terms_are_the_fewest_within_node_tol(norm):
+    halvings, m = quantum._taylor_terms(norm)
+    r = norm / 2 ** halvings
+    assert r <= 0.5 and (halvings == 0 or 2 * r > 0.5)
+    assert math.exp(r) * r ** (m + 1) / math.factorial(m + 1) <= quantum.NODE_TOL
+    assert math.exp(r) * r ** m / math.factorial(m) > quantum.NODE_TOL

@@ -16,14 +16,14 @@ import curvedwork
 from curvedwork import quantum
 from curvedwork.cli import main as cli_main
 from curvedwork.errors import ConfigError, ConvergenceError, InputError
-from curvedwork.quantum import qho_hamiltonian, x_squared_matrix
+from curvedwork.quantum import EnergyBasis, qho_hamiltonian, x_squared_matrix
 from curvedwork.scenarios import (
     RunArtifacts,
     ScenarioConfig,
     run_scenario,
     sample_work,
 )
-from curvedwork.tpm import WorkDistribution, entropy_production_two_level
+from curvedwork.tpm import WorkDistribution, dissipated_work_thermal, entropy_production_two_level
 
 
 SRC = Path(curvedwork.__file__).resolve().parents[1]
@@ -187,6 +187,20 @@ class TestRunNewtonian:
         np.testing.assert_array_equal(art.curves["zfactor"], [0.8, 1.0, 1.2])
         expected = [entropy_production_two_level(z, 1.0) for z in (0.8, 1.0, 1.2)]
         np.testing.assert_allclose(art.curves["entropy_closed_form"], expected, atol=1e-14)
+
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {"beta": 0.7, "system": {"kind": "two_level", "eps": 1.3},
+         "zfactor_grid": [0.3, 1.0, 2.5]},
+    ], ids=["default_grid", "custom_grid"])
+    def test_entropy_oracle_curve_equals_one_call_per_grid_point(self, overrides):
+        cfg = newtonian_config(position=[0.0, 0.0, 0.0], **overrides)
+        art = run_scenario(cfg)
+        b0 = EnergyBasis(np.array([0.0, cfg.system["eps"]]), np.eye(2))
+        expected = [cfg.beta * dissipated_work_thermal(b0, b0.scaled(z), cfg.beta)[1]
+                    for z in art.curves["zfactor"]]
+        assert art.curves["zfactor"].size == (3 if overrides else 41)
+        np.testing.assert_array_equal(art.curves["entropy_thermal_oracle"], expected)
 
     def test_oscillator_system_rejected(self):
         with pytest.raises(ConfigError):

@@ -307,7 +307,7 @@ BAD_STEPS = (0, 1, 2, 5, 8)
 
 @pytest.fixture
 def two_per_batch(monkeypatch):
-    """Two 3x3 matrices per eigh batch, so a bad step can sit anywhere in a batch."""
+    """Two 3x3 matrices per Taylor-factor batch, so a bad step can sit anywhere in a batch."""
     monkeypatch.setattr(quantum, "DENSE_BATCH_ENTRIES", 2 * 3 * 3)
 
 

@@ -19,6 +19,7 @@ from curvedwork.quantum import (
 from curvedwork.tpm import (
     ProtocolReport,
     WorkDistribution,
+    _merge_rows,
     crooks_check,
     delta_F,
     dissipated_work_thermal,
@@ -377,6 +378,35 @@ class TestWorkDistribution:
     def test_invalid_normalization_rejected(self):
         with pytest.raises(InputError):
             WorkDistribution(np.array([0.0]), np.array([0.5]), merge_tol=1e-12)
+
+    @pytest.mark.parametrize("works, probs, message", [
+        ([0.0, math.nan], [0.5, 0.5], "work values must be finite"),
+        ([0.0, 1.0], [math.nan, math.nan], "probabilities sum to nan"),
+        ([0.0, math.inf], [0.5, 0.5], "work values must be finite"),
+        ([-math.inf, 0.0], [0.5, 0.5], "work values must be finite"),
+        ([math.nan], [1.0], "work values must be finite"),
+        ([0.0, math.nan, 1.0], [0.25, 0.5, 0.25], "increasing"),
+    ], ids=["nan_work", "nan_probs", "inf_work", "neg_inf_work", "single_nan_work",
+            "inner_nan_work"])
+    def test_non_finite_values_rejected(self, works, probs, message):
+        with pytest.raises(InputError, match=message):
+            WorkDistribution(np.array(works), np.array(probs), merge_tol=1e-9)
+
+    @pytest.mark.parametrize("works, probs", [
+        ([0.0, 1.0], [math.nan, 1.0]),
+        ([0.0, math.inf], [0.5, 0.5]),
+        ([0.0, math.nan], [1.0, 0.0]),
+    ], ids=["nan_prob", "inf_work", "nan_work_at_zero_prob"])
+    def test_from_raw_rejects_non_finite_outcomes(self, works, probs):
+        # a NaN probability is not > 0, so without the check it would be dropped silently
+        with pytest.raises(InputError, match="non-finite"):
+            WorkDistribution.from_raw(works, probs, merge_tol=1e-9)
+
+    def test_stacked_merge_rejects_one_non_finite_row(self):
+        works = np.array([[0.0, 1.0], [0.0, 1.0]])
+        probs = np.array([[0.5, 0.5], [0.5, math.nan]])
+        with pytest.raises(InputError, match="non-finite"):
+            _merge_rows(works, probs, np.array([1e-9, 1e-9]))
 
 
 class TestProtocolReport:
