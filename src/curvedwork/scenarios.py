@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, ConvergenceError, InputError
+from .errors import ConfigError, ConvergenceError, InputError, NumericError
 from .frame import ROW_SHAPES, FrameData, FramePoint, time_dilation, validate_frame
 from .quantum import (
     AffinePath,
@@ -223,6 +223,11 @@ def _protocol_outputs(b_init, b_final, u, config):
     fwd = forward_distribution(b_init, b_final, u, config.beta, merge_tol=config.merge_tol)
     rev = reverse_distribution(b_init, b_final, u, config.beta, merge_tol=config.merge_tol)
     df = delta_F(b_init, b_final, config.beta)
+    try:
+        zratio = math.exp(-config.beta * df)
+    except OverflowError:
+        raise NumericError(f"e^(-beta delta_F) overflows the float range: beta delta_F = "
+                           f"{config.beta * df:.6g}") from None
     residual = crooks_check(fwd, rev, config.beta, df)
     mw = mean_work(fwd)
     report = ProtocolReport(
@@ -230,7 +235,7 @@ def _protocol_outputs(b_init, b_final, u, config):
         delta_F=df,
         mean_work=mw,
         jarzynski_lhs=jarzynski_average(fwd, config.beta),
-        jarzynski_rhs=math.exp(-config.beta * df),
+        jarzynski_rhs=zratio,
         crooks_max_residual=residual,
         entropy_production=config.beta * (mw - df),
         dissipated_work=mw - df,
@@ -340,6 +345,8 @@ def _desitter(config: ScenarioConfig):
     mass = float(config.system["mass"])
     _require(hubble < omega0,
              "hubble must stay below omega0 (the effective oscillator would invert)")
+    _require(omega0 <= math.sqrt(np.finfo(float).max),
+             f"omega0 {omega0:g} is too large: omega0^2 overflows the float range")
     frame = desitter_frame(hubble)
     path, b0, u, blocks = _oscillator_protocol(config, frame)
     dim = path.h0.dim

@@ -23,69 +23,108 @@ MERGE_TOL_RELATIVE = 1e-9
 
 @dataclass(frozen=True)
 class WorkDistribution:
-    """Discrete distribution over work values, degenerate values merged."""
+    """Discrete work distributions, degenerate values merged: one, or a stack of rows.
+
+    Row k is the points bounds[k]:bounds[k + 1] of the flat `works` and `probs`, with
+    gaps above its merge_tol: a float for one distribution (stack shape ()), else one
+    per row of a stack, whose len() counts rows and whose index gives one row.
+    """
 
     works: np.ndarray
     probs: np.ndarray
-    merge_tol: float
+    merge_tol: float | np.ndarray
+    bounds: np.ndarray | None = None
 
     def __post_init__(self):
-        works = np.asarray(self.works, dtype=float)
-        probs = np.asarray(self.probs, dtype=float)
-        if works.shape != probs.shape or works.ndim != 1:
-            raise InputError("works and probs must be matching 1-d arrays")
-        # negated comparisons, so that a NaN fails each check
-        total = float(probs.sum())
-        if not abs(total - 1.0) <= 1e-10:
-            raise InputError(f"probabilities sum to {total}, not 1")
+        works, probs = np.asarray(self.works, dtype=float), np.asarray(self.probs, dtype=float)
+        tol = np.asarray(self.merge_tol, dtype=float)
+        bounds = np.asarray([0, works.size] if self.bounds is None else self.bounds, dtype=int)
+        if not (works.shape == probs.shape == (works.size,) and tol.ndim < 2
+                and bounds.shape == (tol.size + 1,) and bounds[0] == 0
+                and bounds[-1] == works.size and np.all(np.diff(bounds) > 0)):
+            raise InputError("works and probs must be matching 1-d arrays that bounds split "
+                             "into one non-empty row per merge_tol")
+        for name, value in (("works", works), ("probs", probs), ("bounds", bounds),
+                            ("merge_tol", tol if tol.ndim else float(tol))):
+            object.__setattr__(self, name, value)
+        # finiteness first, so that no sum below meets an inf or a NaN
+        if not np.isfinite(works).all():
+            raise InputError("work values must be finite")
+        if not np.isfinite(probs).all():
+            raise InputError("probabilities must be finite")
+        total = np.add.reduceat(probs, bounds[:-1])
+        bad = np.argmax(np.abs(total - 1.0))
+        if not abs(total[bad] - 1.0) <= 1e-10:
+            raise InputError(f"{self._row(bad)}probabilities sum to {total[bad]}, not 1")
         if not (probs.min() >= -1e-15 and probs.max() <= 1 + 1e-12):
             raise InputError("probabilities outside [0, 1]")
-        # increasing values between finite ends are all finite
-        if not (math.isfinite(works[0]) and math.isfinite(works[-1])):
-            raise InputError("work values must be finite")
-        if works.size > 1 and not np.diff(works).min() > self.merge_tol:
+        gaps = np.diff(works) > np.reshape(tol, -1)[self._point_rows()[1:]]
+        gaps[bounds[1:-1] - 1] = True  # a row's first point follows the row before
+        if not gaps.all():
             raise InputError("work values must be increasing with gaps above merge_tol")
-        object.__setattr__(self, "works", works)
-        object.__setattr__(self, "probs", probs)
+
+    @property
+    def stack_shape(self) -> tuple:
+        return np.shape(self.merge_tol)
+
+    def __len__(self) -> int:
+        if not self.stack_shape:
+            raise TypeError("a single work distribution has no rows")
+        return self.stack_shape[0]
+
+    def __getitem__(self, k) -> "WorkDistribution":
+        k = range(len(self))[k]
+        points = slice(self.bounds[k], self.bounds[k + 1])
+        return WorkDistribution(self.works[points], self.probs[points], float(self.merge_tol[k]))
+
+    def _row(self, k) -> str:
+        return f"row {k}: " if self.stack_shape else ""
+
+    def _point_rows(self) -> np.ndarray:
+        return np.repeat(np.arange(self.bounds.size - 1), np.diff(self.bounds))
+
+    def _per_point(self, values) -> np.ndarray:
+        """`values`, a scalar or one per row, at each point of its row."""
+        return np.broadcast_to(values, self.stack_shape).reshape(-1)[self._point_rows()]
+
+    def _per_row(self, values: np.ndarray):
+        """One value per row as a reader returns it: the array, or a float for one row."""
+        return values if self.stack_shape else float(values[0])
 
     @classmethod
-    def from_raw(cls, works, probs, merge_tol: float) -> "WorkDistribution":
+    def from_raw(cls, works, probs, merge_tol) -> "WorkDistribution":
         """Sort raw (work, probability) pairs and coalesce values within merge_tol.
 
-        Merged work values are probability-weighted means, so the distribution
-        mean is preserved exactly.  Each mean is clipped to its group's range
-        against rounding, so merged values stay more than merge_tol apart.
+        1-d arrays give one distribution, 2-d ones a stack of their rows (merge_tol a
+        scalar or one per row), merged by one stable sort along the rows and one
+        reduceat.  Forbidden outcomes carry no support.  A merged value is its group's
+        probability-weighted mean, clipped to the group's range against rounding, so
+        each row's mean is kept and merged values stay more than merge_tol apart.
         """
-        works = np.asarray(works, dtype=float).reshape(1, -1)
-        probs = np.asarray(probs, dtype=float).reshape(1, -1)
-        return _merge_rows(works, probs, np.array([merge_tol], dtype=float))[0]
-
-
-def _merge_rows(works, probs, merge_tols) -> tuple[WorkDistribution, ...]:
-    """from_raw on each row of (works, probs), shape (rows, n), within its row's merge_tol,
-    as one segmented merge: a stable sort along the rows, then one reduceat over all of
-    them with each row's first kept outcome starting a group."""
-    if not (np.isfinite(works).all() and np.isfinite(probs).all()):
-        raise InputError("non-finite work or probability values")
-    order = np.argsort(works, axis=-1, kind="stable")
-    works = np.take_along_axis(works, order, -1)
-    probs = np.take_along_axis(probs, order, -1)
-    keep = probs > 0.0  # exactly forbidden outcomes carry no support
-    counts = np.count_nonzero(keep, axis=-1)
-    if not np.all(counts):
-        raise InputError("distribution has no support")
-    row = np.repeat(np.arange(counts.size), counts)
-    works, probs = works[keep], probs[keep]
-    # a chain of neighbours each within merge_tol of the previous one is one group
-    new = np.concatenate(([True], ~(np.diff(works) <= merge_tols[row[1:]])))
-    new[np.cumsum(counts)[:-1]] = True
-    starts = np.flatnonzero(new)
-    p = np.add.reduceat(probs, starts)
-    w = np.add.reduceat(works * probs, starts) / p
-    w = np.clip(w, works[starts], works[np.append(starts[1:], works.size) - 1])
-    splits = np.cumsum(np.bincount(row[starts], minlength=counts.size))[:-1]
-    return tuple(WorkDistribution(wk, pk, merge_tol=float(tol)) for wk, pk, tol
-                 in zip(np.split(w, splits), np.split(p, splits), merge_tols))
+        works, probs = np.asarray(works, dtype=float), np.asarray(probs, dtype=float)
+        if works.shape != probs.shape or works.ndim not in (1, 2):
+            raise InputError("raw works and probs must be matching 1-d or 2-d arrays")
+        if not (np.isfinite(works).all() and np.isfinite(probs).all()):
+            raise InputError("non-finite work or probability values")
+        tols = np.broadcast_to(np.asarray(merge_tol, dtype=float), works.shape[:-1])
+        order = np.argsort(works, axis=-1, kind="stable")
+        works = np.take_along_axis(works, order, -1).reshape(-1, works.shape[-1])
+        probs = np.take_along_axis(probs, order, -1).reshape(works.shape)
+        keep = probs > 0.0
+        counts = np.count_nonzero(keep, axis=-1)
+        if not np.all(counts):
+            raise InputError(f"{'row %d: ' % np.argmin(counts) if tols.ndim else ''}"
+                             "distribution has no support")
+        row = np.repeat(np.arange(counts.size), counts)
+        works, probs = works[keep], probs[keep]
+        # a chain of neighbours each within merge_tol of the previous one is one group
+        new = np.concatenate(([True], ~(np.diff(works) <= np.reshape(tols, -1)[row[1:]])))
+        new[np.cumsum(counts)[:-1]] = True
+        starts = np.flatnonzero(new)
+        p = np.add.reduceat(probs, starts)
+        w = np.add.reduceat(works * probs, starts) / p
+        w = np.clip(w, works[starts], works[np.append(starts[1:], works.size) - 1])
+        return cls(w, p, tols, np.cumsum(np.bincount(row[starts] + 1, minlength=counts.size + 1)))
 
 
 @dataclass(frozen=True)
@@ -149,29 +188,30 @@ def delta_F(h_init: Endpoint, h_final: Endpoint, beta):
 def _measured_work(first: EnergyBasis, second: EnergyBasis, u: np.ndarray, beta, merge_tol,
                    shape):
     """TPM work distribution: Gibbs-weighted measurement in `first`, u, measurement in
-    `second`; one per entry of the broadcast stack `shape`, in C order, as one batched pass."""
+    `second`; a stack with one row per entry of the broadcast stack `shape`, in C order,
+    from one batched pass, or a single distribution for shape ()."""
     if merge_tol is None:
         merge_tol = default_merge_tol(first.eigenvalues, second.eigenvalues)
     amp = np.swapaxes(second.eigenvectors.conj(), -1, -2) @ u @ first.eigenvectors
     joint = np.abs(amp) ** 2 * first.gibbs(beta)[0][..., None, :]
     works = second.eigenvalues[..., :, None] - first.eigenvalues[..., None, :]
-    rows = (math.prod(shape), -1)
-    dists = _merge_rows(np.broadcast_to(works, shape + works.shape[-2:]).reshape(rows),
-                        np.broadcast_to(joint, shape + joint.shape[-2:]).reshape(rows),
-                        np.broadcast_to(merge_tol, shape).reshape(-1))
-    return dists if shape else dists[0]
+    rows = (math.prod(shape),) if shape else ()
+    return WorkDistribution.from_raw(
+        np.broadcast_to(works, shape + works.shape[-2:]).reshape(rows + (-1,)),
+        np.broadcast_to(joint, shape + joint.shape[-2:]).reshape(rows + (-1,)),
+        np.broadcast_to(merge_tol, shape).reshape(rows))
 
 
 def forward_distribution(
     h_init: Endpoint, h_final: Endpoint, u: UnitaryOperator, beta,
     merge_tol: float | None = None,
-) -> WorkDistribution | tuple[WorkDistribution, ...]:
+) -> WorkDistribution:
     """Forward-protocol work distribution from exact outcome enumeration.
 
     First measurement in the eigenbasis of h_init with Gibbs weights at beta,
     evolution by u, second measurement in the eigenbasis of h_final.  Stacked
-    endpoints, u and beta broadcast against each other, and a stack gives a tuple
-    of distributions, one per protocol in C order.
+    endpoints, u and beta broadcast against each other, and a stack gives one
+    stacked WorkDistribution with a row per protocol in C order.
     """
     b0, bt, beta, shape = _endpoints(h_init, h_final, beta, u)
     return _measured_work(b0, bt, u.entries, beta, merge_tol, shape)
@@ -189,7 +229,7 @@ def _check_real(name: str, basis: EnergyBasis) -> EnergyBasis:
 def reverse_distribution(
     h_init: Endpoint, h_final: Endpoint, u: UnitaryOperator, beta,
     merge_tol: float | None = None,
-) -> WorkDistribution | tuple[WorkDistribution, ...]:
+) -> WorkDistribution:
     """Reverse-protocol distribution over the reverse work variable -W.
 
     The reverse propagator follows from micro-reversibility with the
@@ -205,42 +245,56 @@ def reverse_distribution(
                           np.swapaxes(u.entries, -1, -2), beta, merge_tol, shape)
 
 
-def crooks_check(
-    fwd: WorkDistribution,
-    rev: WorkDistribution,
-    beta: float,
-    delta_f: float,
-    p_floor: float = P_FLOOR,
-) -> float:
+def crooks_check(fwd: WorkDistribution, rev: WorkDistribution, beta, delta_f,
+                 p_floor: float = P_FLOOR):
     """Maximum residual |ln(P_fwd(W)/P_rev(-W)) - beta (W - delta_F)| over matched support.
 
-    Each forward point above p_floor is matched to the nearest of the three
-    reverse points around -W; it counts when that point lies within the
-    reverse merge_tol and carries probability above p_floor.
+    Each forward point above p_floor is matched to the nearer of the reverse points
+    either side of -W in its row, the lower on a tie; it counts when that point lies
+    within the row's reverse merge_tol and carries probability above p_floor.  For
+    stacks of the same rows, beta and delta_f are scalars or one per row, and the
+    residual is one per row.  A row with no matched point is a NumericError.
     """
+    if fwd.stack_shape != rev.stack_shape:
+        raise InputError(f"stack shapes {fwd.stack_shape} and {rev.stack_shape} differ")
     keep = fwd.probs > p_floor
-    w, p = fwd.works[keep], fwd.probs[keep]
-    cand = np.searchsorted(rev.works, -w)[:, None] + np.array([-1, 0, 1])
-    dist = np.abs(rev.works[np.clip(cand, 0, rev.works.size - 1)] + w[:, None])
-    dist[(cand < 0) | (cand >= rev.works.size)] = np.inf
-    nearest = np.argmin(dist, axis=1)  # the first of equally near points, as a scan would pick
-    rows = np.arange(w.size)
-    q = rev.probs[cand[rows, nearest]]
-    matched = (dist[rows, nearest] <= rev.merge_tol) & (q > p_floor)
-    if not np.any(matched):
-        raise NumericError("no matchable support points between forward and reverse distributions")
-    w, p, q = w[matched], p[matched], q[matched]
-    return float(np.max(np.abs(np.log(p / q) - beta * (w - delta_f))))
+    w, p, row = fwd.works[keep], fwd.probs[keep], fwd._point_rows()[keep]
+    # the reverse points up to -w, each counted in its row, from one stable sort of the
+    # reverse points and the queries by (row, work); a point equal to -w is then the
+    # lower neighbour, at distance 0, so ties need no order of their own
+    n = rev.works.size
+    order = np.lexsort((np.concatenate((rev.works, -w)),
+                        np.concatenate((rev._point_rows(), row))))
+    idx = np.cumsum(order < n)[np.argsort(order)[n:]]
+    below = np.maximum(idx - 1, rev.bounds[row])  # a missing side falls on the other
+    above = np.minimum(idx, rev.bounds[row + 1] - 1)
+    dist_below, dist_above = np.abs(rev.works[below] + w), np.abs(rev.works[above] + w)
+    q = rev.probs[np.where(dist_above < dist_below, above, below)]
+    dist = np.minimum(dist_below, dist_above)
+    matched = (dist <= np.reshape(rev.merge_tol, -1)[row]) & (q > p_floor)
+    counts = np.bincount(row[matched], minlength=fwd.bounds.size - 1)
+    if not counts.all():
+        raise NumericError(f"{fwd._row(np.argmin(counts))}no matchable support points between "
+                           "forward and reverse distributions")
+    drift = fwd._per_point(beta)[keep] * (w - fwd._per_point(delta_f)[keep])
+    residual = np.abs(np.log(p[matched] / q[matched]) - drift[matched])
+    return fwd._per_row(np.maximum.reduceat(residual, np.cumsum(counts) - counts))
 
 
-def jarzynski_average(fwd: WorkDistribution, beta: float) -> float:
-    """Exponential work average sum_W P(W) e^{-beta W}."""
-    return float(np.sum(fwd.probs * np.exp(-beta * fwd.works)))
+def jarzynski_average(fwd: WorkDistribution, beta):
+    """Exponential work average sum_W P(W) e^{-beta W}: a float, or one per row of a stack,
+    beta a scalar or one per row.  An average beyond the float range is a NumericError."""
+    with np.errstate(over="ignore"):
+        average = np.add.reduceat(fwd.probs * np.exp(-fwd._per_point(beta) * fwd.works),
+                                  fwd.bounds[:-1])
+    if not np.isfinite(average).all():
+        raise NumericError("<e^{-beta W}> overflows the float range")
+    return fwd._per_row(average)
 
 
-def mean_work(fwd: WorkDistribution) -> float:
-    """First moment sum_W W P(W)."""
-    return float(np.sum(fwd.works * fwd.probs))
+def mean_work(fwd: WorkDistribution):
+    """First moment sum_W W P(W): a float, or one per row of a stack."""
+    return fwd._per_row(np.add.reduceat(fwd.works * fwd.probs, fwd.bounds[:-1]))
 
 
 def dissipated_work_thermal(h_init: Endpoint, h_final: Endpoint, beta):
@@ -267,8 +321,10 @@ def entropy_production_two_level(zfactor: float, beta_eps: float) -> float:
     beta * dissipated_work_thermal, which this package treats as ground truth;
     the two are not identical (see the scenario reports).
     """
-    if zfactor <= 0 or beta_eps <= 0:
-        raise InputError("zfactor and beta_eps must be positive")
+    # negated, so that a NaN fails it, and on the product too, which can underflow to 0
+    if not (zfactor > 0 and zfactor * beta_eps > 0):
+        raise InputError(f"zfactor and zfactor * beta_eps must be positive, got zfactor "
+                         f"{zfactor:.6g} and beta_eps {beta_eps:.6g}")
     return float(
         (zfactor - 1.0) * beta_eps
         + math.log(-math.expm1(-zfactor * beta_eps)) - math.log(-math.expm1(-beta_eps))

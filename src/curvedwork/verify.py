@@ -85,15 +85,13 @@ def check_fluctuation_relations(n_protocols=200, seed=7):
         evolved = u.entries @ rho @ np.swapaxes(u.entries.conj(), -1, -2)
         traces = (np.einsum("kij,kji->k", ht.entries, evolved)
                   - np.einsum("kij,kji->k", h0.entries, rho)).real
-        for fwd, rev, beta, df, trace in zip(forward_distribution(b0, bt, u, betas),
-                                             reverse_distribution(b0, bt, u, betas),
-                                             betas.tolist(), delta_F(b0, bt, betas).tolist(),
-                                             traces.tolist()):
-            max_crooks = max(max_crooks, crooks_check(fwd, rev, beta, df))
-            zratio = math.exp(-beta * df)
-            max_jarzynski = max(max_jarzynski, abs(jarzynski_average(fwd, beta) - zratio))
-            max_mean_work = max(max_mean_work,
-                                abs(mean_work(fwd) - trace) / max(1.0, abs(trace)))
+        fwd, df = forward_distribution(b0, bt, u, betas), delta_F(b0, bt, betas)
+        crooks = crooks_check(fwd, reverse_distribution(b0, bt, u, betas), betas, df)
+        jarzynski = np.abs(jarzynski_average(fwd, betas) - np.exp(-betas * df))
+        mean_dev = np.abs(mean_work(fwd) - traces) / np.maximum(1.0, np.abs(traces))
+        max_crooks = max(max_crooks, float(crooks.max()))
+        max_jarzynski = max(max_jarzynski, float(jarzynski.max()))
+        max_mean_work = max(max_mean_work, float(mean_dev.max()))
     return max_crooks, max_jarzynski, max_mean_work
 
 

@@ -548,6 +548,36 @@ class TestCli:
         assert done.stderr.splitlines() == [
             "error: non-finite time-dilation factor on the trajectory"]
 
+    @staticmethod
+    def stderr_of(tmp_path, capsys, data):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        rc = cli_main([data["scenario"], "--config", str(path), "--out", str(tmp_path / "o")])
+        return rc, capsys.readouterr().err.strip().splitlines()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_free_energy_ratio_overflow_is_one_numeric_error_line(self, tmp_path, capsys):
+        # z_T = 1 - 40^2/2 + 0.05 = -799, so e^(-beta delta_F) = Z_T / Z_0 is near e^799
+        rc, err = self.stderr_of(tmp_path, capsys,
+                                 {**vars(newtonian_config()), "momentum": [40, 0, 0]})
+        assert rc == 2 and len(err) == 1, err
+        assert err[0].startswith("numeric error: e^(-beta delta_F) overflows")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_omega0_whose_square_overflows_is_one_error_line(self, tmp_path, capsys):
+        system = {"kind": "oscillator", "mass": 1.0, "omega0": 1e300, "dim": 40}
+        rc, err = self.stderr_of(tmp_path, capsys, {**vars(desitter_config()), "system": system})
+        assert rc == 1 and len(err) == 1, err
+        assert err[0].startswith("error: omega0 1e+300 is too large")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_eps_whose_entropy_product_underflows_is_one_error_line(self, tmp_path, capsys):
+        # z beta eps = 0.5 * 5e-324 rounds to 0, and the closed form takes log(1 - e^0)
+        system = {"kind": "two_level", "eps": 5e-324, "mass": 1.0}
+        rc, err = self.stderr_of(tmp_path, capsys, {**vars(newtonian_config()), "system": system})
+        assert rc == 1 and len(err) == 1, err
+        assert err[0].startswith("error: zfactor and zfactor * beta_eps must be positive")
+
     def test_output_path_key_rejected(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({**vars(newtonian_config()), "output_path": "results"}))

@@ -19,7 +19,6 @@ from curvedwork.quantum import (
 from curvedwork.tpm import (
     ProtocolReport,
     WorkDistribution,
-    _merge_rows,
     crooks_check,
     delta_F,
     dissipated_work_thermal,
@@ -142,8 +141,8 @@ class TestStacks:
         beta = np.array([0.5, 1.0, 2.0])
         for fn in (forward_distribution, reverse_distribution):
             dists = fn(b0, bt, u, beta)
-            assert isinstance(dists, tuple) and len(dists) == 3
-            assert all(isinstance(d, WorkDistribution) for d in dists)
+            assert isinstance(dists, WorkDistribution) and len(dists) == 3
+            assert dists.stack_shape == (3,)
         assert delta_F(b0, bt, beta).shape == (3,)
         assert [x.shape for x in dissipated_work_thermal(b0, bt, beta)] == [(3,), (3,)]
         # a single basis broadcasts against a stack of propagators and of betas
@@ -216,6 +215,12 @@ class TestCrooks:
         rev = WorkDistribution(np.array([5.0]), np.array([1.0]), merge_tol=1e-12)
         with pytest.raises(NumericError):
             crooks_check(fwd, rev, 1.0, 0.0)
+        # in a stack, the row without a match is named; the other row matches
+        fwd = WorkDistribution.from_raw([[1.0], [1.0]], [[1.0], [1.0]], 1e-12)
+        rev = WorkDistribution.from_raw([[-1.0], [5.0]], [[1.0], [1.0]], 1e-12)
+        with pytest.raises(NumericError, match="^row 1: no matchable support points"):
+            crooks_check(fwd, rev, 1.0, 0.0)
+        assert crooks_check(fwd[0], rev[0], 1.0, 0.0) == 1.0
 
 
 class TestJarzynskiAndMoments:
@@ -247,6 +252,13 @@ class TestJarzynskiAndMoments:
         fwd = forward_distribution(h0, ht, UnitaryOperator(np.eye(2)), beta)
         p1 = math.exp(-beta * eps) / (1 + math.exp(-beta * eps))
         assert mean_work(fwd) == pytest.approx((zf - 1) * eps * p1, abs=1e-14)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_average_beyond_the_float_range_is_a_numeric_error(self):
+        stack = WorkDistribution.from_raw([[0.0, 1.0], [-800.0, 0.0]], [[0.5, 0.5]] * 2, 1e-9)
+        with pytest.raises(NumericError, match="overflows"):
+            jarzynski_average(stack, 1.0)
+        assert jarzynski_average(stack[0], 1.0) == 0.5 + 0.5 * math.exp(-1.0)
 
     def test_mean_work_linear_in_mixture(self):
         d1 = WorkDistribution(np.array([0.0, 1.0]), np.array([0.5, 0.5]), merge_tol=1e-12)
@@ -381,14 +393,17 @@ class TestWorkDistribution:
 
     @pytest.mark.parametrize("works, probs, message", [
         ([0.0, math.nan], [0.5, 0.5], "work values must be finite"),
-        ([0.0, 1.0], [math.nan, math.nan], "probabilities sum to nan"),
+        ([0.0, 1.0], [math.nan, math.nan], "probabilities must be finite"),
         ([0.0, math.inf], [0.5, 0.5], "work values must be finite"),
         ([-math.inf, 0.0], [0.5, 0.5], "work values must be finite"),
         ([math.nan], [1.0], "work values must be finite"),
-        ([0.0, math.nan, 1.0], [0.25, 0.5, 0.25], "increasing"),
+        ([0.0, math.nan, 1.0], [0.25, 0.5, 0.25], "work values must be finite"),
+        ([0.0, 1.0], [math.inf, -math.inf], "probabilities must be finite"),
     ], ids=["nan_work", "nan_probs", "inf_work", "neg_inf_work", "single_nan_work",
-            "inner_nan_work"])
+            "inner_nan_work", "inf_probs_before_any_sum"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_values_rejected(self, works, probs, message):
+        # finiteness is checked first: a sum over [inf, -inf] would warn before the error
         with pytest.raises(InputError, match=message):
             WorkDistribution(np.array(works), np.array(probs), merge_tol=1e-9)
 
@@ -402,11 +417,33 @@ class TestWorkDistribution:
         with pytest.raises(InputError, match="non-finite"):
             WorkDistribution.from_raw(works, probs, merge_tol=1e-9)
 
+    def test_stack_with_one_bad_row_rejected(self):
+        with pytest.raises(InputError, match="row 1: probabilities sum to 1.1"):
+            WorkDistribution(np.array([0.0, 1.0, 0.0, 1.0]), np.array([0.5, 0.5, 0.5, 0.6]),
+                             np.array([1e-9, 1e-9]), np.array([0, 2, 4]))
+
+    def test_stack_length_and_rows(self):
+        works = np.array([[0.0, 1.0, 1.0 + 1e-12], [2.0, 2.0, 3.0], [5.0, 6.0, 7.0]])
+        probs = np.array([[0.5, 0.25, 0.25], [0.2, 0.2, 0.6], [0.0, 1.0, 0.0]])
+        stack = WorkDistribution.from_raw(works, probs, np.array([1e-9, 1e-9, 1e-9]))
+        assert len(stack) == 3 and stack.stack_shape == (3,)
+        assert stack.bounds.tolist() == [0, 2, 4, 5]
+        for k, row in enumerate(stack):
+            one = WorkDistribution.from_raw(works[k], probs[k], 1e-9)
+            np.testing.assert_array_equal(row.works, one.works)
+            np.testing.assert_array_equal(row.probs, one.probs)
+            assert row.merge_tol == one.merge_tol and row.stack_shape == ()
+        assert stack[-1].works.tolist() == [6.0]
+        with pytest.raises(IndexError):
+            stack[3]
+        with pytest.raises(TypeError):
+            len(stack[0])
+
     def test_stacked_merge_rejects_one_non_finite_row(self):
         works = np.array([[0.0, 1.0], [0.0, 1.0]])
         probs = np.array([[0.5, 0.5], [0.5, math.nan]])
         with pytest.raises(InputError, match="non-finite"):
-            _merge_rows(works, probs, np.array([1e-9, 1e-9]))
+            WorkDistribution.from_raw(works, probs, np.array([1e-9, 1e-9]))
 
 
 class TestProtocolReport:

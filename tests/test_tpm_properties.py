@@ -19,6 +19,7 @@ from curvedwork.tpm import (
     dissipated_work_thermal,
     forward_distribution,
     jarzynski_average,
+    mean_work,
     reverse_distribution,
 )
 
@@ -284,6 +285,22 @@ class TestStackEqualsProtocolsOneAtATime:
         stacked = dissipated_work_thermal(b0, bt, beta)
         singles = [dissipated_work_thermal(*row[:2], row[3]) for row in rows]
         assert [x.tolist() for x in stacked] == [list(pair) for pair in zip(*singles)]
+        # the readers: Crooks exactly per row; the segment sums exactly as single calls and
+        # within rounding of np.sum's pairwise order
+        fwd, rev = (fn(b0, bt, u, beta) for fn in (forward_distribution, reverse_distribution))
+        df = delta_F(b0, bt, beta)
+        crooks = crooks_check(fwd, rev, beta, df)
+        average, mean = jarzynski_average(fwd, beta), mean_work(fwd)
+        assert crooks.shape == average.shape == mean.shape == (len(rows),)
+        for k, row in enumerate(rows):
+            one, one_beta = forward_distribution(*row), row[3]
+            one_df = delta_F(*row[:2], one_beta)
+            assert crooks[k] == crooks_check(one, reverse_distribution(*row), one_beta, one_df)
+            assert average[k] == jarzynski_average(one, one_beta)
+            assert mean[k] == mean_work(one)
+            assert average[k] == pytest.approx(
+                np.sum(one.probs * np.exp(-one_beta * one.works)), rel=1e-14, abs=1e-14)
+            assert mean[k] == pytest.approx(np.sum(one.works * one.probs), rel=0, abs=1e-14)
 
     def test_row_kinds_give_single_outcomes_zeros_and_different_supports(self):
         dim, levels = 3, [-1.0, 0.5, 2.0]
