@@ -99,7 +99,7 @@ class FramePoint:
 
     @property
     def r(self) -> float:
-        return float(np.linalg.norm(self.x))
+        return math.hypot(*self.x.tolist())
 
 
 @dataclass(frozen=True)
@@ -130,13 +130,16 @@ def validate_frame(frame: FrameData) -> dict:
 
 
 def _check_validity(point: FramePoint, a, tensors) -> None:
-    r = point.r
-    if abs(float(a @ point.x)) > VALIDITY_BOUND:
-        raise DomainError(f"|a.x| = {abs(a @ point.x):.3g} exceeds expansion bound")
+    # r^2 is inf past the float range, and 0 * inf a NaN, which fails the negated tests
+    r2 = point.r * point.r
+    ax = abs(float(a @ point.x))
+    if not ax <= VALIDITY_BOUND:
+        raise DomainError(f"|a.x| = {ax:.3g} exceeds expansion bound")
     for t in tensors:
-        scale = float(np.max(np.abs(t))) * r * r
-        if scale > VALIDITY_BOUND:
-            raise DomainError(f"|R| r^2 = {scale:.3g} exceeds expansion bound")
+        scale = float(np.max(np.abs(t))) * r2
+        if not scale <= VALIDITY_BOUND:
+            raise DomainError(f"|R| r^2 = {scale:.3g} at r = {point.r:.3g} exceeds "
+                              "expansion bound")
 
 
 def metric_components(frame: FrameData, point: FramePoint) -> MetricComponents:

@@ -165,9 +165,11 @@ class EnergyBasis:
 
 def energy_basis(op: HermitianOperator) -> EnergyBasis:
     """Eigendecomposition of a Hermitian operator, or of a stack in one eigh call, each
-    matrix checked for faithful reconstruction against its own scale."""
-    w, v = np.linalg.eigh(op.entries)
-    recon = np.max(np.abs((v * w[..., None, :]) @ np.swapaxes(v.conj(), -1, -2) - op.entries),
+    matrix checked for faithful reconstruction against its own scale; a stack whose
+    imaginary parts are all exactly 0 takes the real solver."""
+    m = op.entries if np.any(op.entries.imag) else op.entries.real
+    w, v = np.linalg.eigh(m)
+    recon = np.max(np.abs((v * w[..., None, :]) @ np.swapaxes(v.conj(), -1, -2) - m),
                    axis=(-2, -1))
     excess = recon / np.maximum(np.max(np.abs(w), axis=-1), 1.0)
     worst = np.argmax(excess)
@@ -222,11 +224,14 @@ def x_squared_element(mass: float, omega: float, n, m):
     """<n|x^2|m> in the Fock basis (0-based indices), elementwise over index arrays."""
     n, m = np.asarray(n), np.asarray(m)
     lo = np.minimum(n, m)
-    if mass <= 0 or omega <= 0 or np.any(lo < 0):
+    if not (mass > 0 and omega > 0) or np.any(lo < 0):
         raise InputError("mass and omega must be positive and Fock indices non-negative")
     band = np.where(n == m, 2 * m + 1.0,
                     np.where(np.abs(n - m) == 2, np.sqrt((lo + 1.0) * (lo + 2.0)), 0.0))
-    return band / (2.0 * mass * omega)
+    scale = 2.0 * mass * omega  # the largest entry, and 1 / scale itself, must be finite
+    if not (scale > 0 and math.isfinite(float(np.max(band, initial=1.0)) / scale)):
+        raise InputError(f"<n|x^2|m> overflows the float range at mass {mass:g}, omega {omega:g}")
+    return band / scale
 
 
 def x_squared_matrix(mass: float, omega: float, dim: int) -> HermitianOperator:
@@ -389,9 +394,13 @@ def _parity_product(path: AffinePath, values, dt):
             mu = (w.min() + w.max()) / 2
             bracket = np.expm1(-1j * (w - mu) * dt)  # as -2 sin^2(t/2) - i sin t: no cancellation
             d = ((v * bracket[:, None, :]) @ v.transpose(0, 2, 1)).reshape(nodes.size, -1)
-            chunk = max(1, DENSE_BATCH_ENTRIES // d.shape[1])
+            d = d.view(float)  # the real weights times (re, im) pairs: one real product
+            # m factors per product, no more than the node stack holds, or on small sectors
+            # DENSE_BATCH_ENTRIES entries, where m factors are too little work per call
+            chunk = max(nodes.size, DENSE_BATCH_ENTRIES // x.size)
             for start in range(0, vals.size, chunk):
-                for factor in (weights[start:start + chunk] @ d).reshape(-1, *x.shape):
+                factors = (weights[start:start + chunk] @ d).view(complex)
+                for factor in factors.reshape(-1, *x.shape):
                     block += factor @ block
             block *= np.exp(-1j * mu * vals.size * dt)
         u[np.ix_(idx, idx)] = block
@@ -451,7 +460,8 @@ def _segment_weights(theta: np.ndarray):
     return np.where(series, i0, d0), np.where(series, i1, (e - d0) / zd)
 
 
-def perturbative_amplitude(mass, omega0, knots, values, n: int, m: int, tau: float) -> complex:
+def perturbative_amplitude(mass, omega0, knots, values, n: int, m: int,
+                           tau: float | np.ndarray) -> complex | np.ndarray:
     """First-order interaction-picture amplitude for the curvature-driven oscillator.
 
     c_n(tau) = -(i mass / 2) <n|x^2|m> * integral_0^tau R_txtx(t') e^{i(n-m) omega0 t'} dt'.
@@ -460,30 +470,38 @@ def perturbative_amplitude(mass, omega0, knots, values, n: int, m: int, tau: flo
     constant history is one knot.  The integral is exact, one linear segment at
     a time between 0, tau and the knots strictly inside (0, tau), with Filon-type
     weights that switch to their Taylor series where |omega h| < SERIES_SWITCH.
+    tau is a scalar, which returns a complex, or an array, which returns an array of
+    its shape: the whole segments up to its largest entry are integrated once and
+    summed in order, and each tau adds its part segment to the sum before it.
     """
     try:
         knots = np.asarray(knots, dtype=float)
         values = np.asarray(values, dtype=float)
+        taus = np.asarray(tau, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise InputError(f"knots and values must be real sequences: {exc}") from None
+        raise InputError(f"knots, values and tau must be real: {exc}") from None
     if knots.ndim != 1 or knots.shape != values.shape or knots.size == 0:
         raise InputError("knots and values must be 1-d sequences of equal, nonzero length")
     if not (np.all(np.isfinite(knots)) and np.all(np.isfinite(values))):
         raise InputError("knots and values must be finite")
     if np.any(np.diff(knots) <= 0):
         raise InputError("knots must be strictly increasing")
-    if not (math.isfinite(tau) and tau >= 0):
+    if not (np.all(np.isfinite(taus)) and np.all(taus >= 0)):
         raise InputError(f"tau must be finite and non-negative, got {tau}")
     elem = x_squared_element(mass, omega0, n, m)
-    if elem == 0.0 or tau == 0.0:
-        return 0.0 + 0.0j
     freq = (n - m) * omega0
-    breaks = np.concatenate(([0.0], knots[(knots > 0.0) & (knots < tau)], [tau]))
-    r = np.interp(breaks, knots, values)
-    h = np.diff(breaks)
-    i0, i1 = _segment_weights(freq * h)
-    f = np.sum(h * np.exp(1j * freq * breaks[:-1]) * (r[:-1] * i0 + np.diff(r) * i1))
-    return complex(-0.5j * mass * elem * f)
+
+    def segments(lo, hi):
+        """The integral over each segment [lo, hi], on which R is linear."""
+        r_lo, r_hi = np.interp(lo, knots, values), np.interp(hi, knots, values)
+        i0, i1 = _segment_weights(freq * (hi - lo))
+        return (hi - lo) * np.exp(1j * freq * lo) * (r_lo * i0 + (r_hi - r_lo) * i1)
+
+    starts = np.concatenate(([0.0], knots[(knots > 0.0) & (knots < taus.max(initial=0.0))]))
+    whole = np.concatenate(([0.0], np.cumsum(segments(starts[:-1], starts[1:]))))
+    k = np.searchsorted(starts[1:], taus)  # the whole segments below each tau
+    c = -0.5j * mass * elem * (whole[k] + segments(starts[k], taus))
+    return complex(c) if c.ndim == 0 else c
 
 
 def transition_probability_formula(mass, omega0, hubble, n: int, m: int, t: float) -> float:

@@ -320,8 +320,8 @@ def _oscillator_protocol(config, frame):
     # truncation guard: evolved thermal populations must not reach the cutoff
     b0 = energy_basis(h0)
     rho0 = thermal_state(b0, config.beta).density
-    rhot = u.entries @ rho0 @ u.entries.conj().T
-    leak = float(np.real(rhot[dim - 1, dim - 1] + rhot[dim - 2, dim - 2]))
+    top = u.entries[dim - 2:]  # the diagonal of U rho0 U^dagger at the top two levels
+    leak = float(np.real(np.sum((top @ rho0) * top.conj())))
     if leak > LEAKAGE_LIMIT:
         raise ConvergenceError(
             f"top-two-level population {leak:.3g} exceeds {LEAKAGE_LIMIT}; raise dim"
@@ -365,8 +365,8 @@ def _desitter(config: ScenarioConfig):
 
     times = np.linspace(0.0, config.duration, config.curve_points)
     p_exact = np.abs(spectrum.amplitudes(2, 0, times)) ** 2
-    p_pert = np.array([abs(perturbative_amplitude(
-        mass, omega0, frame.tau, frame.riemann_titj[:, 0, 0], 2, 0, t)) ** 2 for t in times])
+    p_pert = np.abs(perturbative_amplitude(
+        mass, omega0, frame.tau, frame.riemann_titj[:, 0, 0], 2, 0, times)) ** 2
     p_formula = np.array([transition_probability_formula(mass, omega0, hubble, 2, 0, t)
                           if t > 0 else 0.0 for t in times])
     curves = {"t": times, "p20_exact": p_exact, "p20_perturbative": p_pert,

@@ -340,6 +340,33 @@ class TestExactAmplitude:
         for g, want in zip(got, exact_weights(theta)):
             assert abs(g[0] - want) <= 1e-15 * abs(want)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_array_tau_equals_the_scalar_calls(self, seed):
+        rng = np.random.default_rng(seed)
+        knots = np.cumsum(rng.uniform(0.05, 1.0, rng.integers(2, 12))) - rng.uniform(0.0, 0.5)
+        values = rng.normal(scale=0.01, size=knots.size)
+        n, m = [(2, 0), (4, 2), (0, 2), (3, 3)][seed % 4]
+        # tau = 0, the knots inside (0, last], points past the last knot, in shuffled order
+        taus = np.concatenate(([0.0], knots[knots > 0], knots[-1] + rng.uniform(0.0, 2.0, 3),
+                               rng.uniform(0.0, knots[-1], 20)))
+        taus = taus[rng.permutation(taus.size)]
+        curve = perturbative_amplitude(1.3, 0.9, knots, values, n, m, taus)
+        scalar = [perturbative_amplitude(1.3, 0.9, knots, values, n, m, float(t)) for t in taus]
+        assert curve.shape == taus.shape and all(type(c) is complex for c in scalar)
+        assert np.max(np.abs(curve - scalar)) <= 1e-15 * np.max(np.abs(scalar))
+        grid = curve.reshape(-1)[:24].reshape(2, 3, 4)
+        assert np.array_equal(
+            perturbative_amplitude(1.3, 0.9, knots, values, n, m, taus[:24].reshape(2, 3, 4)),
+            grid)
+        zero_d = perturbative_amplitude(1.3, 0.9, knots, values, n, m, np.array(taus[1]))
+        assert type(zero_d) is complex and zero_d == scalar[1]
+
+    @pytest.mark.parametrize("bad", [math.nan, -1e-3, math.inf])
+    def test_bad_tau_in_an_array_rejected(self, bad):
+        with pytest.raises(InputError):
+            perturbative_amplitude(1.0, 1.0, [0.0, 2.0], [-0.01, 0.02], 2, 0,
+                                   np.array([0.0, 1.0, bad, 3.0]))
+
     @pytest.mark.parametrize("knots, values", [
         ([], []),
         ([0.0, 1.0], [1.0]),

@@ -578,6 +578,29 @@ class TestCli:
         assert rc == 1 and len(err) == 1, err
         assert err[0].startswith("error: zfactor and zfactor * beta_eps must be positive")
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_omega0_whose_x_squared_overflows_is_one_error_line(self, tmp_path, capsys):
+        # <n|x^2|m> = band / (2 mass omega0) overflows at omega0 = 5e-324
+        tables = desitter_tables(0.0, n=2)
+        tables["tau"] = [0.0, 5.0]
+        data = {**vars(desitter_config()), "scenario": "custom",
+                "system": {"kind": "oscillator", "mass": 1.0, "omega0": 5e-324, "dim": 20},
+                "geometry": {"frame_tables": tables}}
+        rc, err = self.stderr_of(tmp_path, capsys, data)
+        assert rc == 1 and len(err) == 1, err
+        assert err[0].startswith("error: <n|x^2|m> overflows the float range")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_position_whose_r_squared_overflows_is_one_error_line(self, tmp_path, capsys):
+        # r^2 = 1e600 overflows, so |R| r^2 on zero curvature is 0 * inf: no trusted region
+        data = {**vars(newtonian_config()), "scenario": "custom",
+                "system": {"kind": "matrix", "entries": random_symmetric(3, 3).tolist()},
+                "geometry": {"frame_tables": uniform_gravity_tables(n=2)},
+                "position": [0.5, 1e300, 0.0]}
+        rc, err = self.stderr_of(tmp_path, capsys, data)
+        assert rc == 1 and len(err) == 1, err
+        assert err[0].startswith("error: |R| r^2 = nan at r = 1e+300 exceeds expansion bound")
+
     def test_output_path_key_rejected(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({**vars(newtonian_config()), "output_path": "results"}))

@@ -208,8 +208,11 @@ def bound_node_count(path, tau0, tau1, steps):
     return total
 
 
-@pytest.mark.parametrize("dim", (2, 3, 7, 40, 120))
-@pytest.mark.parametrize("steps", (2, 3, 50, 500))
+# A sector of n indices forms max(m, DENSE_BATCH_ENTRIES // n^2) step factors per product:
+# 113 on dim 12's 6-index sectors, the node count m on dim 120's 60-index ones.  347 is
+# prime, so no batch divides it and the last one is a part batch.
+@pytest.mark.parametrize("dim", (2, 3, 7, 12, 40, 120))
+@pytest.mark.parametrize("steps", (2, 3, 50, 347, 500))
 def test_chained_eigenbasis_product_matches_per_step_factors(dim, steps, monkeypatch):
     path = banded_path(11 * dim + steps, dim, smooth)
     solves = count_node_solves(monkeypatch)
@@ -249,6 +252,19 @@ def test_runs_bounded_by_node_entries_match_per_step_factors(node_entries, monke
     assert 1 in solves and max(solves) <= (10 if node_entries == 112 else 1)
     monkeypatch.undo()
     np.testing.assert_allclose(u, per_step_parity_loop(path, 0.0, 3.0, 50), rtol=0, atol=1e-13)
+    assert unitarity_defect(u) < 1e-12
+
+
+def test_factor_batches_across_a_node_entries_run_match_per_step_factors(monkeypatch):
+    # runs of NODE_ENTRIES // 60^2 = 291 steps on the 60-index sectors: 347 steps take a
+    # run of 291 and one of 56, each in batches of its own node count
+    monkeypatch.setattr(quantum, "NODE_ENTRIES", 2 ** 20)
+    path = banded_path(7, 120, smooth)
+    solves = count_node_solves(monkeypatch)
+    u = propagator(path, 0.3, 3.1, 347).entries
+    assert len(solves) == 4 and all(1 < m < 56 for m in solves)
+    monkeypatch.undo()
+    np.testing.assert_allclose(u, per_step_parity_loop(path, 0.3, 3.1, 347), rtol=0, atol=1e-13)
     assert unitarity_defect(u) < 1e-12
 
 
