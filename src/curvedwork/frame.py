@@ -135,11 +135,36 @@ def _check_validity(point: FramePoint, a, tensors) -> None:
     ax = abs(float(a @ point.x))
     if not ax <= VALIDITY_BOUND:
         raise DomainError(f"|a.x| = {ax:.3g} exceeds expansion bound")
-    for t in tensors:
-        scale = float(np.max(np.abs(t))) * r2
-        if not scale <= VALIDITY_BOUND:
-            raise DomainError(f"|R| r^2 = {scale:.3g} at r = {point.r:.3g} exceeds "
-                              "expansion bound")
+    scale = max(float(np.max(np.abs(t))) for t in tensors) * r2
+    if not scale <= VALIDITY_BOUND:
+        raise DomainError(f"|R| r^2 = {scale:.3g} at r = {point.r:.3g} exceeds "
+                          "expansion bound")
+
+
+def check_straight_line(frame: FrameData, duration: float, x_end) -> None:
+    """_check_validity at the worst points of x(tau) = (tau / duration) x_end, tau in [0, T].
+
+    Between knots (0, T and the rows between) a.x_end and each R entry are c0 + c1 tau, so
+    |a.x| and each |R entry| r^2 are (tau/T)^k |c0 + c1 tau| times a constant, k = 1 and 2:
+    each is largest at a knot or at tau* = -k c0 / ((k + 1) c1), where its derivative is 0.
+    """
+    x_end = np.asarray(x_end, dtype=float)
+    inside = (frame.tau > 0) & (frame.tau < duration)
+    t = np.concatenate(([0.0], frame.tau[inside], [duration]))[:, None]
+    ends = zip(frame.at(0.0), frame.at(duration), (getattr(frame, key) for key in ROW_SHAPES))
+    a, *tensors = (np.concatenate([[lo], rows[inside], [hi]]).reshape(len(t), -1)
+                   for lo, hi, rows in ends)
+    # R first, with a.x set to 0, so that each call reports the maximum of its own figure
+    for k, v in ((2, np.hstack(tensors)), (1, a @ x_end[:, None])):
+        with np.errstate(all="ignore"):  # tau* of c1 = 0 is dropped; inf or NaN is the worst
+            c1 = np.diff(v, axis=0) / np.diff(t, axis=0)
+            c0 = v[:-1] - c1 * t[:-1]
+            star = -k * c0 / ((k + 1) * c1)
+            taus = np.stack([np.broadcast_to(t[1:], c1.shape),
+                             np.where((t[:-1] < star) & (star < t[1:]), star, t[1:])])
+            tau = float(taus.flat[np.argmax(np.abs(c0 + c1 * taus) * (taus / duration) ** k)])
+        a_tau, *tensors_tau = frame.at(tau)
+        _check_validity(FramePoint(tau, tau / duration * x_end), a_tau * (k == 1), tensors_tau)
 
 
 def metric_components(frame: FrameData, point: FramePoint) -> MetricComponents:

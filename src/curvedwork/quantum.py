@@ -93,7 +93,7 @@ class UnitaryOperator:
     def dim(self) -> int:
         return self.entries.shape[-1]
 
-    @property
+    @cached_property
     def unitarity_defect(self) -> float:
         """max |U^dagger U - I| over the entries of every matrix in the stack."""
         m = self.entries

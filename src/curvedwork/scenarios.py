@@ -18,7 +18,8 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, ConvergenceError, InputError, NumericError
-from .frame import ROW_SHAPES, FrameData, FramePoint, time_dilation, validate_frame
+from .frame import (ROW_SHAPES, FrameData, FramePoint, check_straight_line, time_dilation,
+                    validate_frame)
 from .quantum import (
     AffinePath,
     EnergyBasis,
@@ -248,8 +249,8 @@ def _newtonian(config: ScenarioConfig):
     g = float(config.geometry["g"])
     eps = float(config.system["eps"])
     sysmass = float(config.system.get("mass", 1.0))
-    b0, bt, u, zfactor = _rescaled(config, uniform_gravity_frame(g), two_level_hamiltonian(eps))
-    zf = zfactor(config.duration)
+    b0, bt, u, (_, zf) = _rescaled(config, uniform_gravity_frame(g),
+                                   two_level_hamiltonian(eps), (0.0, config.duration))
 
     zgrid = np.asarray(
         config.zfactor_grid if config.zfactor_grid is not None else np.linspace(0.5, 1.5, 41),
@@ -276,30 +277,25 @@ def _newtonian(config: ScenarioConfig):
     return b0, bt, u, blocks, curves
 
 
-def _rescaled(config: ScenarioConfig, frame: FrameData, h: HermitianOperator):
+def _rescaled(config: ScenarioConfig, frame: FrameData, h: HermitianOperator, times):
     """Quench z_0 h -> z_T h, z(tau) the time-dilation factor on the straight line from
     rest at the origin to the configured position and momentum at tau = duration.
 
     z(tau) h commutes with itself, so in h's eigenbasis U is the identity and each
-    endpoint basis is h's spectrum times z.  Returns both endpoint bases, U and z.
+    endpoint basis is h's spectrum times z.  The expansion guard is checked along the
+    whole line.  Returns both endpoint bases, U and z at `times`, 0 first and duration last.
     """
     sysmass = float(config.system.get("mass", 1.0))
     x_end = np.asarray(config.position, dtype=float)
     p_end = np.asarray(config.momentum, dtype=float)
-
-    def zfactor(tau):
-        s = tau / config.duration
-        return time_dilation(frame, FramePoint(tau=tau, x=s * x_end), s * p_end, sysmass)
-
-    # time_dilation guards only the points it is given, and a table row may leave the
-    # expansion bound between the endpoints, so z is also taken at the step midpoints
-    midpoints = ((np.arange(config.steps) + 0.5) * (config.duration / config.steps)).tolist()
+    check_straight_line(frame, config.duration, x_end)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is a non-finite z
-        zs = [zfactor(tau) for tau in (0.0, config.duration, *midpoints)]
+        zs = [time_dilation(frame, FramePoint(tau=t, x=t / config.duration * x_end),
+                            t / config.duration * p_end, sysmass) for t in times]
     if not np.all(np.isfinite(zs)):
         raise InputError("non-finite time-dilation factor on the trajectory")
     basis = EnergyBasis(np.linalg.eigvalsh(h.entries), np.eye(h.dim))
-    return basis.scaled(zs[0]), basis.scaled(zs[1]), UnitaryOperator(np.eye(h.dim)), zfactor
+    return basis.scaled(zs[0]), basis.scaled(zs[-1]), UnitaryOperator(np.eye(h.dim)), zs
 
 
 def _oscillator_protocol(config, frame):
@@ -412,13 +408,13 @@ def _custom(config: ScenarioConfig):
         h_int = two_level_hamiltonian(float(config.system["eps"]))
     else:
         h_int = HermitianOperator(np.asarray(config.system["entries"], dtype=float))
-    b_init, b_final, u, zfactor = _rescaled(config, frame, h_int)
+    b_init, b_final, u, zs = _rescaled(config, frame, h_int, times)
     blocks = {"custom": {
-        "zfactor_initial": zfactor(0.0),
-        "zfactor_final": zfactor(config.duration),
+        "zfactor_initial": zs[0],
+        "zfactor_final": zs[-1],
         "unitarity_defect": u.unitarity_defect,
     }}
-    curves = {"t": times, "zfactor": np.array([zfactor(t) for t in times])}
+    curves = {"t": times, "zfactor": np.array(zs)}
     return b_init, b_final, u, blocks, curves
 
 

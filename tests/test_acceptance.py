@@ -9,6 +9,7 @@ time.
 
 import json
 import math
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -158,8 +159,9 @@ def test_A1_propagates_one_stack_per_dimension(monkeypatch):
 def test_A1_checks_unitarity_once_per_stacked_propagator(monkeypatch):
     evaluations = []
     defect = UnitaryOperator.unitarity_defect
-    monkeypatch.setattr(UnitaryOperator, "unitarity_defect",
-                        property(lambda u: evaluations.append(u) or defect.fget(u)))
+    counted = cached_property(lambda u: evaluations.append(u) or defect.func(u))
+    counted.__set_name__(UnitaryOperator, "unitarity_defect")
+    monkeypatch.setattr(UnitaryOperator, "unitarity_defect", counted)
     verify.criterion_crooks_jarzynski("full")
     assert len(evaluations) == 3
 

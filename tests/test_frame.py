@@ -5,12 +5,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvedwork import frame as frame_module
 from curvedwork.errors import DomainError, GeometryError, InputError
 from curvedwork.frame import (
     FrameData,
+    VALIDITY_BOUND,
     FramePoint,
+    check_straight_line,
     metric_components,
     redshift_exact,
     redshift_weakfield,
@@ -243,3 +247,53 @@ class TestValidateFrame:
         assert violations["titj_symmetric"] == pytest.approx(1e-3)
         assert {k: v for k, v in violations.items() if v > 0} == {
             "titj_symmetric": violations["titj_symmetric"]}
+
+
+@st.composite
+def straight_lines(draw):
+    """A 2-6 row frame of random entries, a duration and an end point of the line."""
+    rows = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    taus = np.sort(rng.uniform(-0.5, 2.5, rows))
+    frame = FrameData(tau=taus, **{key: rng.uniform(-1.0, 1.0, (rows, *shape))
+                                   for key, shape in frame_module.ROW_SHAPES.items()})
+    x_end = rng.uniform(-1.0, 1.0, 3) * draw(st.floats(0.01, 0.6))
+    return frame, draw(st.floats(0.1, 2.0)), x_end
+
+
+def grid_figures(frame, duration, x_end, points=10 ** 4):
+    """|a.x| and max |R| r^2 along the line at `points` equally spaced proper times."""
+    taus = np.linspace(0.0, duration, points)
+    x = (taus / duration)[:, None] * x_end
+    at = {key: np.array([np.interp(taus, frame.tau, column) for column in
+                         getattr(frame, key).reshape(frame.tau.size, -1).T]).T
+          for key in frame_module.ROW_SHAPES}
+    ax = np.abs(np.einsum("ti,ti->t", at["accel"], x))
+    tensors = np.hstack([at[key] for key in ("riemann_titj", "riemann_tjik", "riemann_ikjl")])
+    return ax, np.max(np.abs(tensors), axis=1) * np.sum(x * x, axis=1)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(straight_lines())
+def test_straight_line_guard_is_at_least_a_dense_grid(line):
+    frame, duration, x_end = line
+    ax, scale = grid_figures(frame, duration, x_end)
+    try:
+        check_straight_line(frame, duration, x_end)
+    except DomainError as exc:
+        message = str(exc)
+    else:
+        assert max(ax.max(), scale.max()) <= VALIDITY_BOUND
+        return
+    # the reported figure is the exact maximum of its kind, printed to 3 digits
+    grid = ax if message.startswith("|a.x|") else scale
+    reported = float(message.split(" = ")[1].split()[0])
+    assert reported >= VALIDITY_BOUND
+    assert reported >= float(f"{grid.max() * (1 - 1e-9):.3g}")
+
+
+def test_straight_line_guard_on_a_constant_frame_reads_the_end_point():
+    # one row: each figure grows with tau, so the line's worst point is its end
+    check_straight_line(uniform_gravity_frame(0.1), 3.0, [0.99, 0.0, 0.0])
+    with pytest.raises(DomainError, match=r"\|a\.x\| = 0.101"):
+        check_straight_line(uniform_gravity_frame(0.1), 3.0, [1.01, 0.0, 0.0])

@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -13,9 +14,10 @@ import numpy as np
 import pytest
 
 import curvedwork
-from curvedwork import quantum
+from curvedwork import quantum, scenarios
 from curvedwork.cli import main as cli_main
 from curvedwork.errors import ConfigError, ConvergenceError, InputError
+from curvedwork.frame import time_dilation
 from curvedwork.quantum import EnergyBasis, qho_hamiltonian, x_squared_matrix
 from curvedwork.scenarios import (
     RunArtifacts,
@@ -361,6 +363,42 @@ class TestRunCustom:
         assert art.metadata["custom"]["zfactor_final"] == pytest.approx(-0.95, abs=1e-15)
         assert art.report.crooks_max_residual < 1e-8
 
+    @staticmethod
+    def rescaled_configs(monkeypatch):
+        """The CI console script's and the benchmark's rescaled configs, by name."""
+        monkeypatch.syspath_prepend(str(SRC.parent / "benchmarks"))
+        workloads = importlib.import_module("workloads")
+        ci_custom = {**vars(newtonian_config()), "scenario": "custom",
+                     "system": {"kind": "two_level", "eps": 1.0},
+                     "geometry": {"frame_tables": uniform_gravity_tables(n=2)}}
+        entries = [[1.0, 0.2, 0.0], [0.2, 0.5, 0.1], [0.0, 0.1, -0.3]]
+        wide = workloads.random_symmetric(1, 200)
+        return {
+            "ci-newtonian": vars(newtonian_config()), "ci-custom": ci_custom,
+            "ci-matrix": {**ci_custom, "system": {"kind": "matrix", "entries": entries}},
+            "tables_two_level": workloads.fixed_configs("full")["tables_two_level.custom"],
+            "tpm_wide_d200": workloads._rescaling_config(
+                {"kind": "matrix", "entries": wide.tolist()},
+                workloads.accelerated_desitter_tables(8, 1.0), 20),
+        }
+
+    @pytest.mark.parametrize("name", ["ci-newtonian", "ci-custom", "ci-matrix",
+                                      "tables_two_level", "tpm_wide_d200"])
+    def test_rescaled_run_does_not_read_steps(self, tmp_path, monkeypatch, name):
+        calls = []
+        monkeypatch.setattr(scenarios, "time_dilation",
+                            lambda *args: calls.append(args) or time_dilation(*args))
+        config = self.rescaled_configs(monkeypatch)[name]
+        for steps in (1, 2000):
+            run_scenario(ScenarioConfig.from_dict({**config, "steps": steps})).write(
+                tmp_path / str(steps))
+        # z is evaluated at the reported times only: the two ends, or the curve points
+        reported = 2 if config["scenario"] == "newtonian" else ScenarioConfig.curve_points
+        assert len(calls) == 2 * reported
+        for table in ("forward", "reverse", "curves"):
+            assert ((tmp_path / "1" / f"{table}.csv").read_bytes()
+                    == (tmp_path / "2000" / f"{table}.csv").read_bytes())
+
     def test_empty_tables_rejected(self):
         tables = uniform_gravity_tables()
         tables["tau"] = []
@@ -501,9 +539,9 @@ class TestCli:
         assert len(err) == 1 and err[0].startswith("error:") and "expansion bound" in err[0]
         assert not (tmp_path / "o").exists()
 
-    def test_expansion_guard_samples_the_step_midpoints(self, tmp_path, capsys):
-        # the accel row at tau = 0.5 takes |a.x| past 0.1 only between the endpoints and
-        # the two curve points: the guard sees it at the midpoint tau = 0.45 of 10 steps
+    def test_expansion_guard_sees_a_row_between_the_curve_points(self, tmp_path, capsys):
+        # the accel row at tau = 0.5 takes |a.x| past 0.1 only between the endpoints,
+        # which are the two curve points
         tables = uniform_gravity_tables(n=3)
         tables["accel"] = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
         path = tmp_path / "config.json"
@@ -515,6 +553,25 @@ class TestCli:
         assert rc == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "expansion bound" in err[0]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("rows, position, steps, expected", [
+        pytest.param({"accel": [[0.9, 0.0, 0.0], [0.0, 0.0, 0.0]]}, 0.5, 2,
+                     "|a.x| = 0.113", id="accel"),
+        # 0.75 (1 - tau) tau^2 peaks at tau = 2/3, inside the one segment
+        pytest.param({"riemann_titj": [np.diag([0.75, 0.0, 0.0]).tolist(),
+                                       np.zeros((3, 3)).tolist()]}, 1.0, 3,
+                     "|R| r^2 = 0.111 at r = 0.667", id="titj"),
+    ])
+    def test_expansion_guard_is_exact_between_the_step_midpoints(self, tmp_path, capsys, rows,
+                                                                position, steps, expected):
+        # neither figure passes 0.1 at the ends or at any step midpoint
+        tables = {**uniform_gravity_tables(g=0.0, n=2), **rows}
+        rc, err = self.stderr_of(tmp_path, capsys, {
+            "scenario": "custom", "beta": 1.0, "system": {"kind": "two_level", "eps": 1.0},
+            "geometry": {"frame_tables": tables}, "position": [position, 0.0, 0.0],
+            "duration": 1.0, "steps": steps, "curve_points": 2})
+        assert rc == 1 and err == [f"error: {expected} exceeds expansion bound"]
 
     @staticmethod
     def overflowing_momentum_config(tmp_path, scenario):
