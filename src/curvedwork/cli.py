@@ -13,10 +13,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from .errors import DomainError, GeometryError, InputError, NumericError
-from .scenarios import ScenarioConfig, run_scenario
+from .scenarios import ScenarioConfig, run_scenario, write_outputs
 from .verify import run_verification
 
 
@@ -64,11 +63,7 @@ def _run_verify_command(args) -> int:
         for finding in crit["findings"]:
             print(f"  finding: {finding}")
     if args.out is not None:
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        with open(outdir / "verification.json", "w") as fh:
-            json.dump(summary, fh, indent=2)
-            fh.write("\n")
+        write_outputs(args.out, {"verification.json": json.dumps(summary, indent=2) + "\n"})
     print("verification:", "PASS" if summary["passed"] else "FAIL")
     return 0 if summary["passed"] else 3
 

@@ -504,11 +504,12 @@ def perturbative_amplitude(mass, omega0, knots, values, n: int, m: int,
     return complex(c) if c.ndim == 0 else c
 
 
-def transition_probability_formula(mass, omega0, hubble, n: int, m: int, t: float) -> float:
+def transition_probability_formula(mass, omega0, hubble, n: int, m: int,
+                                   t: float | np.ndarray) -> float | np.ndarray:
     """Closed-form first-order transition probability in the exponentially expanding universe.
 
     4 (mass H^2 / 2)^2 |<n|x^2|m>|^2 / |e_n - e_m|^2 * sin^2((n - m) omega0 t / 2).
-    Undefined on the diagonal.
+    Undefined on the diagonal.  A scalar t returns a float, an array an array of its shape.
     """
     if n == m:
         raise InputError("transition probability is undefined for n = m")
@@ -517,4 +518,5 @@ def transition_probability_formula(mass, omega0, hubble, n: int, m: int, t: floa
     elem = x_squared_element(mass, omega0, n, m)
     gap = abs(n - m) * omega0
     amp = 4.0 * (0.5 * mass * hubble * hubble) ** 2 * elem * elem / (gap * gap)
-    return float(amp * math.sin(0.5 * (n - m) * omega0 * t) ** 2)
+    p = amp * np.sin(0.5 * (n - m) * omega0 * np.asarray(t, dtype=float)) ** 2
+    return float(p) if np.ndim(p) == 0 else p

@@ -9,9 +9,10 @@ generic runner over user-tabulated frame data.  Each returns its protocol;
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import MISSING, dataclass, field, fields, asdict
 from pathlib import Path
 
 import numpy as np
@@ -58,7 +59,7 @@ MAX_DIM, MAX_STEPS, MAX_SAMPLES, MAX_CURVE_POINTS = 2048, 10 ** 6, 10 ** 7, 10 *
 # Field types: REAL is a finite number (an int or a float, not a bool) and
 # POSITIVE one above 0; a range holds an integer (not a bool or a float); a
 # tuple is the shape of an array of REALs, None marking any length; a class is
-# that class.  Top-level fields in _OPTIONAL may be None (absent).
+# that class.  A top-level field whose default is None may be None (absent).
 REAL, POSITIVE = "a finite number", "a positive number"
 _FIELDS = {
     "scenario": str, "beta": POSITIVE, "system": dict, "geometry": dict,
@@ -67,7 +68,6 @@ _FIELDS = {
     "samples": range(1, MAX_SAMPLES + 1), "zfactor_grid": (None,),
     "curve_points": range(2, MAX_CURVE_POINTS + 1),
 }
-_OPTIONAL = {"merge_tol", "seed", "samples", "zfactor_grid"}
 _SYSTEM_FIELDS = {
     "two_level": {"kind": str, "eps": POSITIVE, "mass": POSITIVE},
     "oscillator": {"kind": str, "mass": POSITIVE, "omega0": POSITIVE,
@@ -81,6 +81,10 @@ _SCENARIOS = {"newtonian": (("two_level",), "g", REAL),
               "desitter": (("oscillator",), "hubble", POSITIVE),
               "custom": (tuple(_SYSTEM_FIELDS), "frame_tables", dict)}
 _TOLERANCE_FIELDS = {"frame_symmetry": POSITIVE}
+# the runs that read a scoped field, a run being a scenario or a custom system kind
+_RESCALED = ("newtonian", "two_level", "matrix")
+_READ_BY = {"position": _RESCALED, "momentum": _RESCALED, "zfactor_grid": ("newtonian",),
+            "curve_points": ("desitter", *_SYSTEM_FIELDS), "tolerances": tuple(_SYSTEM_FIELDS)}
 
 
 def _require(cond, msg):
@@ -142,8 +146,11 @@ class ScenarioConfig:
     curve_points: int = 50
 
     def __post_init__(self):
+        defaults = {f.name: f.default if f.default_factory is MISSING else f.default_factory()
+                    for f in fields(self)}
         _check_fields("config", {k: v for k, v in vars(self).items()
-                                 if v is not None or k not in _OPTIONAL}, _FIELDS)
+                                 if v is not None or defaults[k] is not None}, _FIELDS)
+        _require(self.seed is None or self.samples is not None, "seed applies only with samples")
         _require(self.scenario in _SCENARIOS, f"unknown scenario {self.scenario!r}")
         kind = self.system.get("kind")
         _require(isinstance(kind, str) and kind in _SYSTEM_FIELDS, f"unknown system kind {kind!r}")
@@ -155,10 +162,15 @@ class ScenarioConfig:
         _require(kind in kinds, f"the {self.scenario} scenario runs "
                  f"{'an' if kinds[0][0] in 'aeiou' else 'a'} {' or '.join(kinds)} system")
         _require(key in self.geometry, f"{self.scenario} geometry needs {key!r}")
-        foreign = sorted(set(self.geometry) - {key})
-        _require(not foreign,
-                 f"geometry keys {foreign} do not apply to the {self.scenario} scenario")
-        _check_fields("geometry", self.geometry, {key: key_type})
+        _check_fields("geometry", {key: self.geometry[key]}, {key: key_type})
+        # keys the run does not read; a field at its default is unset, so vars(self) reads back
+        run, where = ((kind, f"custom scenario's {kind} system") if self.scenario == "custom"
+                      else (self.scenario, f"{self.scenario} scenario"))
+        unread = {"geometry keys": set(self.geometry) - {key},
+                  "config keys": {k for k, runs in _READ_BY.items()
+                                  if run not in runs and getattr(self, k) != defaults[k]}}
+        for keys, found in unread.items():
+            _require(not found, f"{keys} {sorted(found)} do not apply to the {where}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
@@ -194,20 +206,29 @@ class RunArtifacts:
     metadata: dict
 
     def write(self, outdir) -> None:
-        outdir = Path(outdir)
-        outdir.mkdir(parents=True, exist_ok=True)
         payload = {"report": asdict(self.report), "metadata": self.metadata}
-        with open(outdir / "report.json", "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        files = {"report.json": json.dumps(payload, indent=2) + "\n"}
         tables = {"forward": {"work": self.forward.works, "probability": self.forward.probs},
                   "reverse": {"work": self.reverse.works, "probability": self.reverse.probs},
                   "curves": self.curves}
         for name, columns in tables.items():
-            with open(outdir / f"{name}.csv", "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(columns)
-                writer.writerows([repr(float(v)) for v in row] for row in zip(*columns.values()))
+            text = io.StringIO()
+            writer = csv.writer(text)
+            writer.writerow(columns)
+            writer.writerows([repr(float(v)) for v in row] for row in zip(*columns.values()))
+            files[f"{name}.csv"] = text.getvalue()
+        write_outputs(outdir, files)
+
+
+def write_outputs(outdir, files: dict) -> None:
+    """Write each file name's text into `outdir`, made if missing; an OSError is an InputError."""
+    try:
+        Path(outdir).mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            with open(Path(outdir) / name, "w", newline="") as fh:
+                fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write outputs to {outdir}: {exc}") from None
 
 
 def _base_metadata(config: ScenarioConfig) -> dict:
@@ -363,8 +384,7 @@ def _desitter(config: ScenarioConfig):
     p_exact = np.abs(spectrum.amplitudes(2, 0, times)) ** 2
     p_pert = np.abs(perturbative_amplitude(
         mass, omega0, frame.tau, frame.riemann_titj[:, 0, 0], 2, 0, times)) ** 2
-    p_formula = np.array([transition_probability_formula(mass, omega0, hubble, 2, 0, t)
-                          if t > 0 else 0.0 for t in times])
+    p_formula = transition_probability_formula(mass, omega0, hubble, 2, 0, times)
     curves = {"t": times, "p20_exact": p_exact, "p20_perturbative": p_pert,
               "p20_formula": p_formula}
     return b0, b0, u, blocks, curves

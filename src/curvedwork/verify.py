@@ -176,10 +176,7 @@ def criterion_perturbation_vs_propagator(level="full"):
     hubble = 0.01 * omega0
     basis = _constant_oscillator(mass, omega0, hubble, dim)
     times = np.linspace(0.0, 10.0 / omega0, 50)
-    formula = np.array([
-        transition_probability_formula(mass, omega0, hubble, 2, 0, t) if t > 0 else 0.0
-        for t in times
-    ])
+    formula = transition_probability_formula(mass, omega0, hubble, 2, 0, times)
     exact = np.abs(basis.amplitudes(2, 0, times)) ** 2
     peak_mask = formula >= 0.5 * float(np.max(formula))
     rel_err = float(np.max(np.abs(exact[peak_mask] - formula[peak_mask])

@@ -402,6 +402,14 @@ class TestTransitionProbabilityFormula:
         p = transition_probability_formula(1.0, 1.0, ratio, 2, 0, math.pi / 2)
         assert p == pytest.approx(ratio**4 / 8.0, rel=1e-12)
 
+    def test_array_call_equals_scalar_calls(self):
+        # the de Sitter curve's grid, whose first point t = 0 gives sin 0 = 0 exactly
+        times = np.linspace(0.0, 10.0, 50)
+        curve = transition_probability_formula(1.3, 0.8, 0.03, 2, 0, times)
+        scalars = [transition_probability_formula(1.3, 0.8, 0.03, 2, 0, float(t)) for t in times]
+        assert type(scalars[0]) is float and scalars[0] == 0.0
+        assert curve.shape == times.shape and curve.tolist() == scalars
+
 
 class TestEffectiveFrequency:
     @pytest.mark.parametrize("hubble", [0.1, 0.45])

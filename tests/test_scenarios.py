@@ -100,6 +100,56 @@ def desitter_tables(hubble, n=5):
     }
 
 
+def ci_configs():
+    """The CI console step's configs by name, defaults filled in; its newtonian and desitter
+    configs are also the README examples."""
+    custom = {**vars(newtonian_config()), "scenario": "custom",
+              "system": {"kind": "two_level", "eps": 1.0},
+              "geometry": {"frame_tables": uniform_gravity_tables(n=2)}}
+    entries = [[1.0, 0.2, 0.0], [0.2, 0.5, 0.1], [0.0, 0.1, -0.3]]
+    frw = {**uniform_gravity_tables(g=0.0, n=2), "tau": [0.0, 5.0],
+           "riemann_titj": [(-1e-4 * np.eye(3)).tolist(), (-4e-4 * np.eye(3)).tolist()]}
+    return {
+        "ci-newtonian": vars(newtonian_config()), "ci-desitter": vars(desitter_config()),
+        "ci-custom": custom,
+        "ci-matrix": {**custom, "system": {"kind": "matrix", "entries": entries}},
+        "ci-oscillator": {**vars(desitter_config()), "scenario": "custom", "beta": 2.0,
+                          "system": {"kind": "oscillator", "mass": 1.0, "omega0": 1.0, "dim": 20},
+                          "geometry": {"frame_tables": frw}},
+    }
+
+
+def shipped_configs(monkeypatch):
+    """The CI configs and the benchmark's full-size configs, by name."""
+    monkeypatch.syspath_prepend(str(SRC.parent / "benchmarks"))
+    workloads = importlib.import_module("workloads")
+    fixed = workloads.fixed_configs("full")
+    return {
+        **ci_configs(),
+        "oscillator_d120.desitter": fixed["oscillator_d120.desitter"],
+        "oscillator_d120.custom": fixed["oscillator_d120.custom"],
+        "tables_two_level": fixed["tables_two_level.custom"],
+        "tpm_wide_d200": workloads._rescaling_config(
+            {"kind": "matrix", "entries": workloads.random_symmetric(1, 200).tolist()},
+            workloads.accelerated_desitter_tables(8, 1.0), 20),
+    }
+
+
+# (CI config, a scoped field it does not read, a value other than the field's default, the run)
+UNREAD_FIELDS = [
+    *[("ci-desitter", key, value, "desitter scenario") for key, value in [
+        ("position", [0.1, 0.0, 0.0]), ("momentum", [0.1, 0.0, 0.0]),
+        ("zfactor_grid", [0.9, 1.1]), ("tolerances", {"frame_symmetry": 1e-6})]],
+    *[("ci-oscillator", key, value, "custom scenario's oscillator system") for key, value in [
+        ("position", [0.1, 0.0, 0.0]), ("momentum", [0.1, 0.0, 0.0]),
+        ("zfactor_grid", [0.9, 1.1])]],
+    ("ci-custom", "zfactor_grid", [0.9, 1.1], "custom scenario's two_level system"),
+    ("ci-matrix", "zfactor_grid", [0.9, 1.1], "custom scenario's matrix system"),
+    ("ci-newtonian", "curve_points", 20, "newtonian scenario"),
+    ("ci-newtonian", "tolerances", {"frame_symmetry": 1e-6}, "newtonian scenario"),
+]
+
+
 class TestScenarioConfig:
     def test_round_trip_is_identity(self):
         cfg = newtonian_config(seed=7, samples=100)
@@ -109,6 +159,14 @@ class TestScenarioConfig:
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
             newtonian_config(frobnicate=1)
+
+    @pytest.mark.parametrize("name", [
+        "ci-newtonian", "ci-desitter", "ci-custom", "ci-oscillator", "ci-matrix",
+        "oscillator_d120.desitter", "oscillator_d120.custom", "tables_two_level", "tpm_wide_d200"])
+    def test_shipped_config_round_trips(self, monkeypatch, name):
+        # a scoped field at its default is accepted on any run, so vars() reads back
+        cfg = ScenarioConfig.from_dict(shipped_configs(monkeypatch)[name])
+        assert ScenarioConfig.from_dict(json.loads(json.dumps(vars(cfg)))) == cfg
 
     def test_unknown_system_key_rejected(self):
         with pytest.raises(ConfigError):
@@ -148,6 +206,10 @@ class TestScenarioConfig:
             ({**base, "scenario": "custom",
               "geometry": {"frame_tables": uniform_gravity_tables(), "g": 0.1}},
              r"geometry keys \['g'\] do not apply to the custom scenario"),
+            *[({**ci_configs()[name], key: value},
+               rf"^config keys \['{key}'\] do not apply to the {run}$")
+              for name, key, value, run in UNREAD_FIELDS],
+            ({**ci_configs()["ci-newtonian"], "seed": 3}, "^seed applies only with samples$"),
         ]
         for data, message in cases:
             with pytest.raises(ConfigError, match=message):
@@ -363,32 +425,13 @@ class TestRunCustom:
         assert art.metadata["custom"]["zfactor_final"] == pytest.approx(-0.95, abs=1e-15)
         assert art.report.crooks_max_residual < 1e-8
 
-    @staticmethod
-    def rescaled_configs(monkeypatch):
-        """The CI console script's and the benchmark's rescaled configs, by name."""
-        monkeypatch.syspath_prepend(str(SRC.parent / "benchmarks"))
-        workloads = importlib.import_module("workloads")
-        ci_custom = {**vars(newtonian_config()), "scenario": "custom",
-                     "system": {"kind": "two_level", "eps": 1.0},
-                     "geometry": {"frame_tables": uniform_gravity_tables(n=2)}}
-        entries = [[1.0, 0.2, 0.0], [0.2, 0.5, 0.1], [0.0, 0.1, -0.3]]
-        wide = workloads.random_symmetric(1, 200)
-        return {
-            "ci-newtonian": vars(newtonian_config()), "ci-custom": ci_custom,
-            "ci-matrix": {**ci_custom, "system": {"kind": "matrix", "entries": entries}},
-            "tables_two_level": workloads.fixed_configs("full")["tables_two_level.custom"],
-            "tpm_wide_d200": workloads._rescaling_config(
-                {"kind": "matrix", "entries": wide.tolist()},
-                workloads.accelerated_desitter_tables(8, 1.0), 20),
-        }
-
     @pytest.mark.parametrize("name", ["ci-newtonian", "ci-custom", "ci-matrix",
                                       "tables_two_level", "tpm_wide_d200"])
     def test_rescaled_run_does_not_read_steps(self, tmp_path, monkeypatch, name):
         calls = []
         monkeypatch.setattr(scenarios, "time_dilation",
                             lambda *args: calls.append(args) or time_dilation(*args))
-        config = self.rescaled_configs(monkeypatch)[name]
+        config = shipped_configs(monkeypatch)[name]
         for steps in (1, 2000):
             run_scenario(ScenarioConfig.from_dict({**config, "steps": steps})).write(
                 tmp_path / str(steps))
@@ -714,6 +757,9 @@ class TestCli:
                      id="table-ends-before-duration"),
         pytest.param({"scenario": "custom",
                       "geometry": {"frame_tables": uniform_gravity_tables(n=1)}}, id="table-one-row"),
+        *[pytest.param({**ci_configs()[name], key: value}, id=f"{name}-with-{key}")
+          for name, key, value, _ in UNREAD_FIELDS],
+        pytest.param({"seed": 3}, id="seed-without-samples"),
     ])
     def test_malformed_field_is_one_error_line(self, tmp_path, capsys, overrides):
         data = {**vars(newtonian_config()), **overrides}
@@ -723,6 +769,21 @@ class TestCli:
         assert rc == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["verify", "desitter"])
+    @pytest.mark.parametrize("target", ["file", "file/sub"])
+    def test_unwritable_out_is_one_error_line(self, tmp_path, capsys, command, target):
+        # --out names an existing file, or a directory inside one
+        (tmp_path / "file").write_text("")
+        args = (["verify", "--level", "fast"] if command == "verify" else
+                ["desitter", "--config", str(self.write_config(tmp_path, desitter_config()))])
+        out = tmp_path / target
+        rc = cli_main([*args, "--out", str(out)])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert rc == 1 and len(err) == 1, err
+        assert err[0].startswith(f"error: cannot write outputs to {out}: ")
+        assert (tmp_path / "file").read_text() == ""
 
     def test_convergence_error_exit_code(self, tmp_path):
         cfg = desitter_config(
