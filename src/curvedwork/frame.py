@@ -9,7 +9,6 @@ worldline.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,38 +67,47 @@ class FrameData:
         if np.any(np.diff(self.tau) <= 0):
             raise InputError("frame table taus must be strictly increasing")
 
-    def at(self, tau: float):
-        """(accel, R_titj, R_tjik, R_ikjl) at proper time tau, by np.interp's formula."""
-        tau = float(tau)
-        if math.isnan(tau):
+    def at(self, tau):
+        """(accel, R_titj, R_tjik, R_ikjl) at proper time tau, a scalar or an array, by
+        np.interp's formula: read-only tensors, each with tau's shape in front."""
+        tau = np.asarray(tau, dtype=float)
+        if np.isnan(tau).any():
             raise InputError("frame evaluated at tau = nan")
-        taus, rows = self.tau, (self.accel, self.riemann_titj, self.riemann_tjik,
-                                self.riemann_ikjl)
-        j = int(np.searchsorted(taus, tau, side="right")) - 1
-        if j < 0 or j >= taus.size - 1 or taus[j] == tau:
-            return tuple(r[max(j, 0)] for r in rows)
-        return tuple((r[j + 1] - r[j]) / (taus[j + 1] - taus[j]) * (tau - taus[j]) + r[j]
-                     for r in rows)
+        table = np.hstack([getattr(self, key).reshape(self.tau.size, -1) for key in ROW_SHAPES])
+        j = np.maximum(np.searchsorted(self.tau, tau, side="right") - 1, 0)
+        k = np.minimum(j + 1, self.tau.size - 1)
+        lo, hi, t, below = self.tau[j][..., None], self.tau[k][..., None], tau[..., None], table[j]
+        rows = np.take(table, k, axis=0)  # a copy, so the lerp runs in place on N x 120 floats
+        with np.errstate(all="ignore"):  # the lerp is dropped outside the rows and at a row
+            rows -= below
+            rows /= hi - lo
+            rows *= t - lo
+            rows += below
+        np.copyto(rows, below, where=(t <= lo) | (hi <= t))
+        rows.flags.writeable = False
+        sizes = np.cumsum([np.prod(shape) for shape in ROW_SHAPES.values()])[:-1]
+        return tuple(part.reshape(tau.shape + shape) for part, shape
+                     in zip(np.split(rows, sizes, axis=-1), ROW_SHAPES.values()))
 
 
 @dataclass(frozen=True)
 class FramePoint:
-    """A point (tau, x) in Fermi normal coordinates."""
+    """A point (tau, x) in Fermi normal coordinates, or a stack: x has tau's shape + (3,)."""
 
-    tau: float
+    tau: float | np.ndarray
     x: Vector
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
-        if x.shape != (3,):
-            raise InputError(f"point must be a 3-vector, got shape {x.shape}")
+        if x.shape != np.shape(self.tau) + (3,):
+            raise InputError(f"point must be a 3-vector per tau, got shape {x.shape}")
         if not np.all(np.isfinite(x)):
             raise InputError(f"non-finite point coordinates {x}")
         object.__setattr__(self, "x", x)
 
     @property
-    def r(self) -> float:
-        return math.hypot(*self.x.tolist())
+    def r(self) -> float | np.ndarray:
+        return np.hypot.reduce(self.x, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -117,60 +125,59 @@ def validate_frame(frame: FrameData) -> dict:
     Each defect is linear in the entries, so it is largest at a row.
     """
     r_titj, r_tjik, r_ikjl = frame.riemann_titj, frame.riemann_tjik, frame.riemann_ikjl
-    defects = {
-        "titj_symmetric": r_titj - np.swapaxes(r_titj, 1, 2),
-        # R_{t j i k}: antisymmetric in the last pair (i, k)
-        "tjik_antisymmetric": r_tjik + np.swapaxes(r_tjik, 2, 3),
-        # R_{i k j l}, indexed [i, k, j, l]
-        "ikjl_antisymmetric_first_pair": r_ikjl + np.swapaxes(r_ikjl, 1, 2),
-        "ikjl_antisymmetric_second_pair": r_ikjl + np.swapaxes(r_ikjl, 3, 4),
-        "ikjl_pair_exchange": r_ikjl - np.transpose(r_ikjl, (0, 3, 4, 1, 2)),
-    }
+    with np.errstate(over="ignore"):  # a defect past the float range is inf, a violation
+        defects = {
+            "titj_symmetric": r_titj - np.swapaxes(r_titj, 1, 2),
+            # R_{t j i k}: antisymmetric in the last pair (i, k)
+            "tjik_antisymmetric": r_tjik + np.swapaxes(r_tjik, 2, 3),
+            # R_{i k j l}, indexed [i, k, j, l]
+            "ikjl_antisymmetric_first_pair": r_ikjl + np.swapaxes(r_ikjl, 1, 2),
+            "ikjl_antisymmetric_second_pair": r_ikjl + np.swapaxes(r_ikjl, 3, 4),
+            "ikjl_pair_exchange": r_ikjl - np.transpose(r_ikjl, (0, 3, 4, 1, 2)),
+        }
     return {k: float(np.max(np.abs(d))) for k, d in defects.items()}
 
 
-def _check_validity(point: FramePoint, a, tensors) -> None:
-    # r^2 is inf past the float range, and 0 * inf a NaN, which fails the negated tests
-    r2 = point.r * point.r
-    ax = abs(float(a @ point.x))
-    if not ax <= VALIDITY_BOUND:
-        raise DomainError(f"|a.x| = {ax:.3g} exceeds expansion bound")
-    scale = max(float(np.max(np.abs(t))) for t in tensors) * r2
-    if not scale <= VALIDITY_BOUND:
-        raise DomainError(f"|R| r^2 = {scale:.3g} at r = {point.r:.3g} exceeds "
-                          "expansion bound")
+def _check_validity(frame: FrameData, point: FramePoint) -> tuple:
+    """frame.at(point.tau), once |a.x| and then max|R| r^2 stay within VALIDITY_BOUND."""
+    a, *tensors = at = frame.at(point.tau)
+    r = point.r
+    with np.errstate(over="ignore", invalid="ignore"):  # r^2 may be inf, and 0 * inf NaN
+        ax = np.abs(a[..., None, :] @ point.x[..., :, None])[..., 0, 0]
+        scale = np.max([np.abs(t).reshape(r.shape + (-1,)).max(-1) for t in tensors], 0) * (r * r)
+    if not np.max(ax) <= VALIDITY_BOUND:
+        raise DomainError(f"|a.x| = {np.max(ax):.3g} exceeds expansion bound")
+    if not np.max(scale) <= VALIDITY_BOUND:  # a NaN is the max, and argmax finds the first
+        raise DomainError(f"|R| r^2 = {np.max(scale):.3g} at r = {r.flat[np.argmax(scale)]:.3g} "
+                          "exceeds expansion bound")
+    return at
 
 
 def check_straight_line(frame: FrameData, duration: float, x_end) -> None:
-    """_check_validity at the worst points of x(tau) = (tau / duration) x_end, tau in [0, T].
+    """_check_validity on the worst points of x(tau) = (tau / duration) x_end, tau in [0, T].
 
     Between knots (0, T and the rows between) a.x_end and each R entry are c0 + c1 tau, so
     |a.x| and each |R entry| r^2 are (tau/T)^k |c0 + c1 tau| times a constant, k = 1 and 2:
     each is largest at a knot or at tau* = -k c0 / ((k + 1) c1), where its derivative is 0.
     """
     x_end = np.asarray(x_end, dtype=float)
-    inside = (frame.tau > 0) & (frame.tau < duration)
-    t = np.concatenate(([0.0], frame.tau[inside], [duration]))[:, None]
-    ends = zip(frame.at(0.0), frame.at(duration), (getattr(frame, key) for key in ROW_SHAPES))
-    a, *tensors = (np.concatenate([[lo], rows[inside], [hi]]).reshape(len(t), -1)
-                   for lo, hi, rows in ends)
-    # R first, with a.x set to 0, so that each call reports the maximum of its own figure
-    for k, v in ((2, np.hstack(tensors)), (1, a @ x_end[:, None])):
+    t = np.concatenate(([0.0], frame.tau[(frame.tau > 0) & (frame.tau < duration)], [duration]))
+    a, *tensors = frame.at(t)
+    t, worst = t[:, None], np.empty(2)
+    for k, v in ((1, a @ x_end[:, None]), (2, np.hstack([r.reshape(len(t), -1) for r in tensors]))):
         with np.errstate(all="ignore"):  # tau* of c1 = 0 is dropped; inf or NaN is the worst
             c1 = np.diff(v, axis=0) / np.diff(t, axis=0)
             c0 = v[:-1] - c1 * t[:-1]
             star = -k * c0 / ((k + 1) * c1)
             taus = np.stack([np.broadcast_to(t[1:], c1.shape),
                              np.where((t[:-1] < star) & (star < t[1:]), star, t[1:])])
-            tau = float(taus.flat[np.argmax(np.abs(c0 + c1 * taus) * (taus / duration) ** k)])
-        a_tau, *tensors_tau = frame.at(tau)
-        _check_validity(FramePoint(tau, tau / duration * x_end), a_tau * (k == 1), tensors_tau)
+            worst[k - 1] = taus.flat[np.argmax(np.abs(c0 + c1 * taus) * (taus / duration) ** k)]
+    _check_validity(frame, FramePoint(worst, worst[:, None] / duration * x_end))
 
 
 def metric_components(frame: FrameData, point: FramePoint) -> MetricComponents:
     """Second-order Fermi metric at a point; truncation error O(r^3) by construction."""
-    a, r_titj, r_tjik, r_ikjl = frame.at(point.tau)
-    _check_validity(point, a, (r_titj, r_tjik, r_ikjl))
+    a, r_titj, r_tjik, r_ikjl = _check_validity(frame, point)
     x = point.x
     g_tt = -((1.0 + a @ x) ** 2) - x @ r_titj @ x
     g_ti = -(2.0 / 3.0) * np.einsum("jik,j,k->i", r_tjik, x, x)
@@ -194,25 +201,25 @@ def redshift_exact(metric: MetricComponents) -> float:
 
 def redshift_weakfield(frame: FrameData, point: FramePoint) -> float:
     """Weak-field redshift expansion 1 + a.x + (1/2) R_{titj} x^i x^j."""
-    a, r_titj, r_tjik, r_ikjl = frame.at(point.tau)
-    _check_validity(point, a, (r_titj, r_tjik, r_ikjl))
+    a, r_titj, _, _ = _check_validity(frame, point)
     x = point.x
     return float(1.0 + a @ x + 0.5 * (x @ r_titj @ x))
 
 
-def time_dilation(frame: FrameData, point: FramePoint, p, mass: float) -> float:
+def time_dilation(frame: FrameData, point: FramePoint, p, mass: float) -> float | np.ndarray:
     """Non-relativistic time-dilation factor between the lab worldline and the system.
 
-    Returns 1 - p^2/(2 mass^2) + a.x + (1/2) R_{titj} x^i x^j.  The point must
-    lie inside the expansion's validity bound, as for metric_components; the
-    condition |p|/mass << 1 is not enforced.
+    Returns 1 - p^2/(2 mass^2) + a.x + (1/2) R_{titj} x^i x^j: a float, or an array over a
+    stack of points and momenta, equal to the per-point calls.  The points must lie inside
+    the expansion's validity bound, as for metric_components; |p|/mass << 1 is not enforced.
     """
-    if not (math.isfinite(mass) and mass > 0):
+    if not 0 < mass < np.inf:
         raise InputError(f"mass must be a finite positive number, got {mass}")
     p = np.asarray(p, dtype=float)
-    if p.shape != (3,) or not np.all(np.isfinite(p)):
-        raise InputError(f"momentum must be a finite 3-vector, got {p}")
-    a, r_titj, r_tjik, r_ikjl = frame.at(point.tau)
-    _check_validity(point, a, (r_titj, r_tjik, r_ikjl))
-    x = point.x
-    return float(1.0 - (p @ p) / (2.0 * mass * mass) + a @ x + 0.5 * (x @ r_titj @ x))
+    if p.shape != point.x.shape or not np.all(np.isfinite(p)):
+        raise InputError(f"momentum must be a finite 3-vector per point, got {p}")
+    a, r_titj, _, _ = _check_validity(frame, point)
+    x, p = point.x[..., :, None], p[..., :, None]
+    z = (1.0 - (p.swapaxes(-1, -2) @ p) / (2.0 * mass * mass) + a[..., None, :] @ x
+         + 0.5 * (x.swapaxes(-1, -2) @ r_titj @ x))[..., 0, 0]
+    return float(z) if z.ndim == 0 else z

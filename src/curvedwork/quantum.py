@@ -310,12 +310,12 @@ def _sector_eigh(sector, values):
 
 @dataclass(frozen=True)
 class AffinePath:
-    """Hamiltonian path H(tau) = h0 + f(tau) x, with real-valued f; h0 and x may be
-    stacks of one shape (..., d, d), a stack of paths that share f."""
+    """Hamiltonian path H(tau) = h0 + f(tau) x, real f taking an array of times to one of its
+    shape (or a constant to a scalar); h0 and x may be stacks (..., d, d) that share f."""
 
     h0: HermitianOperator
     x: HermitianOperator
-    f: Callable[[float], float]
+    f: Callable[[np.ndarray], np.ndarray | float]
 
     def __post_init__(self):
         if self.h0.entries.shape != self.x.entries.shape:
@@ -412,9 +412,9 @@ def propagator(path: AffinePath, tau0: float, tau1: float, steps: int) -> Unitar
 
     U = prod_j exp(-i H(tau_j + dt/2) dt) applied right to left, global error O(dt^2);
     each factor comes from an eigendecomposition, or from an interpolant or a Taylor
-    polynomial whose error bound is NODE_TOL.  f is evaluated once per midpoint, and the
-    structure of the path picks the solver.  A parity-banded path takes real
-    eigendecompositions per parity sector at a few Chebyshev nodes of f's range, and
+    polynomial whose error bound is NODE_TOL.  f is called once, on the array of the
+    midpoints, and the structure of the path picks the solver.  A parity-banded path takes
+    real eigendecompositions per parity sector at a few Chebyshev nodes of f's range, and
     interpolates each step factor between them, or one solve per sector in all when f
     is equal at every midpoint.  Any other path, and any stack of paths, takes dense
     factors from a truncated Taylor polynomial, one batched call per stack of
@@ -433,9 +433,11 @@ def propagator(path: AffinePath, tau0: float, tau1: float, steps: int) -> Unitar
     if not isinstance(steps, (int, np.integer)) or isinstance(steps, bool) or steps < 1:
         raise InputError(f"steps must be an integer of at least 1, got {steps!r}")
     dt = (tau1 - tau0) / steps
-    values = np.array([path.f(tau0 + (j + 0.5) * dt) for j in range(steps)], dtype=float)
-    if not np.all(np.isfinite(values)):
-        raise InputError("non-finite path coefficient at a propagator midpoint")
+    values = np.broadcast_to(path.f(tau0 + (np.arange(steps) + 0.5) * dt), steps).astype(float)
+    norm = [float(np.max(np.sum(np.abs(m.entries), axis=-1))) for m in (path.h0, path.x)]
+    if not math.isfinite((tau1 - tau0) * (norm[0] + float(np.max(np.abs(values))) * norm[1])):
+        raise InputError(f"non-finite path coefficient at a midpoint, or phase (tau1 - tau0)"
+                         f"(||h0|| + max|f| ||x||) past the float range, on [{tau0}, {tau1}]")
     if path.sectors is not None:
         u = _parity_product(path, values, dt)
     else:
@@ -517,6 +519,9 @@ def transition_probability_formula(mass, omega0, hubble, n: int, m: int,
         raise InputError("mass, omega0 and hubble must be positive")
     elem = x_squared_element(mass, omega0, n, m)
     gap = abs(n - m) * omega0
-    amp = 4.0 * (0.5 * mass * hubble * hubble) ** 2 * elem * elem / (gap * gap)
+    try:
+        amp = 4.0 * (0.5 * mass * hubble * hubble) ** 2 * elem * elem / (gap * gap)
+    except OverflowError:
+        raise InputError(f"(mass H^2 / 2)^2 overflows the float range at mass {mass:g}") from None
     p = amp * np.sin(0.5 * (n - m) * omega0 * np.asarray(t, dtype=float)) ** 2
     return float(p) if np.ndim(p) == 0 else p

@@ -242,24 +242,25 @@ def _base_metadata(config: ScenarioConfig) -> dict:
 
 def _protocol_outputs(b_init, b_final, u, config):
     """Distributions and report of one protocol from the energy bases of its endpoints."""
-    fwd = forward_distribution(b_init, b_final, u, config.beta, merge_tol=config.merge_tol)
-    rev = reverse_distribution(b_init, b_final, u, config.beta, merge_tol=config.merge_tol)
-    df = delta_F(b_init, b_final, config.beta)
+    beta = float(config.beta)  # an int past 2^63 would make object arrays
+    fwd = forward_distribution(b_init, b_final, u, beta, merge_tol=config.merge_tol)
+    rev = reverse_distribution(b_init, b_final, u, beta, merge_tol=config.merge_tol)
+    df = delta_F(b_init, b_final, beta)
     try:
-        zratio = math.exp(-config.beta * df)
+        zratio = math.exp(-beta * df)
     except OverflowError:
         raise NumericError(f"e^(-beta delta_F) overflows the float range: beta delta_F = "
-                           f"{config.beta * df:.6g}") from None
-    residual = crooks_check(fwd, rev, config.beta, df)
+                           f"{beta * df:.6g}") from None
+    residual = crooks_check(fwd, rev, beta, df)
     mw = mean_work(fwd)
     report = ProtocolReport(
         beta=config.beta,
         delta_F=df,
         mean_work=mw,
-        jarzynski_lhs=jarzynski_average(fwd, config.beta),
+        jarzynski_lhs=jarzynski_average(fwd, beta),
         jarzynski_rhs=zratio,
         crooks_max_residual=residual,
-        entropy_production=config.beta * (mw - df),
+        entropy_production=beta * (mw - df),
         dissipated_work=mw - df,
     )
     return fwd, rev, report
@@ -306,13 +307,13 @@ def _rescaled(config: ScenarioConfig, frame: FrameData, h: HermitianOperator, ti
     endpoint basis is h's spectrum times z.  The expansion guard is checked along the
     whole line.  Returns both endpoint bases, U and z at `times`, 0 first and duration last.
     """
-    sysmass = float(config.system.get("mass", 1.0))
+    sysmass, duration = float(config.system.get("mass", 1.0)), float(config.duration)
     x_end = np.asarray(config.position, dtype=float)
     p_end = np.asarray(config.momentum, dtype=float)
-    check_straight_line(frame, config.duration, x_end)
+    check_straight_line(frame, duration, x_end)
+    frac = np.asarray(times, dtype=float)[:, None] / duration
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is a non-finite z
-        zs = [time_dilation(frame, FramePoint(tau=t, x=t / config.duration * x_end),
-                            t / config.duration * p_end, sysmass) for t in times]
+        zs = time_dilation(frame, FramePoint(tau=times, x=frac * x_end), frac * p_end, sysmass)
     if not np.all(np.isfinite(zs)):
         raise InputError("non-finite time-dilation factor on the trajectory")
     basis = EnergyBasis(np.linalg.eigvalsh(h.entries), np.eye(h.dim))
@@ -329,10 +330,9 @@ def _oscillator_protocol(config, frame):
     omega0 = float(config.system["omega0"])
     dim = int(config.system.get("dim", DEFAULT_OSCILLATOR_DIM))
     h0 = qho_hamiltonian(mass, omega0, dim)
-    taus, r_tt = frame.tau, frame.riemann_titj[:, 0, 0]
     path = AffinePath(h0, x_squared_matrix(mass, omega0, dim),
-                      lambda tau: 0.5 * mass * np.interp(tau, taus, r_tt))
-    u = propagator(path, 0.0, config.duration, config.steps)
+                      lambda tau: 0.5 * mass * frame.at(tau)[1][..., 0, 0])
+    u = propagator(path, 0.0, float(config.duration), config.steps)
 
     # truncation guard: evolved thermal populations must not reach the cutoff
     b0 = energy_basis(h0)
@@ -380,7 +380,7 @@ def _desitter(config: ScenarioConfig):
     }
     blocks["hubble_ratio"] = hubble / omega0
 
-    times = np.linspace(0.0, config.duration, config.curve_points)
+    times = np.linspace(0.0, float(config.duration), config.curve_points)
     p_exact = np.abs(spectrum.amplitudes(2, 0, times)) ** 2
     p_pert = np.abs(perturbative_amplitude(
         mass, omega0, frame.tau, frame.riemann_titj[:, 0, 0], 2, 0, times)) ** 2
@@ -416,13 +416,12 @@ def _custom(config: ScenarioConfig):
     first, last = float(tables["tau"][0]), float(tables["tau"][-1])
     _require(first <= 0 and last >= config.duration, f"frame tables cover tau in "
              f"[{first}, {last}], not [0, {float(config.duration)}]")
-    times = np.linspace(0.0, config.duration, config.curve_points)
+    times = np.linspace(0.0, float(config.duration), config.curve_points)
     kind = config.system["kind"]
 
     if kind == "oscillator":
         _, b0, u, blocks = _oscillator_protocol(config, frame)
-        curves = {"t": times,
-                  "curvature_tt": np.interp(times, frame.tau, frame.riemann_titj[:, 0, 0])}
+        curves = {"t": times, "curvature_tt": frame.at(times)[1][:, 0, 0]}
         return b0, b0, u, blocks, curves
     if kind == "two_level":
         h_int = two_level_hamiltonian(float(config.system["eps"]))
@@ -434,7 +433,7 @@ def _custom(config: ScenarioConfig):
         "zfactor_final": zs[-1],
         "unitarity_defect": u.unitarity_defect,
     }}
-    curves = {"t": times, "zfactor": np.array(zs)}
+    curves = {"t": times, "zfactor": zs}
     return b_init, b_final, u, blocks, curves
 
 

@@ -321,10 +321,11 @@ def entropy_production_two_level(zfactor: float, beta_eps: float) -> float:
     beta * dissipated_work_thermal, which this package treats as ground truth;
     the two are not identical (see the scenario reports).
     """
-    # negated, so that a NaN fails it, and on the product too, which can underflow to 0
-    if not (zfactor > 0 and zfactor * beta_eps > 0):
-        raise InputError(f"zfactor and zfactor * beta_eps must be positive, got zfactor "
-                         f"{zfactor:.6g} and beta_eps {beta_eps:.6g}")
+    # negated, so that a NaN fails it; the product of floats may underflow to 0 or overflow
+    zfactor, beta_eps = float(zfactor), float(beta_eps)
+    if not (zfactor > 0 and 0 < zfactor * beta_eps < math.inf):
+        raise InputError(f"zfactor and zfactor * beta_eps must be positive and finite, got "
+                         f"zfactor {zfactor:.6g} and beta_eps {beta_eps:.6g}")
     return float(
         (zfactor - 1.0) * beta_eps
         + math.log(-math.expm1(-zfactor * beta_eps)) - math.log(-math.expm1(-beta_eps))

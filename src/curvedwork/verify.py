@@ -77,7 +77,7 @@ def check_fluctuation_relations(n_protocols=200, seed=7):
     max_crooks = max_jarzynski = max_mean_work = 0.0
     for protocols in filter(None, draws.values()):
         betas, a, b = (np.array(column) for column in zip(*protocols))
-        path = AffinePath(HermitianOperator(a), HermitianOperator(b), math.sin)
+        path = AffinePath(HermitianOperator(a), HermitianOperator(b), np.sin)
         u = propagator(path, 0.0, 1.0, 40)
         h0, ht = path(0.0), path(1.0)
         b0, bt = energy_basis(h0), energy_basis(ht)
@@ -182,8 +182,8 @@ def criterion_perturbation_vs_propagator(level="full"):
     rel_err = float(np.max(np.abs(exact[peak_mask] - formula[peak_mask])
                            / formula[peak_mask]))
     # propagator's parity-sector product against the dense product of the same midpoints
-    driven, dt = _oscillator(mass, omega0, dim, lambda tau: 0.05 * math.sin(2.0 * tau)), 3.0 / 24
-    values = np.array([driven.f((j + 0.5) * dt) for j in range(24)])
+    driven, dt = _oscillator(mass, omega0, dim, lambda tau: 0.05 * np.sin(2.0 * tau)), 3.0 / 24
+    values = driven.f((np.arange(24) + 0.5) * dt)
     deviation = float(np.max(np.abs(propagator(driven, 0.0, 3.0, 24).entries
                                     - _dense_product(driven, values, dt))))
     return [CriterionResult(
@@ -203,9 +203,9 @@ def criterion_propagator_quality(level="full"):
     rng = np.random.default_rng(11)
     driven_path = AffinePath(HermitianOperator(_random_symmetric(rng, 6, scale=0.5)),
                              HermitianOperator(_random_symmetric(rng, 6, scale=0.5)),
-                             lambda tau: math.sin(2.0 * tau))
+                             lambda tau: np.sin(2.0 * tau))
     defects["driven_two_level_family"] = propagator(driven_path, 0.0, 4.0, 200).unitarity_defect
-    banded_path = _oscillator(mass, omega0, 12, lambda tau: 0.05 * math.sin(2.0 * tau))
+    banded_path = _oscillator(mass, omega0, 12, lambda tau: 0.05 * np.sin(2.0 * tau))
     defects["driven_banded_oscillator"] = propagator(banded_path, 0.0, 4.0, 200).unitarity_defect
     max_defect = max(defects.values())
     details = {"unitarity_defects": defects, "unitarity_tolerance": 1e-9}

@@ -115,7 +115,7 @@ def single_path_ensemble(n_protocols=200, seed=7):
         dim = (2, 4, 8)[i % 3]
         beta = float(rng.uniform(0.1, 5.0))
         a, b = (HermitianOperator(verify._random_symmetric(rng, dim)) for _ in range(2))
-        path = AffinePath(a, b, math.sin)
+        path = AffinePath(a, b, np.sin)
         u = propagator(path, 0.0, 1.0, 40)
         b0, bt = energy_basis(path(0.0)), energy_basis(path(1.0))
         fwd = forward_distribution(b0, bt, u, beta)

@@ -48,6 +48,12 @@ class TestFrameData:
                 flat = table.reshape(rows, -1)
                 expected = [np.interp(tau, taus, flat[:, k]) for k in range(flat.shape[1])]
                 np.testing.assert_array_equal(got.ravel(), expected)
+        # one call on all the probes is each scalar call, bitwise, with the probes' shape in front
+        stacked = frame.at(np.array(probes))
+        for k, (got, table) in enumerate(zip(stacked, tables)):
+            assert got.shape == (len(probes), *table.shape[1:]) and not got.flags.writeable
+            scalars = np.array([frame.at(tau)[k] for tau in probes])
+            np.testing.assert_array_equal(got.view(np.int64), scalars.view(np.int64))
         # the frame holds read-only copies: neither its caller nor a reader can change it
         expected = tables[1][0, 0, 0]
         tables[1][0, 0, 0] = 98.0
@@ -194,6 +200,28 @@ class TestTimeDilation:
             - time_dilation(make(0.1), point(x), [p - h, 0, 0], mass)
         ) / (2 * h)
         assert dp2 == pytest.approx(-p / mass**2, rel=1e-6)
+
+    def test_stack_equals_per_point_calls_bitwise(self):
+        rng = np.random.default_rng(4)
+        frame = FrameData(np.sort(rng.uniform(0.0, 1.0, 5)),
+                          *(0.02 * rng.normal(size=(5, *(3,) * k)) for k in (1, 2, 3, 4)))
+        taus, x = rng.uniform(-0.2, 1.2, 200), rng.uniform(-0.3, 0.3, (200, 3))
+        p = rng.normal(size=(200, 3))
+        z = time_dilation(frame, FramePoint(taus, x), p, 1.7)
+        per_point = [time_dilation(frame, point(xi, t), pi, 1.7) for t, xi, pi in zip(taus, x, p)]
+        assert z.shape == (200,)
+        np.testing.assert_array_equal(z.view(np.int64), np.array(per_point).view(np.int64))
+
+    @pytest.mark.parametrize("frame", [uniform_gravity_frame(0.5), desitter_frame(1.0)],
+                             ids=["accel", "curvature"])
+    def test_stack_guard_names_the_worst_point(self, frame):
+        # |a.x| = 0.5 x and max|R| r^2 = x^2 fail at the first three points, most at the second
+        x = np.array([[0.35, 0.0, 0.0], [0.9, 0.0, 0.0], [0.6, 0.0, 0.0], [0.05, 0.0, 0.0]])
+        with pytest.raises(DomainError) as stacked:
+            time_dilation(frame, FramePoint(np.zeros(4), x), np.zeros((4, 3)), 1.0)
+        with pytest.raises(DomainError) as worst:
+            time_dilation(frame, point(x[1]), REST, 1.0)
+        assert str(stacked.value) == str(worst.value)
 
     def test_nonpositive_mass_rejected(self):
         with pytest.raises(InputError):

@@ -44,7 +44,7 @@ def banded(rng, dim):
 
 
 def drive(amplitude, rate, phase):
-    return lambda tau: amplitude * math.sin(rate * tau + phase)
+    return lambda tau: amplitude * np.sin(rate * tau + phase)
 
 
 KINDS = ("scaled", "banded", "banded_constant", "non_banded")

@@ -201,7 +201,7 @@ class TestPropagator:
         a = rng.normal(size=(8, 8))
         b = rng.normal(size=(8, 8))
         path = AffinePath(HermitianOperator(0.5 * (a + a.T)), HermitianOperator(0.5 * (b + b.T)),
-                          math.cos)
+                          np.cos)
         u = propagator(path, 0.0, 5.0, 300)
         assert u.unitarity_defect < 1e-9
 
@@ -210,7 +210,7 @@ class TestPropagator:
         a = rng.normal(size=(5, 5))
         b = rng.normal(size=(5, 5))
         path = AffinePath(HermitianOperator(0.5 * (a + a.T)), HermitianOperator(0.5 * (b + b.T)),
-                          lambda tau: math.sin(3 * tau))
+                          lambda tau: np.sin(3 * tau))
         ref = propagator(path, 0.0, 2.0, 4096).entries
         errs = [
             np.max(np.abs(propagator(path, 0.0, 2.0, steps).entries - ref))
@@ -219,6 +219,21 @@ class TestPropagator:
         ratios = [errs[0] / errs[1], errs[1] / errs[2]]
         for ratio in ratios:
             assert ratio == pytest.approx(4.0, abs=0.8)
+
+    @pytest.mark.parametrize("banded", [True, False], ids=["parity", "dense"])
+    def test_f_is_called_once_on_the_midpoints(self, banded):
+        calls = []
+
+        def f(tau):
+            calls.append(tau)
+            return np.sin(tau)
+
+        # x on diagonals +-1 couples the parities, so the path takes the dense route
+        x = x_squared_matrix(1.0, 1.0, 6) if banded else HermitianOperator(
+            np.diag(np.ones(5), 1) + np.diag(np.ones(5), -1))
+        propagator(AffinePath(qho_hamiltonian(1.0, 1.0, 6), x, f), 0.2, 1.4, 12)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0], 0.2 + (np.arange(12) + 0.5) * ((1.4 - 0.2) / 12))
 
     @pytest.mark.parametrize("wrap", [np.asarray, HermitianOperator], ids=["ndarray", "operator"])
     def test_opaque_callable_rejected(self, wrap):
@@ -238,7 +253,7 @@ class TestPropagator:
         rng = np.random.default_rng(5)
         a, b = rng.normal(size=(2, *stack, 3, 3))
         path = AffinePath(HermitianOperator(a + np.swapaxes(a, -1, -2)),
-                          HermitianOperator(b + np.swapaxes(b, -1, -2)), math.sin)
+                          HermitianOperator(b + np.swapaxes(b, -1, -2)), np.sin)
         with pytest.raises(NumericError, match="not unitary"):
             propagator(path, 0.0, 1.0, 4)
 

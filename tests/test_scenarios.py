@@ -428,16 +428,16 @@ class TestRunCustom:
     @pytest.mark.parametrize("name", ["ci-newtonian", "ci-custom", "ci-matrix",
                                       "tables_two_level", "tpm_wide_d200"])
     def test_rescaled_run_does_not_read_steps(self, tmp_path, monkeypatch, name):
-        calls = []
-        monkeypatch.setattr(scenarios, "time_dilation",
-                            lambda *args: calls.append(args) or time_dilation(*args))
+        points = []
+        monkeypatch.setattr(scenarios, "time_dilation", lambda frame, point, *args: (
+            points.append(np.size(point.tau)) or time_dilation(frame, point, *args)))
         config = shipped_configs(monkeypatch)[name]
         for steps in (1, 2000):
             run_scenario(ScenarioConfig.from_dict({**config, "steps": steps})).write(
                 tmp_path / str(steps))
-        # z is evaluated at the reported times only: the two ends, or the curve points
+        # z is one call per run on the reported times only: the two ends, or the curve points
         reported = 2 if config["scenario"] == "newtonian" else ScenarioConfig.curve_points
-        assert len(calls) == 2 * reported
+        assert points == [reported, reported]
         for table in ("forward", "reverse", "curves"):
             assert ((tmp_path / "1" / f"{table}.csv").read_bytes()
                     == (tmp_path / "2000" / f"{table}.csv").read_bytes())
@@ -700,6 +700,62 @@ class TestCli:
         rc, err = self.stderr_of(tmp_path, capsys, data)
         assert rc == 1 and len(err) == 1, err
         assert err[0].startswith("error: |R| r^2 = nan at r = 1e+300 exceeds expansion bound")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("run, key", [("ci-newtonian", "duration"), ("ci-desitter", "beta")])
+    def test_integer_past_int64_runs_as_its_float(self, tmp_path, capsys, run, key):
+        # an int past 2^63 made object arrays: a ZeroDivisionError in the straight-line guard
+        # (duration) or a TypeError in jarzynski_average (beta)
+        outputs = []
+        for value in (2 ** 64, float(2 ** 64)):
+            data = {**ci_configs()[run], key: value}
+            rc, err = self.stderr_of(tmp_path, capsys, data)
+            assert rc == 0 and err == [], err
+            payload = json.loads((tmp_path / "o" / "report.json").read_text())
+            # the config hash keeps the value as written
+            assert payload["metadata"].pop("config_sha256") == config_sha256(
+                ScenarioConfig.from_dict(data))
+            payload["report"].pop("beta")
+            outputs.append([payload] + [(tmp_path / "o" / f"{table}.csv").read_bytes()
+                                        for table in ("forward", "reverse", "curves")])
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_propagation_past_the_float_range_is_one_error_line(self, tmp_path, capsys):
+        # (tau1 - tau0) ||h0|| = 1.7e308 * 39.5 overflows, as w t would in the parity collapse
+        rc, err = self.stderr_of(tmp_path, capsys, {**vars(desitter_config()), "duration": 1.7e308})
+        assert rc == 1 and len(err) == 1, err
+        assert err[0].startswith("error: non-finite path coefficient at a midpoint, or phase")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_eps_whose_entropy_product_overflows_is_one_error_line(self, tmp_path, capsys):
+        # z beta eps = 1.075 * 1.7e308 overflows: the closed form read log(1 - e^-inf) = 0 and
+        # reported 8.5e306 against the oracle's 0
+        system = {"kind": "two_level", "eps": 1.7e308, "mass": 1.0}
+        rc, err = self.stderr_of(tmp_path, capsys, {**vars(newtonian_config()), "system": system})
+        assert rc == 1 and len(err) == 1, err
+        assert err[0].startswith("error: zfactor and zfactor * beta_eps must be positive and "
+                                 "finite, got zfactor 1.075")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_mass_whose_formula_prefactor_overflows_is_one_error_line(self, tmp_path, capsys):
+        # (mass H^2 / 2)^2 = (5e295)^2 overflows in the closed-form transition probability
+        system = {"kind": "oscillator", "mass": 1e300, "omega0": 1.0, "dim": 40}
+        rc, err = self.stderr_of(tmp_path, capsys, {**vars(desitter_config()), "system": system})
+        assert rc == 1 and len(err) == 1, err
+        assert err == ["error: (mass H^2 / 2)^2 overflows the float range at mass 1e+300"]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_symmetry_defect_past_the_float_range_is_one_error_line(self, tmp_path, capsys):
+        # R_ikjl[0][0][0][1][1] = 1.7e308 doubles past the float range in r + swapaxes(r)
+        ikjl = np.zeros((2, 3, 3, 3, 3))
+        ikjl[0, 0, 0, 1, 1] = 1.7e308
+        tables = {**uniform_gravity_tables(n=2), "riemann_ikjl": ikjl.tolist()}
+        rc, err = self.stderr_of(tmp_path, capsys, {**ci_configs()["ci-custom"],
+                                                    "geometry": {"frame_tables": tables}})
+        assert rc == 1 and len(err) == 1, err
+        assert err[0].startswith("error: frame tables violate Riemann symmetries: "
+                                 "{'ikjl_antisymmetric_first_pair': inf")
 
     def test_output_path_key_rejected(self, tmp_path, capsys):
         path = tmp_path / "config.json"

@@ -60,7 +60,7 @@ def real_non_banded_path(seed, dim):
 
 
 def smooth(tau):
-    return 0.4 + 0.3 * math.sin(1.7 * tau) - 0.2 * math.cos(0.6 * tau)
+    return 0.4 + 0.3 * np.sin(1.7 * tau) - 0.2 * np.cos(0.6 * tau)
 
 
 def unitarity_defect(u):
@@ -85,7 +85,7 @@ class TestAgainstDenseLoop:
 
     def test_scaled(self, dim, steps):
         rng = np.random.default_rng(3 * dim + steps)
-        path = rescaled(random_hermitian(rng, dim), lambda tau: 1.0 + 0.3 * math.sin(2.0 * tau))
+        path = rescaled(random_hermitian(rng, dim), lambda tau: 1.0 + 0.3 * np.sin(2.0 * tau))
         u = propagator(path, 0.0, 2.0, steps).entries
         np.testing.assert_allclose(u, reference_loop(path, 0.0, 2.0, steps), rtol=0, atol=1e-12)
         assert unitarity_defect(u) < 1e-12
@@ -163,7 +163,7 @@ def test_catalog_desitter_collapses_to_one_solve_per_sector(monkeypatch):
     hubble, dim, duration, steps = 0.3, 40, 5.0, 100
     frame = desitter_frame(hubble)
     path = AffinePath(qho_hamiltonian(1.0, 1.0, dim), x_squared_matrix(1.0, 1.0, dim),
-                      lambda tau: 0.5 * frame.at(tau)[1][0, 0])
+                      lambda tau: 0.5 * frame.at(tau)[1][..., 0, 0])
     solves = count_node_solves(monkeypatch)
     u = propagator(path, 0.0, duration, steps).entries
     assert sum(solves) == 2
@@ -230,7 +230,7 @@ def test_chained_eigenbasis_product_matches_per_step_factors(dim, steps, monkeyp
 def test_wide_f_range_takes_the_midpoints_as_nodes(monkeypatch):
     # f sweeps [-40, 40] in 3 steps: the bound asks for more nodes than there are steps
     dim, steps = 40, 3
-    path = banded_path(8, dim, lambda tau: 40.0 * math.sin(tau))
+    path = banded_path(8, dim, lambda tau: 40.0 * np.sin(tau))
     assert bound_node_count(path, 0.0, 3.0, steps) == 2 * steps
     solves = count_node_solves(monkeypatch)
     u = propagator(path, 0.0, 3.0, steps).entries
@@ -244,7 +244,7 @@ def test_wide_f_range_takes_the_midpoints_as_nodes(monkeypatch):
 def test_runs_bounded_by_node_entries_match_per_step_factors(node_entries, monkeypatch):
     # f is constant until tau = 1 and then varies, so some runs are one solve each
     monkeypatch.setattr(quantum, "NODE_ENTRIES", node_entries)
-    path = banded_path(9, 7, lambda tau: 0.3 if tau < 1.0 else 0.3 + math.sin(tau - 1.0))
+    path = banded_path(9, 7, lambda tau: np.where(tau < 1.0, 0.3, 0.3 + np.sin(tau - 1.0)))
     solves = count_node_solves(monkeypatch)
     u = propagator(path, 0.0, 3.0, 50).entries
     # runs of min(NODE_ENTRIES // n**2, isqrt(NODE_ENTRIES)) steps: at 112, 7 steps for the
@@ -271,13 +271,13 @@ def test_factor_batches_across_a_node_entries_run_match_per_step_factors(monkeyp
 class TestNonFiniteCoefficient:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_affine(self, bad):
-        path = banded_path(6, 7, lambda tau: bad if tau > 0.5 else 0.1)
+        path = banded_path(6, 7, lambda tau: np.where(tau > 0.5, bad, 0.1))
         with pytest.raises(InputError, match="non-finite"):
             propagator(path, 0.0, 1.0, 10)
 
     @pytest.mark.parametrize("bad", [math.nan, -math.inf])
     def test_scaled(self, bad):
-        path = rescaled(qho_hamiltonian(1.0, 1.0, 3), lambda tau: bad if tau > 0.5 else 1.0)
+        path = rescaled(qho_hamiltonian(1.0, 1.0, 3), lambda tau: np.where(tau > 0.5, bad, 1.0))
         with pytest.raises(InputError, match="non-finite"):
             propagator(path, 0.0, 1.0, 10)
 
@@ -286,7 +286,7 @@ def dense_path(dim, seed):
     """H(tau) = a + sin(1.3 tau) b with complex Hermitian a, b."""
     rng = np.random.default_rng(seed)
     return AffinePath(random_hermitian(rng, dim), random_hermitian(rng, dim),
-                      lambda tau: math.sin(1.3 * tau))
+                      lambda tau: np.sin(1.3 * tau))
 
 
 @pytest.mark.parametrize("dim", (2, 6, 40))
@@ -336,7 +336,7 @@ class TestBadMidpointAtAnyBatchPosition:
     def is_bad(self, bad_step):
         """Whether tau is the midpoint of step `bad_step` of the run over [0, 1]."""
         dt = 1.0 / STEPS_IN_BATCHES_OF_TWO
-        return lambda tau: round(tau / dt - 0.5) == bad_step
+        return lambda tau: np.round(tau / dt - 0.5) == bad_step
 
     def test_non_hermitian_affine_midpoint(self, bad_step):
         # x is Hermitian within tolerance, but a large f amplifies its deviation past it
@@ -345,7 +345,7 @@ class TestBadMidpointAtAnyBatchPosition:
         x = random_hermitian(rng, 3).entries
         x[0, 1] += 5e-13
         path = AffinePath(random_hermitian(rng, 3), HermitianOperator(x),
-                          lambda tau: 100.0 if is_bad(tau) else 0.5)
+                          lambda tau: np.where(is_bad(tau), 100.0, 0.5))
         assert path.sectors is None
         with pytest.raises(InputError, match="not Hermitian"):
             self.run(path)
@@ -355,7 +355,7 @@ class TestBadMidpointAtAnyBatchPosition:
         is_bad = self.is_bad(bad_step)
         rng = np.random.default_rng(bad_step)
         path = AffinePath(random_hermitian(rng, 3), random_hermitian(rng, 3),
-                          lambda tau: bad if is_bad(tau) else 0.5)
+                          lambda tau: np.where(is_bad(tau), bad, 0.5))
         with pytest.raises(InputError, match="non-finite"):
             self.run(path)
 
@@ -365,7 +365,7 @@ class TestBadMidpointAtAnyBatchPosition:
         is_bad = self.is_bad(bad_step)
 
         def f(tau):
-            return math.nan if is_bad(tau) else 0.5
+            return np.where(is_bad(tau), math.nan, 0.5)
 
         banded = banded_path(bad_step, 3, f)
         path = rescaled(banded.x, f) if kind == "zero_h0" else banded

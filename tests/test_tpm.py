@@ -35,7 +35,7 @@ def random_protocol(rng, dim, duration=1.0, steps=40, scale=0.4):
     a = scale * rng.normal(size=(dim, dim))
     b = scale * rng.normal(size=(dim, dim))
     path = AffinePath(HermitianOperator(0.5 * (a + a.T)), HermitianOperator(0.5 * (b + b.T)),
-                      math.sin)
+                      np.sin)
     return path(0.0), path(duration), propagator(path, 0.0, duration, steps)
 
 

@@ -198,7 +198,7 @@ def degenerate_protocols(draw, dim=None):
     levels = rng.choice(rng.normal(scale=0.5, size=2), size=dim)
     h_final = np.diag(levels)[np.ix_(*2 * [rng.permutation(dim)])]
     c = rng.normal(scale=0.3, size=(dim, dim))
-    path = AffinePath(HermitianOperator(h_init), HermitianOperator(0.5 * (c + c.T)), math.sin)
+    path = AffinePath(HermitianOperator(h_init), HermitianOperator(0.5 * (c + c.T)), np.sin)
     u = propagator(path, 0.0, 1.0, 20)
     beta = draw(st.floats(0.1, 5.0))
     return HermitianOperator(h_init), HermitianOperator(h_final), u, beta
@@ -306,7 +306,7 @@ class TestStackEqualsProtocolsOneAtATime:
         dim, levels = 3, [-1.0, 0.5, 2.0]
         rng = np.random.default_rng(5)
         m, c = (0.5 * (a + a.T) for a in rng.normal(scale=0.3, size=(2, dim, dim)))
-        path = AffinePath(HermitianOperator(m), HermitianOperator(c), math.sin)
+        path = AffinePath(HermitianOperator(m), HermitianOperator(c), np.sin)
         rows = [(m, np.diag(levels), propagator(path, 0.0, 1.0, 20).entries),
                 (0.7 * np.eye(dim), 0.7 * np.eye(dim), np.eye(dim)),
                 (np.diag(levels), np.diag(levels[::-1]), np.eye(dim))]
