@@ -1,9 +1,10 @@
-"""Scenario orchestration: config parsing, protocol runners, output emission.
+"""Scenario orchestration: config parsing, protocol runs, output emission.
 
-Three runners compute the physics of their scenario: the uniform-gravity
-two-level scenario, the expanding-universe oscillator scenario, and a
-generic runner over user-tabulated frame data.  Each returns its protocol;
-`run_scenario` turns that into distributions, report, sampling and artifacts.
+A run is a frame and a protocol.  The scenario picks the frame: uniform gravity,
+de Sitter, or user-tabulated frame data.  The system kind picks the protocol: the
+oscillator driven by the tidal curvature R_txtx(tau), or the z(tau) quench of a
+two-level or matrix system.  `run_scenario` adds the scenario's own outputs and
+turns the protocol into distributions, report, sampling and artifacts.
 """
 
 from __future__ import annotations
@@ -266,48 +267,53 @@ def _protocol_outputs(b_init, b_final, u, config):
     return fwd, rev, report
 
 
-def _newtonian(config: ScenarioConfig):
-    """Uniform-gravity two-level protocol: the quench of `_rescaled` on the frame of g."""
-    g = float(config.geometry["g"])
-    eps = float(config.system["eps"])
-    sysmass = float(config.system.get("mass", 1.0))
-    b0, bt, u, (_, zf) = _rescaled(config, uniform_gravity_frame(g),
-                                   two_level_hamiltonian(eps), (0.0, config.duration))
-
-    zgrid = np.asarray(
-        config.zfactor_grid if config.zfactor_grid is not None else np.linspace(0.5, 1.5, 41),
-        dtype=float,
-    )
-    sigma_formula = np.array(
-        [entropy_production_two_level(z, config.beta * eps) for z in zgrid]
-    )
-    sigma_oracle = config.beta * dissipated_work_thermal(b0, b0.scaled(zgrid), config.beta)[1]
-
-    gx = g * float(config.position[0])
-    p2 = float(np.asarray(config.momentum, dtype=float) @ np.asarray(config.momentum, dtype=float))
-    blocks = {"newtonian": {
-        "zfactor": zf,
-        # the doubled weak-field convention (2gx, p^2/2m) that appears in some
-        # presentations is echoed for comparison with the general expansion
-        "zfactor_doubled_convention": 1.0 + 2.0 * gx - p2 / (2.0 * sysmass),
-        "entropy_closed_form": entropy_production_two_level(zf, config.beta * eps)
-        if zf > 0 else None,
-        "entropy_thermal_oracle": config.beta * dissipated_work_thermal(b0, bt, config.beta)[1],
-    }}
-    curves = {"zfactor": zgrid, "entropy_closed_form": sigma_formula,
-              "entropy_thermal_oracle": sigma_oracle}
-    return b0, bt, u, blocks, curves
+def _frame(config: ScenarioConfig) -> FrameData:
+    """The scenario's frame: uniform gravity of g, de Sitter of hubble below omega0, or
+    the config's frame tables, which must cover tau in [0, duration]."""
+    if config.scenario == "newtonian":
+        return uniform_gravity_frame(float(config.geometry["g"]))
+    if config.scenario == "desitter":
+        hubble, omega0 = float(config.geometry["hubble"]), float(config.system["omega0"])
+        _require(hubble < omega0,
+                 "hubble must stay below omega0 (the effective oscillator would invert)")
+        _require(omega0 <= math.sqrt(np.finfo(float).max),
+                 f"omega0 {omega0:g} is too large: omega0^2 overflows the float range")
+        return desitter_frame(hubble)
+    tables = config.geometry["frame_tables"]
+    frame = _frame_from_tables(tables, config.tolerances)
+    first, last = float(tables["tau"][0]), float(tables["tau"][-1])
+    _require(first <= 0 and last >= config.duration, f"frame tables cover tau in "
+             f"[{first}, {last}], not [0, {float(config.duration)}]")
+    return frame
 
 
-def _rescaled(config: ScenarioConfig, frame: FrameData, h: HermitianOperator, times):
-    """Quench z_0 h -> z_T h, z(tau) the time-dilation factor on the straight line from
-    rest at the origin to the configured position and momentum at tau = duration.
+def _frame_from_tables(tables: dict, tolerances: dict) -> FrameData:
+    keys = {"tau", *ROW_SHAPES}
+    if not isinstance(tables, dict) or set(tables) != keys:
+        raise InputError(f"frame_tables must have exactly the keys {sorted(keys)}")
+    taus = _reals("frame_tables.tau", tables["tau"], (None,))
+    frame = FrameData(tau=taus, **{
+        key: _reals(f"frame_tables.{key}", tables[key], (taus.size, *shape))
+        for key, shape in ROW_SHAPES.items()})
+    tol = float(tolerances.get("frame_symmetry", 1e-9))
+    bad = {k: v for k, v in validate_frame(frame).items() if v > tol}
+    if bad:
+        raise InputError(f"frame tables violate Riemann symmetries: {bad}")
+    return frame
+
+
+def _rescaled(config: ScenarioConfig, frame: FrameData, times):
+    """Quench z_0 h -> z_T h of the two_level or matrix system h, z(tau) the time dilation on
+    the straight line from rest at the origin to the configured position and momentum at the end.
 
     z(tau) h commutes with itself, so in h's eigenbasis U is the identity and each
     endpoint basis is h's spectrum times z.  The expansion guard is checked along the
     whole line.  Returns both endpoint bases, U and z at `times`, 0 first and duration last.
     """
-    sysmass, duration = float(config.system.get("mass", 1.0)), float(config.duration)
+    system = config.system
+    h = (two_level_hamiltonian(float(system["eps"])) if system["kind"] == "two_level"
+         else HermitianOperator(np.asarray(system["entries"], dtype=float)))
+    sysmass, duration = float(system.get("mass", 1.0)), float(config.duration)
     x_end = np.asarray(config.position, dtype=float)
     p_end = np.asarray(config.momentum, dtype=float)
     check_straight_line(frame, duration, x_end)
@@ -320,11 +326,35 @@ def _rescaled(config: ScenarioConfig, frame: FrameData, h: HermitianOperator, ti
     return basis.scaled(zs[0]), basis.scaled(zs[-1]), UnitaryOperator(np.eye(h.dim)), zs
 
 
-def _oscillator_protocol(config, frame):
-    """Shared center-of-mass oscillator pipeline over the frame's curvature history R_txtx(tau).
+def _newtonian_outputs(config: ScenarioConfig, b0, bt, zf):
+    """The entropy block at the final z and the entropy curves over the z grid."""
+    g, eps = float(config.geometry["g"]), float(config.system["eps"])
+    zgrid = np.asarray(config.zfactor_grid if config.zfactor_grid is not None
+                       else np.linspace(0.5, 1.5, 41), dtype=float)
+    sigma_formula = np.array([entropy_production_two_level(z, config.beta * eps) for z in zgrid])
+    sigma_oracle = config.beta * dissipated_work_thermal(b0, b0.scaled(zgrid), config.beta)[1]
 
-    Measurements are projective in the eigenbasis of the unperturbed
-    oscillator, whose populations the curvature term drives.
+    gx, sysmass = g * float(config.position[0]), float(config.system.get("mass", 1.0))
+    p2 = float(np.asarray(config.momentum, dtype=float) @ np.asarray(config.momentum, dtype=float))
+    blocks = {"newtonian": {
+        "zfactor": zf,
+        # the doubled weak-field convention (2gx, p^2/2m) that appears in some
+        # presentations is echoed for comparison with the general expansion
+        "zfactor_doubled_convention": 1.0 + 2.0 * gx - p2 / (2.0 * sysmass),
+        "entropy_closed_form": entropy_production_two_level(zf, config.beta * eps)
+        if zf > 0 else None,
+        "entropy_thermal_oracle": config.beta * dissipated_work_thermal(b0, bt, config.beta)[1],
+    }}
+    curves = {"zfactor": zgrid, "entropy_closed_form": sigma_formula,
+              "entropy_thermal_oracle": sigma_oracle}
+    return blocks, curves
+
+
+def _oscillator_protocol(config, frame):
+    """Center-of-mass oscillator pipeline over the frame's curvature history R_txtx(tau).
+
+    Measurements are projective in the eigenbasis of the unperturbed oscillator, whose
+    populations the curvature term drives, so both endpoint bases are that one.
     """
     mass = float(config.system["mass"])
     omega0 = float(config.system["omega0"])
@@ -343,104 +373,64 @@ def _oscillator_protocol(config, frame):
         raise ConvergenceError(
             f"top-two-level population {leak:.3g} exceeds {LEAKAGE_LIMIT}; raise dim"
         )
-    return path, b0, u, {"oscillator": {
+    return path, b0, b0, u, {"oscillator": {
         "dim": dim,
         "truncation_leakage": leak,
         "unitarity_defect": u.unitarity_defect,
     }}
 
 
-def _desitter(config: ScenarioConfig):
-    """Oscillator in the exponentially expanding universe.
+def _desitter_outputs(config: ScenarioConfig, frame: FrameData, path: AffinePath, times):
+    """The effective-frequency block and the P(2 <- 0) curves of the de Sitter oscillator.
 
     The constant tidal curvature adds -(mass H^2/2) x^2 to the oscillator
     Hamiltonian; transition-probability curves compare exact propagation, the
     first-order amplitude, and the closed-form probability.
     """
-    hubble = float(config.geometry["hubble"])
-    omega0 = float(config.system["omega0"])
+    hubble, omega0 = float(config.geometry["hubble"]), float(config.system["omega0"])
     mass = float(config.system["mass"])
-    _require(hubble < omega0,
-             "hubble must stay below omega0 (the effective oscillator would invert)")
-    _require(omega0 <= math.sqrt(np.finfo(float).max),
-             f"omega0 {omega0:g} is too large: omega0^2 overflows the float range")
-    frame = desitter_frame(hubble)
-    path, b0, u, blocks = _oscillator_protocol(config, frame)
-    dim = path.h0.dim
     # the de Sitter frame is one row, so one eigensystem at its tidal term serves
     # the effective-frequency diagnostic and the exact transition curve
     spectrum = path.spectrum(path.f(0.0))
 
     # effective-frequency diagnostic on the lowest half of the spectrum
     omega_eff = math.sqrt(omega0 ** 2 - hubble ** 2)
-    spacings = np.diff(spectrum.eigenvalues)[: dim // 2]
-    blocks["effective_frequency"] = {
+    spacings = np.diff(spectrum.eigenvalues)[: path.h0.dim // 2]
+    blocks = {"effective_frequency": {
         "expected": omega_eff,
         "max_spacing_deviation": float(np.max(np.abs(spacings - omega_eff))),
-    }
-    blocks["hubble_ratio"] = hubble / omega0
+    }, "hubble_ratio": hubble / omega0}
 
-    times = np.linspace(0.0, float(config.duration), config.curve_points)
     p_exact = np.abs(spectrum.amplitudes(2, 0, times)) ** 2
     p_pert = np.abs(perturbative_amplitude(
         mass, omega0, frame.tau, frame.riemann_titj[:, 0, 0], 2, 0, times)) ** 2
     p_formula = transition_probability_formula(mass, omega0, hubble, 2, 0, times)
     curves = {"t": times, "p20_exact": p_exact, "p20_perturbative": p_pert,
               "p20_formula": p_formula}
-    return b0, b0, u, blocks, curves
-
-
-def _frame_from_tables(tables: dict, tolerances: dict) -> FrameData:
-    keys = {"tau", *ROW_SHAPES}
-    if not isinstance(tables, dict) or set(tables) != keys:
-        raise InputError(f"frame_tables must have exactly the keys {sorted(keys)}")
-    taus = _reals("frame_tables.tau", tables["tau"], (None,))
-    frame = FrameData(tau=taus, **{
-        key: _reals(f"frame_tables.{key}", tables[key], (taus.size, *shape))
-        for key, shape in ROW_SHAPES.items()})
-    tol = float(tolerances.get("frame_symmetry", 1e-9))
-    bad = {k: v for k, v in validate_frame(frame).items() if v > tol}
-    if bad:
-        raise InputError(f"frame tables violate Riemann symmetries: {bad}")
-    return frame
-
-
-def _custom(config: ScenarioConfig):
-    """Generic pipeline over tabulated frame data.
-
-    The two_level and matrix systems run the quench of `_rescaled`; the oscillator
-    runs the center-of-mass protocol driven by the tabulated tidal curvature.
-    """
-    tables = config.geometry["frame_tables"]
-    frame = _frame_from_tables(tables, config.tolerances)
-    first, last = float(tables["tau"][0]), float(tables["tau"][-1])
-    _require(first <= 0 and last >= config.duration, f"frame tables cover tau in "
-             f"[{first}, {last}], not [0, {float(config.duration)}]")
-    times = np.linspace(0.0, float(config.duration), config.curve_points)
-    kind = config.system["kind"]
-
-    if kind == "oscillator":
-        _, b0, u, blocks = _oscillator_protocol(config, frame)
-        curves = {"t": times, "curvature_tt": frame.at(times)[1][:, 0, 0]}
-        return b0, b0, u, blocks, curves
-    if kind == "two_level":
-        h_int = two_level_hamiltonian(float(config.system["eps"]))
-    else:
-        h_int = HermitianOperator(np.asarray(config.system["entries"], dtype=float))
-    b_init, b_final, u, zs = _rescaled(config, frame, h_int, times)
-    blocks = {"custom": {
-        "zfactor_initial": zs[0],
-        "zfactor_final": zs[-1],
-        "unitarity_defect": u.unitarity_defect,
-    }}
-    curves = {"t": times, "zfactor": zs}
-    return b_init, b_final, u, blocks, curves
+    return blocks, curves
 
 
 def run_scenario(config: ScenarioConfig) -> RunArtifacts:
-    """Run the config's scenario: its protocol, then distributions, report and sampling."""
-    runner = {"newtonian": _newtonian, "desitter": _desitter, "custom": _custom}
-    b_init, b_final, u, blocks, curves = runner[config.scenario](config)
+    """Run the config's scenario: the frame the scenario picks, the protocol its system
+    kind picks, the scenario's own outputs, then distributions, report and sampling."""
+    frame = _frame(config)
+    times = np.linspace(0.0, float(config.duration), config.curve_points)
+    if config.system["kind"] == "oscillator":
+        path, b_init, b_final, u, blocks = _oscillator_protocol(config, frame)
+        if config.scenario == "desitter":
+            extra, curves = _desitter_outputs(config, frame, path, times)
+            blocks.update(extra)
+        else:
+            curves = {"t": times, "curvature_tt": frame.at(times)[1][:, 0, 0]}
+    else:  # newtonian reports z at the two ends only
+        newtonian = config.scenario == "newtonian"
+        b_init, b_final, u, zs = _rescaled(config, frame, times[[0, -1]] if newtonian else times)
+        if newtonian:
+            blocks, curves = _newtonian_outputs(config, b_init, b_final, zs[-1])
+        else:
+            blocks = {"custom": {"zfactor_initial": zs[0], "zfactor_final": zs[-1],
+                                 "unitarity_defect": u.unitarity_defect}}
+            curves = {"t": times, "zfactor": zs}
     fwd, rev, report = _protocol_outputs(b_init, b_final, u, config)
     metadata = {**_base_metadata(config), **blocks}
     if config.samples is not None:
