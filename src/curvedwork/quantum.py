@@ -424,7 +424,8 @@ def propagator(path: AffinePath, tau0: float, tau1: float, steps: int) -> Unitar
     times; a real path keeps every product but the squarings real.  No np.linalg.eigh
     call is made there.  The squarings make it slower than eigh at large r: at r = 200,
     on 1 BLAS thread, 1.3x for a 200 x 200 matrix and 3x for a stack of 1024 2 x 2 ones.
-    A result that is not unitary is a NumericError: the input was a checked path.
+    An f that is complex or does not broadcast to the midpoints is an InputError, and a
+    result that is not unitary is a NumericError: the input was a checked path.
     """
     if not isinstance(path, AffinePath):
         raise InputError(f"propagator needs an AffinePath, got {type(path).__name__}")
@@ -433,7 +434,11 @@ def propagator(path: AffinePath, tau0: float, tau1: float, steps: int) -> Unitar
     if not isinstance(steps, (int, np.integer)) or isinstance(steps, bool) or steps < 1:
         raise InputError(f"steps must be an integer of at least 1, got {steps!r}")
     dt = (tau1 - tau0) / steps
-    values = np.broadcast_to(path.f(tau0 + (np.arange(steps) + 0.5) * dt), steps).astype(float)
+    values = np.asarray(path.f(tau0 + (np.arange(steps) + 0.5) * dt))
+    if values.dtype.kind not in "biuf" or values.shape not in ((), (1,), (steps,)):
+        raise InputError(f"path coefficient f must give a real number per midpoint, a shape "
+                         f"({steps},) or () array, got {values.dtype} of shape {values.shape}")
+    values = np.broadcast_to(values, steps).astype(float)
     norm = [float(np.max(np.sum(np.abs(m.entries), axis=-1))) for m in (path.h0, path.x)]
     if not math.isfinite((tau1 - tau0) * (norm[0] + float(np.max(np.abs(values))) * norm[1])):
         raise InputError(f"non-finite path coefficient at a midpoint, or phase (tau1 - tau0)"

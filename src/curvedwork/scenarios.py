@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 from dataclasses import MISSING, dataclass, field, fields, asdict
@@ -56,11 +57,13 @@ DEFAULT_OSCILLATOR_DIM = 40
 # Size bounds: a dense complex U at MAX_DIM is 64 MB, and the others keep a run's
 # time and memory within what one machine has.
 MAX_DIM, MAX_STEPS, MAX_SAMPLES, MAX_CURVE_POINTS = 2048, 10 ** 6, 10 ** 7, 10 ** 5
+# Reported times per time_dilation call of a rescaled run: bounds the frame rows it holds
+Z_CHUNK = 2 ** 12
 
-# Field types: REAL is a finite number (an int or a float, not a bool) and
-# POSITIVE one above 0; a range holds an integer (not a bool or a float); a
-# tuple is the shape of an array of REALs, None marking any length; a class is
-# that class.  A top-level field whose default is None may be None (absent).
+# Field types: REAL is a finite number (a Python int or float, not a bool) and
+# POSITIVE one above 0; a range holds a Python int (not a bool); a tuple is the
+# shape of nested lists of REALs, None marking any length; a class is that class.
+# A top-level field whose default is None may be None (absent).
 REAL, POSITIVE = "a finite number", "a positive number"
 _FIELDS = {
     "scenario": str, "beta": POSITIVE, "system": dict, "geometry": dict,
@@ -94,14 +97,19 @@ def _require(cond, msg):
 
 
 def _reals(name: str, value, shape: tuple = ()) -> np.ndarray:
-    """`value` as a float array of `shape` (None: any length); ConfigError unless every
-    entry is an int or a float, not a bool, and finite within the float range."""
+    """`value` as a float array of `shape` (None: any length); ConfigError unless it is lists
+    or tuples nested to that depth, every entry an int or a float and not a bool, as in JSON,
+    and finite within the float range."""
     shown = str(tuple("n" if n is None else n for n in shape)).replace("'", "")
     must = f"{name} must be " + (f"an array of finite numbers of shape {shown}" if shape else REAL)
+    entries = [value]
+    for _ in shape:  # the lists or tuples of one depth, then their entries
+        _require(set(map(type, entries)) <= {list, tuple}, must)
+        entries = [*itertools.chain.from_iterable(entries)]
     arr = np.asarray(value, dtype=object)
     _require(arr.ndim == len(shape) and all(n in (None, k) for n, k in zip(shape, arr.shape))
-             and all(issubclass(t, (int, float, np.integer, np.floating)) and t is not bool
-                     for t in set(map(type, arr.flat))), must)
+             and all(issubclass(t, (int, float)) and t is not bool
+                     for t in set(map(type, entries))), must)
     try:
         arr = arr.astype(float)
     except OverflowError:  # an int beyond the float range
@@ -119,7 +127,7 @@ def _check_fields(block: str, values: dict, types: dict) -> None:
         if isinstance(kind, tuple):
             _reals(name, value, kind)
         elif isinstance(kind, range):
-            _require(isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            _require(isinstance(value, int) and not isinstance(value, bool)
                      and kind.start <= value < kind.stop,
                      f"{name} must be an integer from {kind.start} to {kind[-1]}")
         elif kind in (REAL, POSITIVE):
@@ -317,9 +325,13 @@ def _rescaled(config: ScenarioConfig, frame: FrameData, times):
     x_end = np.asarray(config.position, dtype=float)
     p_end = np.asarray(config.momentum, dtype=float)
     check_straight_line(frame, duration, x_end)
-    frac = np.asarray(times, dtype=float)[:, None] / duration
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is a non-finite z
-        zs = time_dilation(frame, FramePoint(tau=times, x=frac * x_end), frac * p_end, sysmass)
+    zs = np.empty(times.size)
+    for start in range(0, times.size, Z_CHUNK):
+        t = times[start:start + Z_CHUNK]
+        frac = t[:, None] / duration
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is a non-finite z
+            zs[start:start + t.size] = time_dilation(frame, FramePoint(tau=t, x=frac * x_end),
+                                                     frac * p_end, sysmass)
     if not np.all(np.isfinite(zs)):
         raise InputError("non-finite time-dilation factor on the trajectory")
     basis = EnergyBasis(np.linalg.eigvalsh(h.entries), np.eye(h.dim))
@@ -370,14 +382,10 @@ def _oscillator_protocol(config, frame):
     top = u.entries[dim - 2:]  # the diagonal of U rho0 U^dagger at the top two levels
     leak = float(np.real(np.sum((top @ rho0) * top.conj())))
     if leak > LEAKAGE_LIMIT:
-        raise ConvergenceError(
-            f"top-two-level population {leak:.3g} exceeds {LEAKAGE_LIMIT}; raise dim"
-        )
-    return path, b0, b0, u, {"oscillator": {
-        "dim": dim,
-        "truncation_leakage": leak,
-        "unitarity_defect": u.unitarity_defect,
-    }}
+        raise ConvergenceError(f"top-two-level population {leak:.3g} exceeds {LEAKAGE_LIMIT}; "
+                               "raise dim")
+    return path, b0, b0, u, {"oscillator": {"dim": dim, "truncation_leakage": leak,
+                                            "unitarity_defect": u.unitarity_defect}}
 
 
 def _desitter_outputs(config: ScenarioConfig, frame: FrameData, path: AffinePath, times):
@@ -436,12 +444,8 @@ def run_scenario(config: ScenarioConfig) -> RunArtifacts:
     if config.samples is not None:
         seed = 0 if config.seed is None else config.seed
         est, se = sample_work(fwd, config.beta, config.samples, seed)
-        metadata["sampling"] = {
-            "samples": config.samples,
-            "seed": seed,
-            "jarzynski_estimate": est,
-            "standard_error": se,
-        }
+        metadata["sampling"] = {"samples": config.samples, "seed": seed,
+                                "jarzynski_estimate": est, "standard_error": se}
     return RunArtifacts(report=report, forward=fwd, reverse=rev, curves=curves,
                         metadata=metadata)
 

@@ -261,17 +261,19 @@ class TestPropagator:
         with pytest.raises(InputError):
             propagator(constant_path(HermitianOperator(np.zeros((2, 2)))), 1.0, 0.0, 5)
 
-    @pytest.mark.parametrize("tau0, tau1, steps", [
-        (0.0, math.inf, 5), (-math.inf, 1.0, 5), (0.0, math.nan, 5),
-        (0.0, 1.0, 2.5), (0.0, 1.0, 3.0), (0.0, 1.0, True),
+    @pytest.mark.parametrize("tau0, tau1, steps, f, match", [
+        (0.0, math.inf, 5, 0.5, "tau1"), (-math.inf, 1.0, 5, 0.5, "tau1"),
+        (0.0, math.nan, 5, 0.5, "tau1"), (0.0, 1.0, 2.5, 0.5, "steps"),
+        (0.0, 1.0, 3.0, 0.5, "steps"), (0.0, 1.0, True, 0.5, "steps"),
+        (0.0, 1.0, 5, 0.5 + 0.1j, "coefficient f"), (0.0, 1.0, 5, np.ones(3), "coefficient f"),
     ], ids=["tau1-inf", "tau0-minus-inf", "tau1-nan", "steps-fraction", "steps-float",
-            "steps-bool"])
-    def test_bad_bounds_or_steps_are_input_errors(self, tau0, tau1, steps):
+            "steps-bool", "f-complex", "f-not-per-midpoint"])
+    def test_bad_bounds_or_steps_are_input_errors(self, tau0, tau1, steps, f, match):
         path = AffinePath(qho_hamiltonian(1.0, 1.0, 4), x_squared_matrix(1.0, 1.0, 4),
-                          lambda tau: 0.5)
+                          lambda tau: f)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(InputError):
+            with pytest.raises(InputError, match=match):
                 propagator(path, tau0, tau1, steps)
 
 

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ import curvedwork
 from curvedwork import quantum, scenarios
 from curvedwork.cli import main as cli_main
 from curvedwork.errors import ConfigError, ConvergenceError, InputError
-from curvedwork.frame import time_dilation
+from curvedwork.frame import FramePoint, time_dilation
 from curvedwork.quantum import EnergyBasis, qho_hamiltonian, x_squared_matrix
 from curvedwork.scenarios import (
     RunArtifacts,
@@ -181,6 +182,15 @@ class TestScenarioConfig:
             newtonian_config(duration=0.0)
         with pytest.raises(ConfigError):
             desitter_config(system={"kind": "oscillator", "mass": 1.0, "omega0": 1.0, "dim": 1})
+        # values that JSON cannot encode, the config hash being a JSON dump; np.float64 is a
+        # float, so it is one that JSON can
+        for bad in ({"position": np.array([0.5, 0.0, 0.0])}, {"beta": np.int64(1)},
+                    {"beta": np.float32(1.0)}, {"steps": np.int64(50)}):
+            with pytest.raises(ConfigError):
+                newtonian_config(**bad)
+        with pytest.raises(ConfigError):
+            desitter_config(position=np.zeros(3))
+        assert run_scenario(newtonian_config(beta=np.float64(2.0))).report.beta == 2.0
 
     def test_scenario_scope_rejected_at_construction(self):
         oscillator = {"kind": "oscillator", "mass": 1.0, "omega0": 1.0}
@@ -441,6 +451,26 @@ class TestRunCustom:
         for table in ("forward", "reverse", "curves"):
             assert ((tmp_path / "1" / f"{table}.csv").read_bytes()
                     == (tmp_path / "2000" / f"{table}.csv").read_bytes())
+
+    def test_rescaled_curve_memory_is_bounded(self, tmp_path, monkeypatch):
+        config = ScenarioConfig.from_dict({**shipped_configs(monkeypatch)["tables_two_level"],
+                                           "curve_points": scenarios.MAX_CURVE_POINTS})
+        tracemalloc.start()
+        try:
+            art = run_scenario(config)
+            art.write(tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
+        # z at the curve points, taken Z_CHUNK at a time, equals one call on the whole stack
+        times = art.curves["t"]
+        frac = times[:, None] / config.duration
+        whole = time_dilation(scenarios._frame(config),
+                              FramePoint(tau=times, x=frac * np.asarray(config.position)),
+                              frac * np.asarray(config.momentum), 1.0)
+        assert times.size > scenarios.Z_CHUNK
+        np.testing.assert_array_equal(art.curves["zfactor"], whole)
 
     def test_empty_tables_rejected(self):
         tables = uniform_gravity_tables()
