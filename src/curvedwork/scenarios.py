@@ -57,8 +57,7 @@ DEFAULT_OSCILLATOR_DIM = 40
 # Size bounds: a dense complex U at MAX_DIM is 64 MB, and the others keep a run's
 # time and memory within what one machine has.
 MAX_DIM, MAX_STEPS, MAX_SAMPLES, MAX_CURVE_POINTS = 2048, 10 ** 6, 10 ** 7, 10 ** 5
-# Reported times per time_dilation call of a rescaled run: bounds the frame rows it holds
-Z_CHUNK = 2 ** 12
+Z_CHUNK = 2 ** 12  # times per time_dilation call in a rescaled run: bounds the frame rows held
 
 # Field types: REAL is a finite number (a Python int or float, not a bool) and
 # POSITIVE one above 0; a range holds a Python int (not a bool); a tuple is the
@@ -101,7 +100,7 @@ def _reals(name: str, value, shape: tuple = ()) -> np.ndarray:
     or tuples nested to that depth, every entry an int or a float and not a bool, as in JSON,
     and finite within the float range."""
     shown = str(tuple("n" if n is None else n for n in shape)).replace("'", "")
-    must = f"{name} must be " + (f"an array of finite numbers of shape {shown}" if shape else REAL)
+    must = f"{name} must be " + (f"a list of finite numbers of shape {shown}" if shape else REAL)
     entries = [value]
     for _ in shape:  # the lists or tuples of one depth, then their entries
         _require(set(map(type, entries)) <= {list, tuple}, must)
@@ -382,8 +381,9 @@ def _oscillator_protocol(config, frame):
     top = u.entries[dim - 2:]  # the diagonal of U rho0 U^dagger at the top two levels
     leak = float(np.real(np.sum((top @ rho0) * top.conj())))
     if leak > LEAKAGE_LIMIT:
-        raise ConvergenceError(f"top-two-level population {leak:.3g} exceeds {LEAKAGE_LIMIT}; "
-                               "raise dim")
+        raise ConvergenceError(
+            f"top-two-level population {leak:.3g} exceeds {LEAKAGE_LIMIT}; raise dim"
+        )
     return path, b0, b0, u, {"oscillator": {"dim": dim, "truncation_leakage": leak,
                                             "unitarity_defect": u.unitarity_defect}}
 
