@@ -20,17 +20,15 @@ from .errors import InputError, NumericError
 
 HERMITICITY_TOL = 1e-12
 UNITARITY_TOL = 1e-9
-# Matrix entries per stack of midpoint Hamiltonians handed to one batched Taylor factor
-# call, whose degree and squarings follow the stack's largest ||H dt||_inf (see
-# propagator); bounds the dense propagator's working memory whatever the dimension or
-# step count.
+# Matrix entries of the step factors a block forms by one real product, where a run's
+# node count is fewer (see _block_product): on small blocks m factors are too little work.
 DENSE_BATCH_ENTRIES = 2 ** 12
 # |omega h| below which a first-order amplitude segment takes the Taylor series of
 # its weights, and the series' term count: the direct formulas cancel as omega h -> 0.
 SERIES_SWITCH = 0.5
 SERIES_TERMS = 16
-NODE_TOL = 1e-16  # bound on the interpolation or truncation error of a step factor
-NODE_ENTRIES = 2 ** 22  # complex entries of a sector's node factors (64 MB): bounds its runs
+NODE_TOL = 1e-16  # bound on the interpolation error of a step factor
+NODE_ENTRIES = 2 ** 22  # complex entries of a block's node factors (64 MB): bounds its runs
 
 
 def _check_hermitian(m: np.ndarray) -> None:
@@ -245,43 +243,6 @@ def _exp_factor(w, v, t):
     return (v * np.exp(-1j * w * t)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
 
 
-def _taylor_terms(norm: float) -> tuple[int, int]:
-    """Halvings s that bring r = norm / 2^s to at most 1/2, and the fewest Taylor terms m
-    whose remainder bound e^r r^(m+1) / (m+1)! is at most NODE_TOL."""
-    halvings = 0
-    while norm > 0.5:
-        norm, halvings = norm / 2, halvings + 1
-    degree, bound = 0, math.exp(norm) * norm
-    while bound > NODE_TOL:
-        degree += 1
-        bound *= norm / (degree + 1)
-    return halvings, degree
-
-
-def _taylor_factors(stack: np.ndarray, dt: float) -> np.ndarray:
-    """exp(-i H dt) for each Hermitian H in `stack` (..., d, d): the degree-m Taylor
-    polynomial of exp(-i a) at a = H dt / 2^s, squared s times, with (s, m) from
-    `_taylor_terms` at the largest ||H dt||_inf in the stack.  The polynomial is
-    c - i s, its cosine part c = sum_j (-1)^j b^j / (2j)! and its sine part
-    s = a sum_j (-1)^j b^j / (2j+1)! over the terms up to a^m, each by Horner in
-    b = a^2: m + 1 products, all real for a real stack; a complex stack takes the
-    same operations in complex arithmetic."""
-    a = stack * dt
-    halvings, degree = _taylor_terms(float(np.max(np.sum(np.abs(a), axis=-1))))
-    a *= 0.5 ** halvings
-    eye = np.eye(a.shape[-1])
-    b = a @ a
-    c = s = eye
-    for k in range(degree // 2, 0, -1):
-        c = eye - b @ c * (1 / ((2 * k - 1) * 2 * k))
-    for k in range((degree - 1) // 2, 0, -1):
-        s = eye - b @ s * (1 / (2 * k * (2 * k + 1)))
-    p = c - 1j * (a @ s)
-    for _ in range(halvings):
-        p = p @ p
-    return p
-
-
 def _parity_sectors(h0: np.ndarray, x: np.ndarray):
     """Per-parity real blocks of h0 and x, or None unless the path is parity-banded.
 
@@ -302,10 +263,12 @@ def _parity_sectors(h0: np.ndarray, x: np.ndarray):
     return tuple(sectors)
 
 
-def _sector_eigh(sector, values):
-    """Eigenpairs of the sector's block of h0 + f x at f = `values`, a scalar or a 1-d stack."""
-    _, a, b = sector
-    return np.linalg.eigh(a + np.multiply.outer(values, b))
+def _block_eigh(h0, x, values):
+    """Eigenpairs of h0 + f x at f = `values`, a scalar or a 1-d stack, each matrix checked
+    Hermitian; h0 and x are one block, a matrix or a stack of them (..., d, d)."""
+    stack = h0 + np.multiply.outer(values, x)
+    _check_hermitian(stack)
+    return np.linalg.eigh(stack)
 
 
 @dataclass(frozen=True)
@@ -338,94 +301,72 @@ class AffinePath:
         if self.sectors is None:
             raise InputError("spectrum needs a parity-banded path")
         w, v = np.empty(0), np.zeros((self.h0.dim, self.h0.dim))
-        for sector in self.sectors:
-            ws, vs = _sector_eigh(sector, value)
-            v[sector[0], w.size:w.size + ws.size] = vs
+        for idx, a, b in self.sectors:
+            ws, vs = _block_eigh(a, b, value)
+            v[idx, w.size:w.size + ws.size] = vs
             w = np.concatenate((w, ws))
         order = np.argsort(w, kind="stable")
         return EnergyBasis(w[order], v[:, order])
 
 
-def _dense_product(path: AffinePath, values, dt):
-    """Midpoint product over checked stacks of <= DENSE_BATCH_ENTRIES entries, one
-    `_taylor_factors` call each, in real arithmetic when h0 and x are real; on a stack of
-    paths the entries count the whole stack, and a step is one batched matmul."""
-    h0, x = path.h0.entries, path.x.entries
-    if not (np.any(h0.imag) or np.any(x.imag)):
-        h0, x = h0.real, x.real
-    u = np.broadcast_to(np.eye(path.h0.dim, dtype=complex), h0.shape)
-    size = max(1, DENSE_BATCH_ENTRIES // h0.size)
-    for start in range(0, values.size, size):
-        stack = h0 + values[start:start + size].reshape(-1, *(1,) * h0.ndim) * x
-        _check_hermitian(stack)
-        for factor in _taylor_factors(stack, dt):
-            u = factor @ u
-    return u
-
-
-def _parity_product(path: AffinePath, values, dt):
-    """Midpoint product per parity sector, from step factors interpolated in f run by run:
-    e^(i mu dt) exp(-i H(f) dt) - 1 = V diag(e^(-i (w - mu) dt) - 1) V^T at the fewest Chebyshev
-    nodes m whose error bound 2 (rho/2)^m / m! is within NODE_TOL, since the m-th f-derivative
-    of the factor is at most (dt ||x||)^m; rho = dt ||x|| (max f - min f) / 2 over the run."""
-    u = np.zeros((path.h0.dim, path.h0.dim), dtype=complex)
-    for sector in path.sectors:
-        idx, _, x = sector
-        block = np.eye(idx.size, dtype=complex)
-        run = max(1, min(NODE_ENTRIES // idx.size ** 2, math.isqrt(NODE_ENTRIES)))
-        for vals in (values[start:start + run] for start in range(0, values.size, run)):
-            lo, hi = float(vals.min()), float(vals.max())
-            if lo == hi:  # the factors commute
-                block = _exp_factor(*_sector_eigh(sector, lo), vals.size * dt) @ block
-                continue
-            rho = dt * (hi - lo) / 2 * float(np.max(np.sum(np.abs(x), axis=1)))
-            m, bound = 1, rho
-            while bound > NODE_TOL and m < vals.size:
-                m, bound = m + 1, bound * rho / (2 * m + 2)
-            nodes, weights = vals, np.eye(vals.size)  # where m reaches the run's length
-            if m < vals.size:  # weights sum_k c_k T_k(s) T_k(s_j) of the interpolant on [-1, 1]
-                k = np.arange(m)
-                angles = (k + 0.5) * np.pi / m
-                s = np.clip((2 * vals - lo - hi) / (hi - lo), -1.0, 1.0)
-                weights = np.cos(np.outer(np.arccos(s), k)) @ (np.cos(np.outer(k, angles))
-                                                             * np.where(k, 2 / m, 1 / m)[:, None])
-                nodes = (lo + hi) / 2 + (hi - lo) / 2 * np.cos(angles)
-            w, v = _sector_eigh(sector, nodes)
-            mu = (w.min() + w.max()) / 2
-            bracket = np.expm1(-1j * (w - mu) * dt)  # as -2 sin^2(t/2) - i sin t: no cancellation
-            d = ((v * bracket[:, None, :]) @ v.transpose(0, 2, 1)).reshape(nodes.size, -1)
-            d = d.view(float)  # the real weights times (re, im) pairs: one real product
-            # m factors per product, no more than the node stack holds, or on small sectors
-            # DENSE_BATCH_ENTRIES entries, where m factors are too little work per call
-            chunk = max(nodes.size, DENSE_BATCH_ENTRIES // x.size)
-            for start in range(0, vals.size, chunk):
-                factors = (weights[start:start + chunk] @ d).view(complex)
-                for factor in factors.reshape(-1, *x.shape):
-                    block += factor @ block
-            block *= np.exp(-1j * mu * vals.size * dt)
-        u[np.ix_(idx, idx)] = block
-    return u
+def _block_product(h0, x, values, dt):
+    """Midpoint product of one block h0 + f x, a matrix or a stack (..., d, d), from step
+    factors interpolated in f run by run: e^(i mu dt) exp(-i H(f) dt) - 1 =
+    V diag(e^(-i (w - mu) dt) - 1) V^dagger at the fewest Chebyshev nodes m whose error bound
+    2 (rho/2)^m / m! is within NODE_TOL, since the m-th f-derivative of the factor is at most
+    (dt ||x||)^m; rho = dt ||x|| (max f - min f) / 2 over the run, ||x|| the largest in the
+    stack, and mu the middle of each matrix's node spectra."""
+    block = np.array(np.broadcast_to(np.eye(x.shape[-1], dtype=complex), x.shape))
+    run = max(1, min(NODE_ENTRIES // x.size, math.isqrt(NODE_ENTRIES)))
+    norm = float(np.max(np.sum(np.abs(x), axis=-1)))
+    for vals in (values[start:start + run] for start in range(0, values.size, run)):
+        lo, hi = float(vals.min()), float(vals.max())
+        if lo == hi:  # the factors commute
+            block = _exp_factor(*_block_eigh(h0, x, lo), vals.size * dt) @ block
+            continue
+        rho = dt * (hi - lo) / 2 * norm
+        m, bound = 1, rho
+        while bound > NODE_TOL and m < vals.size:
+            m, bound = m + 1, bound * rho / (2 * m + 2)
+        nodes, weights = vals, None  # where m reaches the run's length: no interpolation
+        if m < vals.size:  # weights sum_k c_k T_k(s) T_k(s_j) of the interpolant on [-1, 1]
+            k = np.arange(m)
+            angles = (k + 0.5) * np.pi / m
+            s = np.clip((2 * vals - lo - hi) / (hi - lo), -1.0, 1.0)
+            weights = np.cos(np.outer(np.arccos(s), k)) @ (np.cos(np.outer(k, angles))
+                                                         * np.where(k, 2 / m, 1 / m)[:, None])
+            nodes = (lo + hi) / 2 + (hi - lo) / 2 * np.cos(angles)
+        w, v = _block_eigh(h0, x, nodes)
+        mu = (w.min(axis=(0, -1)) + w.max(axis=(0, -1))) / 2
+        # as -2 sin^2(t/2) - i sin t: no cancellation
+        bracket = np.expm1(-1j * (w - mu[..., None]) * dt)
+        d = (v * bracket[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
+        d = d.reshape(nodes.size, -1).view(float)  # the real weights times (re, im) pairs
+        # m factors per product, no more than the node stack holds, or on small blocks
+        # DENSE_BATCH_ENTRIES entries, where m factors are too little work per call
+        chunk = max(nodes.size, DENSE_BATCH_ENTRIES // x.size)
+        for start in range(0, vals.size, chunk):
+            rows = slice(start, start + chunk)
+            factors = (d[rows] if weights is None else weights[rows] @ d).view(complex)
+            for factor in factors.reshape(-1, *x.shape):
+                block += factor @ block
+        block *= np.exp(-1j * mu * vals.size * dt)[..., None, None]
+    return block
 
 
 def propagator(path: AffinePath, tau0: float, tau1: float, steps: int) -> UnitaryOperator:
     """Time-ordered propagator of H(tau) = h0 + f(tau) x by the midpoint exponential-product rule.
 
-    U = prod_j exp(-i H(tau_j + dt/2) dt) applied right to left, global error O(dt^2);
-    each factor comes from an eigendecomposition, or from an interpolant or a Taylor
-    polynomial whose error bound is NODE_TOL.  f is called once, on the array of the
-    midpoints, and the structure of the path picks the solver.  A parity-banded path takes
-    real eigendecompositions per parity sector at a few Chebyshev nodes of f's range, and
-    interpolates each step factor between them, or one solve per sector in all when f
-    is equal at every midpoint.  Any other path, and any stack of paths, takes dense
-    factors from a truncated Taylor polynomial, one batched call per stack of
-    DENSE_BATCH_ENTRIES matrix entries, and returns a stack of the same shape: the
-    stack's largest r = ||H dt||_inf is halved s times to at most 1/2, the degree m is
-    the least with e^r r^(m+1) / (m+1)! <= NODE_TOL, and the polynomial is squared s
-    times; a real path keeps every product but the squarings real.  No np.linalg.eigh
-    call is made there.  The squarings make it slower than eigh at large r: at r = 200,
-    on 1 BLAS thread, 1.3x for a 200 x 200 matrix and 3x for a stack of 1024 2 x 2 ones.
-    An f that is complex or does not broadcast to the midpoints is an InputError, and a
-    result that is not unitary is a NumericError: the input was a checked path.
+    U = prod_j exp(-i H(tau_j + dt/2) dt) applied right to left, global error O(dt^2).
+    f is called once, on the array of the midpoints.  The path is one block, or two: a
+    single parity-banded path is its two real parity sectors, and any other path, complex
+    or a stack, is one block, real when h0 and x are, and returns a stack of its shape.
+    Each block takes eigendecompositions at a few Chebyshev nodes of f's range, or at
+    every midpoint where the interpolation bound asks for as many, and interpolates each
+    step factor between them within NODE_TOL; it takes one solve in all when f is equal at
+    every midpoint.  An f that is complex or does not broadcast to the midpoints is an
+    InputError, and a result that is not unitary is a NumericError: the input was a
+    checked path.
     """
     if not isinstance(path, AffinePath):
         raise InputError(f"propagator needs an AffinePath, got {type(path).__name__}")
@@ -444,9 +385,13 @@ def propagator(path: AffinePath, tau0: float, tau1: float, steps: int) -> Unitar
         raise InputError(f"non-finite path coefficient at a midpoint, or phase (tau1 - tau0)"
                          f"(||h0|| + max|f| ||x||) past the float range, on [{tau0}, {tau1}]")
     if path.sectors is not None:
-        u = _parity_product(path, values, dt)
+        u = np.zeros((path.h0.dim, path.h0.dim), dtype=complex)
+        for idx, h0, x in path.sectors:
+            u[np.ix_(idx, idx)] = _block_product(h0, x, values, dt)
     else:
-        u = _dense_product(path, values, dt)
+        h0, x = path.h0.entries, path.x.entries
+        real = not (np.any(h0.imag) or np.any(x.imag))
+        u = _block_product(h0.real if real else h0, x.real if real else x, values, dt)
     try:
         return UnitaryOperator(u)
     except InputError as exc:  # the path was checked, so the fault is the program's

@@ -57,7 +57,7 @@ DEFAULT_OSCILLATOR_DIM = 40
 # Size bounds: a dense complex U at MAX_DIM is 64 MB, and the others keep a run's
 # time and memory within what one machine has.
 MAX_DIM, MAX_STEPS, MAX_SAMPLES, MAX_CURVE_POINTS = 2048, 10 ** 6, 10 ** 7, 10 ** 5
-Z_CHUNK = 2 ** 12  # times per time_dilation call in a rescaled run: bounds the frame rows held
+Z_CHUNK = 2 ** 12  # times per frame read along a curve: bounds the frame rows held
 
 # Field types: REAL is a finite number (a Python int or float, not a bool) and
 # POSITIVE one above 0; a range holds a Python int (not a bool); a tuple is the
@@ -260,12 +260,15 @@ def _protocol_outputs(b_init, b_final, u, config):
         raise NumericError(f"e^(-beta delta_F) overflows the float range: beta delta_F = "
                            f"{beta * df:.6g}") from None
     residual = crooks_check(fwd, rev, beta, df)
-    mw = mean_work(fwd)
+    mw, lhs = mean_work(fwd), jarzynski_average(fwd, beta)
+    if not abs(lhs - zratio) <= 1e-10 * zratio:  # A2's tolerance, relative here
+        raise NumericError(f"Jarzynski relation broken: <e^(-beta W)> = {lhs:.17g} against "
+                           f"e^(-beta delta_F) = {zratio:.17g}")
     report = ProtocolReport(
         beta=config.beta,
         delta_F=df,
         mean_work=mw,
-        jarzynski_lhs=jarzynski_average(fwd, beta),
+        jarzynski_lhs=lhs,
         jarzynski_rhs=zratio,
         crooks_max_residual=residual,
         entropy_production=beta * (mw - df),
@@ -309,6 +312,14 @@ def _frame_from_tables(tables: dict, tolerances: dict) -> FrameData:
     return frame
 
 
+def _in_chunks(fn, times):
+    """fn on `times` Z_CHUNK at a time into one float array: bounds the frame rows held."""
+    out = np.empty(times.size)
+    for start in range(0, times.size, Z_CHUNK):
+        out[start:start + Z_CHUNK] = fn(times[start:start + Z_CHUNK])
+    return out
+
+
 def _rescaled(config: ScenarioConfig, frame: FrameData, times):
     """Quench z_0 h -> z_T h of the two_level or matrix system h, z(tau) the time dilation on
     the straight line from rest at the origin to the configured position and momentum at the end.
@@ -324,13 +335,13 @@ def _rescaled(config: ScenarioConfig, frame: FrameData, times):
     x_end = np.asarray(config.position, dtype=float)
     p_end = np.asarray(config.momentum, dtype=float)
     check_straight_line(frame, duration, x_end)
-    zs = np.empty(times.size)
-    for start in range(0, times.size, Z_CHUNK):
-        t = times[start:start + Z_CHUNK]
+
+    def z(t):
         frac = t[:, None] / duration
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is a non-finite z
-            zs[start:start + t.size] = time_dilation(frame, FramePoint(tau=t, x=frac * x_end),
-                                                     frac * p_end, sysmass)
+        return time_dilation(frame, FramePoint(tau=t, x=frac * x_end), frac * p_end, sysmass)
+
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is a non-finite z
+        zs = _in_chunks(z, times)
     if not np.all(np.isfinite(zs)):
         raise InputError("non-finite time-dilation factor on the trajectory")
     basis = EnergyBasis(np.linalg.eigvalsh(h.entries), np.eye(h.dim))
@@ -429,7 +440,8 @@ def run_scenario(config: ScenarioConfig) -> RunArtifacts:
             extra, curves = _desitter_outputs(config, frame, path, times)
             blocks.update(extra)
         else:
-            curves = {"t": times, "curvature_tt": frame.at(times)[1][:, 0, 0]}
+            curves = {"t": times,
+                      "curvature_tt": _in_chunks(lambda t: frame.at(t)[1][:, 0, 0], times)}
     else:  # newtonian reports z at the two ends only
         newtonian = config.scenario == "newtonian"
         b_init, b_final, u, zs = _rescaled(config, frame, times[[0, -1]] if newtonian else times)

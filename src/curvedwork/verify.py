@@ -180,7 +180,7 @@ def criterion_perturbation_vs_propagator(level="full"):
     peak_mask = formula >= 0.5 * float(np.max(formula))
     rel_err = float(np.max(np.abs(exact[peak_mask] - formula[peak_mask])
                            / formula[peak_mask]))
-    # propagator's parity-sector product against its dense one, which a stack of one path takes
+    # propagator's two parity sectors against the one whole block a stack of one path takes
     driven = _oscillator(mass, omega0, dim, lambda tau: 0.05 * np.sin(2.0 * tau))
     dense = AffinePath(*(HermitianOperator(m.entries[None]) for m in (driven.h0, driven.x)),
                        driven.f)

@@ -1,7 +1,7 @@
-"""Property tests of the propagator: unitarity of every solver the path shape selects,
-the node rule of the parity-sector product, the Taylor step factors of the dense
-product, parity selection in the curvature-driven oscillator, and stacks of paths
-against their single paths."""
+"""Property tests of the propagator: unitarity of every path shape, the node rule of the
+block product on parity sectors and on stacks, the one block of a non-banded, complex or
+stacked path against per-step eigendecompositions, parity selection in the
+curvature-driven oscillator, and stacks of paths against their single paths."""
 
 import math
 
@@ -114,13 +114,13 @@ def ramps(draw, wide):
 def test_node_rule_and_accuracy_on_random_banded_ramps(wide, data):
     path, duration, steps = data.draw(ramps(wide))
     solves = []
-    sector_eigh = quantum._sector_eigh
-    quantum._sector_eigh = lambda sector, values: (solves.append(np.size(values))
-                                                   or sector_eigh(sector, values))
+    block_eigh = quantum._block_eigh
+    quantum._block_eigh = lambda h0, x, values: (solves.append(np.size(values))
+                                                 or block_eigh(h0, x, values))
     try:
         u = propagator(path, 0.0, duration, steps).entries
     finally:
-        quantum._sector_eigh = sector_eigh
+        quantum._block_eigh = block_eigh
     # per sector the least m with 2 (rho/2)^m / m! <= NODE_TOL, at most the step count
     dt = duration / steps
     spread = dt * abs(path.f((steps - 0.5) * dt) - path.f(0.5 * dt)) / 2
@@ -224,74 +224,72 @@ def test_stack_with_one_non_hermitian_member_is_an_input_error(protocol, data):
         propagator(amplified, tau0, tau1, steps)
 
 
+def node_count(rho, run):
+    """The least m with 2 (rho/2)^m / m! <= NODE_TOL, at most the run's length."""
+    m = 1
+    while 2 * (rho / 2) ** m / math.factorial(m) > quantum.NODE_TOL and m < run:
+        m += 1
+    return m
+
+
 @PROPERTY_SETTINGS
-@given(stacks(), st.integers(1, 300))
-def test_stacked_taylor_calls_follow_the_whole_stack_bound(protocol, entries):
+@given(stacks(), st.integers(1, 2000))
+def test_stacked_node_solves_are_one_eigh_call_per_run(protocol, entries):
+    # NODE_ENTRIES cuts the steps into runs; each run solves its m nodes in one call on the
+    # (m, n, d, d) stack, or the whole stack once where f is equal over the run
     path, tau0, tau1, steps = protocol
-    calls, eigh_calls = [], []
-    taylor_factors, eigh = quantum._taylor_factors, np.linalg.eigh
+    calls, eigh = [], np.linalg.eigh
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(quantum, "DENSE_BATCH_ENTRIES", entries)
-        mp.setattr(quantum, "_taylor_factors",
-                   lambda stack, dt: calls.append(stack) or taylor_factors(stack, dt))
-        mp.setattr(np.linalg, "eigh", lambda m: eigh_calls.append(m.shape) or eigh(m))
+        mp.setattr(quantum, "NODE_ENTRIES", entries)
+        mp.setattr(np.linalg, "eigh", lambda m: calls.append(m.shape) or eigh(m))
         u = propagator(path, tau0, tau1, steps)
-    per_call = max(1, entries // path.h0.entries.size)
-    assert len(calls) == -(-steps // per_call)
-    assert all(stack.shape[1:] == path.h0.entries.shape for stack in calls)
-    assert sum(stack.shape[0] for stack in calls) == steps
-    assert eigh_calls == []
-    # a real path's stacks are real, so their polynomials run in real arithmetic
-    real = not (np.any(path.h0.entries.imag) or np.any(path.x.entries.imag))
-    assert all(np.iscomplexobj(stack) != real for stack in calls)
+    shape, dt = path.x.entries.shape, (tau1 - tau0) / steps
+    values = np.broadcast_to(path.f(tau0 + (np.arange(steps) + 0.5) * dt), steps)
+    run = max(1, min(entries // path.x.entries.size, math.isqrt(entries)))
+    norm = float(np.max(np.sum(np.abs(path.x.entries), axis=-1)))
+    expected = []
+    for start in range(0, steps, run):
+        lo, hi = float(values[start:start + run].min()), float(values[start:start + run].max())
+        size = values[start:start + run].size
+        expected.append(shape if lo == hi else (node_count(dt * (hi - lo) / 2 * norm, size),
+                                                *shape))
+    assert calls == expected
     assert u.unitarity_defect < 1e-12
 
 
 @st.composite
-def hermitian_stacks(draw):
-    """A stack of 1-3 Hermitian matrices of one dim (1-40), real or complex, and a step dt
-    that brings the stack's largest ||H dt||_inf to r in [0, 200]; at r = 0 the stack is zero."""
-    size, dim = draw(st.integers(1, 3)), draw(st.integers(1, 40))
+def scaled_paths(draw):
+    """A non-banded real path, a complex Hermitian path or a stack of 1-3 paths of either
+    kind, of dim 2-40, with a window and 1-30 steps, scaled so that the largest
+    r = ||H_j dt||_inf over the midpoint Hamiltonians H_j is a draw in [0.01, 200]."""
+    kind = draw(st.sampled_from(["real", "complex", "stack"]))
+    dim = draw(st.integers(2, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    m = rng.normal(size=(size, dim, dim))
-    if draw(st.booleans()):
-        m = m + 1j * rng.normal(size=(size, dim, dim))
-    h = 0.5 * (m + np.swapaxes(m.conj(), -1, -2))
-    r = draw(st.floats(0.0, 200.0))
-    if r == 0.0:
-        return np.zeros_like(h), draw(st.floats(0.01, 10.0))
-    return h, r / float(np.max(np.sum(np.abs(h), axis=-1)))
+    complex_entries = kind == "complex" or (kind == "stack" and draw(st.booleans()))
+    stack = (draw(st.integers(1, 3)),) if kind == "stack" else ()
+    h0, x = (np.reshape([hermitian(rng, dim, complex_entries).entries
+                         for _ in range(math.prod(stack))], (*stack, dim, dim))
+             for _ in range(2))
+    f = drive(draw(st.floats(0.0, 5.0)), draw(st.floats(0.0, 10.0)), draw(st.floats(0.0, 6.3)))
+    tau0 = draw(st.floats(-3.0, 3.0))
+    tau1, steps = tau0 + draw(st.floats(0.01, 5.0)), draw(st.integers(1, 30))
+    dt = (tau1 - tau0) / steps
+    values = np.broadcast_to(f(tau0 + (np.arange(steps) + 0.5) * dt), steps)
+    r0 = max(float(np.max(np.sum(np.abs((h0 + v * x) * dt), axis=-1))) for v in values)
+    scale = draw(st.floats(0.01, 200.0)) / r0
+    path = AffinePath(HermitianOperator(scale * h0), HermitianOperator(scale * x), f)
+    assert path.sectors is None
+    return path, tau0, tau1, steps
 
 
 @PROPERTY_SETTINGS
-@given(hermitian_stacks())
-def test_taylor_factors_match_eigh_factors(sample):
-    h, dt = sample
-    norms = []
-    taylor_terms = quantum._taylor_terms
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(quantum, "_taylor_terms", lambda norm: norms.append(norm) or taylor_terms(norm))
-        u = quantum._taylor_factors(h, dt)
-    r = float(np.max(np.sum(np.abs(h * dt), axis=-1)))
-    assert norms == [r]
-    assert u.shape == h.shape and np.iscomplexobj(u)
-    # both are exact to a few r eps; at r = 200 the eigh factor itself is off by up to
-    # 1.7e-13 from a 40-digit exponential, so the bound grows past 1e-13 beyond r = 50
-    np.testing.assert_allclose(u, quantum._exp_factor(*np.linalg.eigh(h), dt),
-                               rtol=0, atol=max(1e-13, 2e-15 * r))
-    if not np.iscomplexobj(h):
-        # the same operations in real and in complex arithmetic up to the squarings,
-        # and the same complex squarings after them, each of which doubles a gap
-        halvings = taylor_terms(r)[0]
-        np.testing.assert_allclose(quantum._taylor_factors(h.astype(complex), dt), u,
-                                   rtol=0, atol=1e-15 * 2 ** halvings)
-
-
-@PROPERTY_SETTINGS
-@given(st.floats(0.0, 1e4))
-def test_taylor_terms_are_the_fewest_within_node_tol(norm):
-    halvings, m = quantum._taylor_terms(norm)
-    r = norm / 2 ** halvings
-    assert r <= 0.5 and (halvings == 0 or 2 * r > 0.5)
-    assert math.exp(r) * r ** (m + 1) / math.factorial(m + 1) <= quantum.NODE_TOL
-    assert math.exp(r) * r ** m / math.factorial(m) > quantum.NODE_TOL
+@given(scaled_paths())
+def test_one_block_matches_per_step_eigh_factors(protocol):
+    path, tau0, tau1, steps = protocol
+    u = propagator(path, tau0, tau1, steps).entries
+    dt = (tau1 - tau0) / steps
+    expected = np.broadcast_to(np.eye(path.h0.dim, dtype=complex), u.shape)
+    for v in np.broadcast_to(path.f(tau0 + (np.arange(steps) + 0.5) * dt), steps):
+        h = path.h0.entries + v * path.x.entries
+        expected = quantum._exp_factor(*np.linalg.eigh(h), dt) @ expected
+    np.testing.assert_allclose(u, expected, rtol=0, atol=1e-12)

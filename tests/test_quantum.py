@@ -228,7 +228,7 @@ class TestPropagator:
             calls.append(tau)
             return np.sin(tau)
 
-        # x on diagonals +-1 couples the parities, so the path takes the dense route
+        # x on diagonals +-1 couples the parities, so the path is one whole block
         x = x_squared_matrix(1.0, 1.0, 6) if banded else HermitianOperator(
             np.diag(np.ones(5), 1) + np.diag(np.ones(5), -1))
         propagator(AffinePath(qho_hamiltonian(1.0, 1.0, 6), x, f), 0.2, 1.4, 12)
@@ -248,8 +248,8 @@ class TestPropagator:
     @pytest.mark.parametrize("stack", [(), (4,)], ids=["single", "stacked"])
     def test_non_unitary_result_is_a_numeric_error(self, stack, monkeypatch):
         # the path is checked input, so a product that is not unitary is a program fault
-        monkeypatch.setattr(quantum, "_dense_product", lambda path, values, dt: np.broadcast_to(
-            1.01 * np.eye(path.h0.dim), path.h0.entries.shape))
+        monkeypatch.setattr(quantum, "_block_product", lambda h0, x, values, dt: np.broadcast_to(
+            1.01 * np.eye(x.shape[-1]), x.shape))
         rng = np.random.default_rng(5)
         a, b = rng.normal(size=(2, *stack, 3, 3))
         path = AffinePath(HermitianOperator(a + np.swapaxes(a, -1, -2)),

@@ -472,6 +472,23 @@ class TestRunCustom:
         assert times.size > scenarios.Z_CHUNK
         np.testing.assert_array_equal(art.curves["zfactor"], whole)
 
+    def test_oscillator_curve_memory_is_bounded(self, tmp_path):
+        config = ScenarioConfig.from_dict({**ci_configs()["ci-oscillator"],
+                                           "curve_points": scenarios.MAX_CURVE_POINTS})
+        tracemalloc.start()
+        try:
+            art = run_scenario(config)
+            art.write(tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
+        # the curvature column, read Z_CHUNK times at a time, equals one read of every time
+        times = art.curves["t"]
+        assert times.size > scenarios.Z_CHUNK
+        np.testing.assert_array_equal(art.curves["curvature_tt"],
+                                      scenarios._frame(config).at(times)[1][:, 0, 0])
+
     def test_empty_tables_rejected(self):
         tables = uniform_gravity_tables()
         tables["tau"] = []
@@ -735,11 +752,17 @@ class TestCli:
     @pytest.mark.parametrize("run, key", [("ci-newtonian", "duration"), ("ci-desitter", "beta")])
     def test_integer_past_int64_runs_as_its_float(self, tmp_path, capsys, run, key):
         # an int past 2^63 made object arrays: a ZeroDivisionError in the straight-line guard
-        # (duration) or a TypeError in jarzynski_average (beta)
+        # (duration) or a TypeError in jarzynski_average (beta); at beta 2^64 <e^(-beta W)>
+        # is 1.1e-9 off e^(-beta delta_F), so the int and the float end in one numeric error
         outputs = []
         for value in (2 ** 64, float(2 ** 64)):
             data = {**ci_configs()[run], key: value}
             rc, err = self.stderr_of(tmp_path, capsys, data)
+            if key == "beta":
+                assert rc == 2 and len(err) == 1, err
+                assert err[0].startswith("numeric error: Jarzynski relation broken")
+                outputs.append(err)
+                continue
             assert rc == 0 and err == [], err
             payload = json.loads((tmp_path / "o" / "report.json").read_text())
             # the config hash keeps the value as written
@@ -749,6 +772,17 @@ class TestCli:
             outputs.append([payload] + [(tmp_path / "o" / f"{table}.csv").read_bytes()
                                         for table in ("forward", "reverse", "curves")])
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_broken_jarzynski_relation_is_one_numeric_error_line(self, tmp_path, capsys):
+        # at beta 1e19 <e^(-beta W)> read 0.998893 against e^(-beta delta_F) = 1, and the run
+        # wrote that report with an entropy production of 2.2e16
+        data = {**ci_configs()["ci-desitter"], "beta": 1e19, "geometry": {"hubble": 0.3}}
+        rc, err = self.stderr_of(tmp_path, capsys, data)
+        assert rc == 2 and len(err) == 1, err
+        assert err[0].startswith("numeric error: Jarzynski relation broken: "
+                                 "<e^(-beta W)> = 0.99889")
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_propagation_past_the_float_range_is_one_error_line(self, tmp_path, capsys):
@@ -884,8 +918,8 @@ class TestCli:
     def test_non_unitary_propagator_is_one_numeric_error_line(self, tmp_path, capsys,
                                                               monkeypatch):
         # a faulty solver is a program fault (exit 2), not bad input (exit 1)
-        monkeypatch.setattr(quantum, "_parity_product",
-                            lambda path, values, dt: 1.01 * np.eye(path.h0.dim))
+        monkeypatch.setattr(quantum, "_block_product",
+                            lambda h0, x, values, dt: 1.01 * np.eye(x.shape[-1]))
         path = self.write_config(tmp_path, desitter_config())
         rc = cli_main(["desitter", "--config", str(path), "--out", str(tmp_path / "o")])
         assert rc == 2

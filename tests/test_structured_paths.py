@@ -174,22 +174,22 @@ def per_step_parity_loop(path, tau0, tau1, steps):
     """The parity-banded midpoint product with one exp(-i H dt) factor per sector and step."""
     dt = (tau1 - tau0) / steps
     u = np.zeros((path.h0.dim, path.h0.dim), dtype=complex)
-    for sector in path.sectors:
-        block = np.eye(sector[0].size, dtype=complex)
+    for idx, h0, x in path.sectors:
+        block = np.eye(idx.size, dtype=complex)
         for j in range(steps):
-            w, v = quantum._sector_eigh(sector, path.f(tau0 + (j + 0.5) * dt))
+            w, v = quantum._block_eigh(h0, x, path.f(tau0 + (j + 0.5) * dt))
             block = quantum._exp_factor(w, v, dt) @ block
-        u[np.ix_(sector[0], sector[0])] = block
+        u[np.ix_(idx, idx)] = block
     return u
 
 
 def count_node_solves(monkeypatch):
-    """Patch quantum._sector_eigh to record the number of f values each call solves at."""
+    """Patch quantum._block_eigh to record the number of f values each call solves at."""
     solves = []
-    sector_eigh = quantum._sector_eigh
-    monkeypatch.setattr(quantum, "_sector_eigh",
-                        lambda sector, values: solves.append(np.size(values))
-                        or sector_eigh(sector, values))
+    block_eigh = quantum._block_eigh
+    monkeypatch.setattr(quantum, "_block_eigh",
+                        lambda h0, x, values: solves.append(np.size(values))
+                        or block_eigh(h0, x, values))
     return solves
 
 
@@ -300,20 +300,22 @@ def test_batched_dense_product_matches_reference_loop(dim, steps, per_batch, mon
     np.testing.assert_allclose(u, reference_loop(path, 0.1, 2.3, steps), rtol=0, atol=1e-14)
 
 
-@pytest.mark.parametrize("kind, solver", [
-    ("zero_h0", "_parity_product"), ("banded", "_parity_product"), ("dense", "_dense_product")])
-def test_solver_follows_structure(kind, solver, monkeypatch):
+@pytest.mark.parametrize("kind, blocks", [
+    ("zero_h0", [4, 3]), ("banded", [4, 3]), ("dense", [7]), ("complex", [7])],
+    ids=["zero_h0", "banded", "dense", "complex"])
+def test_solver_follows_structure(kind, blocks, monkeypatch):
+    # a banded path is its two real parity sectors, any other one block of the whole path
     dim = 7
     path = {"zero_h0": rescaled(banded_path(1, dim, smooth).x, smooth),
             "banded": banded_path(2, dim, smooth),
-            "dense": real_non_banded_path(3, dim)}[kind]
+            "dense": real_non_banded_path(3, dim),
+            "complex": dense_path(dim, 4)}[kind]
     taken = []
-    for name in ("_parity_product", "_dense_product"):
-        solve = getattr(quantum, name)
-        monkeypatch.setattr(quantum, name,
-                            lambda *args, name=name, solve=solve: taken.append(name) or solve(*args))
+    block_product = quantum._block_product
+    monkeypatch.setattr(quantum, "_block_product", lambda h0, x, values, dt: taken.append(
+        (x.shape[-1], np.iscomplexobj(x))) or block_product(h0, x, values, dt))
     u = propagator(path, 0.0, 1.5, 30).entries
-    assert taken == [solver]
+    assert taken == [(n, kind == "complex") for n in blocks]
     np.testing.assert_allclose(u, reference_loop(path, 0.0, 1.5, 30), rtol=0, atol=1e-12)
 
 
@@ -323,7 +325,7 @@ BAD_STEPS = (0, 1, 2, 5, 8)
 
 @pytest.fixture
 def two_per_batch(monkeypatch):
-    """Two 3x3 matrices per Taylor-factor batch, so a bad step can sit anywhere in a batch."""
+    """Two 3x3 step factors per product, so a bad step can sit anywhere in a batch."""
     monkeypatch.setattr(quantum, "DENSE_BATCH_ENTRIES", 2 * 3 * 3)
 
 
