@@ -20,15 +20,12 @@ from .errors import InputError, NumericError
 
 HERMITICITY_TOL = 1e-12
 UNITARITY_TOL = 1e-9
-# Matrix entries of the step factors a block forms by one real product, where a run's
-# node count is fewer (see _block_product): on small blocks m factors are too little work.
-DENSE_BATCH_ENTRIES = 2 ** 12
 # |omega h| below which a first-order amplitude segment takes the Taylor series of
 # its weights, and the series' term count: the direct formulas cancel as omega h -> 0.
 SERIES_SWITCH = 0.5
 SERIES_TERMS = 16
 NODE_TOL = 1e-16  # bound on the interpolation error of a step factor
-NODE_ENTRIES = 2 ** 22  # complex entries of a block's node factors (64 MB): bounds its runs
+NODE_ENTRIES = 2 ** 22  # entries of any array a run of a block holds, one step aside (64 MB)
 
 
 def _check_hermitian(m: np.ndarray) -> None:
@@ -342,11 +339,8 @@ def _block_product(h0, x, values, dt):
         bracket = np.expm1(-1j * (w - mu[..., None]) * dt)
         d = (v * bracket[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
         d = d.reshape(nodes.size, -1).view(float)  # the real weights times (re, im) pairs
-        # m factors per product, no more than the node stack holds, or on small blocks
-        # DENSE_BATCH_ENTRIES entries, where m factors are too little work per call
-        chunk = max(nodes.size, DENSE_BATCH_ENTRIES // x.size)
-        for start in range(0, vals.size, chunk):
-            rows = slice(start, start + chunk)
+        for start in range(0, vals.size, nodes.size):  # m factors per product, as d holds
+            rows = slice(start, start + nodes.size)
             factors = (d[rows] if weights is None else weights[rows] @ d).view(complex)
             for factor in factors.reshape(-1, *x.shape):
                 block += factor @ block

@@ -57,7 +57,7 @@ DEFAULT_OSCILLATOR_DIM = 40
 # Size bounds: a dense complex U at MAX_DIM is 64 MB, and the others keep a run's
 # time and memory within what one machine has.
 MAX_DIM, MAX_STEPS, MAX_SAMPLES, MAX_CURVE_POINTS = 2048, 10 ** 6, 10 ** 7, 10 ** 5
-Z_CHUNK = 2 ** 12  # times per frame read along a curve: bounds the frame rows held
+Z_CHUNK = 2 ** 12  # times per time_dilation call along a curve: bounds the frame rows held
 
 # Field types: REAL is a finite number (a Python int or float, not a bool) and
 # POSITIVE one above 0; a range holds a Python int (not a bool); a tuple is the
@@ -96,7 +96,7 @@ def _require(cond, msg):
 
 
 def _reals(name: str, value, shape: tuple = ()) -> np.ndarray:
-    """`value` as a float array of `shape` (None: any length); ConfigError unless it is lists
+    """`value` as a float array of `shape` (None: any length but 0); ConfigError unless it is lists
     or tuples nested to that depth, every entry an int or a float and not a bool, as in JSON,
     and finite within the float range."""
     shown = str(tuple("n" if n is None else n for n in shape)).replace("'", "")
@@ -106,7 +106,8 @@ def _reals(name: str, value, shape: tuple = ()) -> np.ndarray:
         _require(set(map(type, entries)) <= {list, tuple}, must)
         entries = [*itertools.chain.from_iterable(entries)]
     arr = np.asarray(value, dtype=object)
-    _require(arr.ndim == len(shape) and all(n in (None, k) for n, k in zip(shape, arr.shape))
+    _require(arr.ndim == len(shape) and all(k == n or n is None and k > 0
+                                            for n, k in zip(shape, arr.shape))
              and all(issubclass(t, (int, float)) and t is not bool
                      for t in set(map(type, entries))), must)
     try:
@@ -312,14 +313,6 @@ def _frame_from_tables(tables: dict, tolerances: dict) -> FrameData:
     return frame
 
 
-def _in_chunks(fn, times):
-    """fn on `times` Z_CHUNK at a time into one float array: bounds the frame rows held."""
-    out = np.empty(times.size)
-    for start in range(0, times.size, Z_CHUNK):
-        out[start:start + Z_CHUNK] = fn(times[start:start + Z_CHUNK])
-    return out
-
-
 def _rescaled(config: ScenarioConfig, frame: FrameData, times):
     """Quench z_0 h -> z_T h of the two_level or matrix system h, z(tau) the time dilation on
     the straight line from rest at the origin to the configured position and momentum at the end.
@@ -335,13 +328,13 @@ def _rescaled(config: ScenarioConfig, frame: FrameData, times):
     x_end = np.asarray(config.position, dtype=float)
     p_end = np.asarray(config.momentum, dtype=float)
     check_straight_line(frame, duration, x_end)
-
-    def z(t):
+    zs = np.empty(times.size)
+    for start in range(0, times.size, Z_CHUNK):
+        t = times[start:start + Z_CHUNK]
         frac = t[:, None] / duration
-        return time_dilation(frame, FramePoint(tau=t, x=frac * x_end), frac * p_end, sysmass)
-
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is a non-finite z
-        zs = _in_chunks(z, times)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is a non-finite z
+            zs[start:start + Z_CHUNK] = time_dilation(frame, FramePoint(tau=t, x=frac * x_end),
+                                                      frac * p_end, sysmass)
     if not np.all(np.isfinite(zs)):
         raise InputError("non-finite time-dilation factor on the trajectory")
     basis = EnergyBasis(np.linalg.eigvalsh(h.entries), np.eye(h.dim))
@@ -382,8 +375,9 @@ def _oscillator_protocol(config, frame):
     omega0 = float(config.system["omega0"])
     dim = int(config.system.get("dim", DEFAULT_OSCILLATOR_DIM))
     h0 = qho_hamiltonian(mass, omega0, dim)
+    r_txtx = frame.riemann_titj[:, 0, 0]
     path = AffinePath(h0, x_squared_matrix(mass, omega0, dim),
-                      lambda tau: 0.5 * mass * frame.at(tau)[1][..., 0, 0])
+                      lambda tau: 0.5 * mass * np.interp(tau, frame.tau, r_txtx))
     u = propagator(path, 0.0, float(config.duration), config.steps)
 
     # truncation guard: evolved thermal populations must not reach the cutoff
@@ -441,7 +435,7 @@ def run_scenario(config: ScenarioConfig) -> RunArtifacts:
             blocks.update(extra)
         else:
             curves = {"t": times,
-                      "curvature_tt": _in_chunks(lambda t: frame.at(t)[1][:, 0, 0], times)}
+                      "curvature_tt": np.interp(times, frame.tau, frame.riemann_titj[:, 0, 0])}
     else:  # newtonian reports z at the two ends only
         newtonian = config.scenario == "newtonian"
         b_init, b_final, u, zs = _rescaled(config, frame, times[[0, -1]] if newtonian else times)

@@ -18,7 +18,7 @@ import curvedwork
 from curvedwork import quantum, scenarios
 from curvedwork.cli import main as cli_main
 from curvedwork.errors import ConfigError, ConvergenceError, InputError
-from curvedwork.frame import FramePoint, time_dilation
+from curvedwork.frame import FrameData, FramePoint, time_dilation
 from curvedwork.quantum import EnergyBasis, qho_hamiltonian, x_squared_matrix
 from curvedwork.scenarios import (
     RunArtifacts,
@@ -483,11 +483,37 @@ class TestRunCustom:
         finally:
             tracemalloc.stop()
         assert peak < 40e6
-        # the curvature column, read Z_CHUNK times at a time, equals one read of every time
+        # the curvature column equals one at() read of every time
         times = art.curves["t"]
         assert times.size > scenarios.Z_CHUNK
         np.testing.assert_array_equal(art.curves["curvature_tt"],
                                       scenarios._frame(config).at(times)[1][:, 0, 0])
+
+    @pytest.mark.parametrize("name", ["oscillator_d120.custom", "oscillator_d120.desitter"])
+    def test_oscillator_reads_the_r_txtx_column(self, monkeypatch, name):
+        # f = (m/2) R_txtx and the curvature_tt curve read the one column of the frame's rows,
+        # no FrameData.at call, and equal the at() reads bitwise, outside the rows too
+        config = ScenarioConfig.from_dict(shipped_configs(monkeypatch)[name])
+        at_calls, paths = [], []
+        at, propagate = FrameData.at, scenarios.propagator
+        monkeypatch.setattr(FrameData, "at", lambda frame, tau: at_calls.append(tau)
+                            or at(frame, tau))
+        monkeypatch.setattr(scenarios, "propagator", lambda path, *args: paths.append(path)
+                            or propagate(path, *args))
+        art = run_scenario(config)
+        monkeypatch.undo()
+        assert at_calls == [] and len(paths) == 1
+        frame, mass = scenarios._frame(config), config.system["mass"]
+        dt = config.duration / config.steps
+        mids = (np.arange(config.steps) + 0.5) * dt
+        probes = np.concatenate((mids, frame.tau, frame.tau[[0, -1]] + [-1.5, 1.5], [-0.1]))
+        np.testing.assert_array_equal(
+            np.asarray(paths[0].f(probes), dtype=float).view(np.int64),
+            (0.5 * mass * frame.at(probes)[1][..., 0, 0]).view(np.int64))
+        if config.scenario == "custom":  # de Sitter writes transition curves instead
+            np.testing.assert_array_equal(
+                art.curves["curvature_tt"].view(np.int64),
+                frame.at(art.curves["t"])[1][..., 0, 0].view(np.int64))
 
     def test_empty_tables_rejected(self):
         tables = uniform_gravity_tables()
@@ -880,6 +906,7 @@ class TestCli:
         *[pytest.param({**ci_configs()[name], key: value}, id=f"{name}-with-{key}")
           for name, key, value, _ in UNREAD_FIELDS],
         pytest.param({"seed": 3}, id="seed-without-samples"),
+        pytest.param({"zfactor_grid": []}, id="zfactor_grid-empty"),
     ])
     def test_malformed_field_is_one_error_line(self, tmp_path, capsys, overrides):
         data = {**vars(newtonian_config()), **overrides}

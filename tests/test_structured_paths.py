@@ -208,9 +208,8 @@ def bound_node_count(path, tau0, tau1, steps):
     return total
 
 
-# A sector of n indices forms max(m, DENSE_BATCH_ENTRIES // n^2) step factors per product:
-# 113 on dim 12's 6-index sectors, the node count m on dim 120's 60-index ones.  347 is
-# prime, so no batch divides it and the last one is a part batch.
+# A sector forms its run's node count m of step factors per product.  347 is prime, so no
+# batch divides it and the last one is a part batch.
 @pytest.mark.parametrize("dim", (2, 3, 7, 12, 40, 120))
 @pytest.mark.parametrize("steps", (2, 3, 50, 347, 500))
 def test_chained_eigenbasis_product_matches_per_step_factors(dim, steps, monkeypatch):
@@ -294,7 +293,7 @@ def dense_path(dim, seed):
 @pytest.mark.parametrize("per_batch", [None, 3], ids=["default_batch", "three_per_batch"])
 def test_batched_dense_product_matches_reference_loop(dim, steps, per_batch, monkeypatch):
     if per_batch is not None:
-        monkeypatch.setattr(quantum, "DENSE_BATCH_ENTRIES", per_batch * dim * dim)
+        monkeypatch.setattr(quantum, "NODE_ENTRIES", per_batch * dim * dim)
     path = dense_path(dim, 10 * dim + steps)
     u = propagator(path, 0.1, 2.3, steps).entries
     np.testing.assert_allclose(u, reference_loop(path, 0.1, 2.3, steps), rtol=0, atol=1e-14)
@@ -326,7 +325,7 @@ BAD_STEPS = (0, 1, 2, 5, 8)
 @pytest.fixture
 def two_per_batch(monkeypatch):
     """Two 3x3 step factors per product, so a bad step can sit anywhere in a batch."""
-    monkeypatch.setattr(quantum, "DENSE_BATCH_ENTRIES", 2 * 3 * 3)
+    monkeypatch.setattr(quantum, "NODE_ENTRIES", 2 * 3 * 3)
 
 
 @pytest.mark.usefixtures("two_per_batch")
