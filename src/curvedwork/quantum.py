@@ -240,26 +240,6 @@ def _exp_factor(w, v, t):
     return (v * np.exp(-1j * w * t)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
 
 
-def _parity_sectors(h0: np.ndarray, x: np.ndarray):
-    """Per-parity real blocks of h0 and x, or None unless the path is parity-banded.
-
-    Banded means h0 real diagonal and x real symmetric with nonzeros only on
-    diagonals 0 and +-2; then even and odd indices never couple.  Each sector
-    is (indices, block of h0, block of x).
-    """
-    i, j = np.indices(h0.shape)
-    gap = np.abs(i - j)
-    if (np.any(h0.imag) or np.any(x.imag) or np.any(h0[gap != 0])
-            or np.any(x[(gap != 0) & (gap != 2)]) or np.any(x != x.T)):
-        return None
-    sectors = []
-    for parity in (0, 1):
-        idx = np.arange(parity, h0.shape[0], 2)
-        if idx.size:
-            sectors.append((idx, h0.real[np.ix_(idx, idx)], x.real[np.ix_(idx, idx)]))
-    return tuple(sectors)
-
-
 def _block_eigh(h0, x, values):
     """Eigenpairs of h0 + f x at f = `values`, a scalar or a 1-d stack, each matrix checked
     Hermitian; h0 and x are one block, a matrix or a stack of them (..., d, d)."""
@@ -271,7 +251,8 @@ def _block_eigh(h0, x, values):
 @dataclass(frozen=True)
 class AffinePath:
     """Hamiltonian path H(tau) = h0 + f(tau) x, real f taking an array of times to one of its
-    shape (or a constant to a scalar); h0 and x may be stacks (..., d, d) that share f."""
+    shape (or a constant to a scalar); h0 and x may be stacks (..., d, d) that share f.
+    `blocks` is its one split: propagator and spectrum both work one block at a time."""
 
     h0: HermitianOperator
     x: HermitianOperator
@@ -286,19 +267,30 @@ class AffinePath:
         return HermitianOperator(self.h0.entries + self.f(tau) * self.x.entries)
 
     @cached_property
-    def sectors(self):
-        """Parity sectors when the path is a single parity-banded one, else None."""
-        if self.h0.entries.ndim > 2:
-            return None
-        return _parity_sectors(self.h0.entries, self.x.entries)
+    def blocks(self) -> list:
+        """(indices, h0 block, x block) for each set of indices that h0 + f x never couples
+        to the rest, real when h0 and x are: the even and the odd indices of a single path
+        with no entry at an odd distance from the diagonal, where parity never mixes, else
+        the whole path as one block, a stack included."""
+        h0, x = self.h0.entries, self.x.entries
+        if not (np.any(h0.imag) or np.any(x.imag)):
+            h0, x = h0.real, x.real
+        n = np.arange(self.h0.dim)
+        odd = (n[:, None] - n) % 2 == 1
+        if h0.ndim > 2 or np.any(h0[odd]) or np.any(x[odd]):
+            return [(n, h0, x)]
+        return [(idx, h0[np.ix_(idx, idx)], x[np.ix_(idx, idx)])
+                for idx in (n[0::2], n[1::2]) if idx.size]
 
-    def spectrum(self, value: float) -> EnergyBasis:
-        """Energy basis of h0 + value x by one real solve per sector; the
-        eigenvectors are exactly zero between the even and odd indices."""
-        if self.sectors is None:
-            raise InputError("spectrum needs a parity-banded path")
-        w, v = np.empty(0), np.zeros((self.h0.dim, self.h0.dim))
-        for idx, a, b in self.sectors:
+    def spectrum(self, value) -> EnergyBasis:
+        """Energy basis of a single path's h0 + value x at one real value, by one solve per
+        block; the eigenvectors are exactly zero between the blocks."""
+        if np.ndim(value) != 0 or np.asarray(value).dtype.kind not in "iuf":
+            raise InputError(f"spectrum needs one real number, got {value!r}")
+        if self.h0.entries.ndim > 2:
+            raise InputError(f"spectrum reads a single path, got shape {self.h0.entries.shape}")
+        w, v = np.empty(0), np.zeros((self.h0.dim, self.h0.dim), dtype=complex)
+        for idx, a, b in self.blocks:
             ws, vs = _block_eigh(a, b, value)
             v[idx, w.size:w.size + ws.size] = vs
             w = np.concatenate((w, ws))
@@ -307,12 +299,12 @@ class AffinePath:
 
 
 def _block_product(h0, x, values, dt):
-    """Midpoint product of one block h0 + f x, a matrix or a stack (..., d, d), from step
-    factors interpolated in f run by run: e^(i mu dt) exp(-i H(f) dt) - 1 =
-    V diag(e^(-i (w - mu) dt) - 1) V^dagger at the fewest Chebyshev nodes m whose error bound
-    2 (rho/2)^m / m! is within NODE_TOL, since the m-th f-derivative of the factor is at most
-    (dt ||x||)^m; rho = dt ||x|| (max f - min f) / 2 over the run, ||x|| the largest in the
-    stack, and mu the middle of each matrix's node spectra."""
+    """Midpoint product of one block h0 + f x of `AffinePath.blocks` (a parity's indices, or
+    the whole path or stack), from step factors interpolated in f run by run:
+    e^(i mu dt) exp(-i H(f) dt) - 1 = V diag(e^(-i (w - mu) dt) - 1) V^dagger at the fewest
+    Chebyshev nodes m whose error bound 2 (rho/2)^m / m! is within NODE_TOL, since the m-th
+    f-derivative of the factor is at most (dt ||x||)^m; rho = dt ||x|| (max f - min f) / 2
+    over the run, ||x|| the largest in the stack, and mu the middle of each node spectrum."""
     block = np.array(np.broadcast_to(np.eye(x.shape[-1], dtype=complex), x.shape))
     run = max(1, min(NODE_ENTRIES // x.size, math.isqrt(NODE_ENTRIES)))
     norm = float(np.max(np.sum(np.abs(x), axis=-1)))
@@ -352,15 +344,15 @@ def propagator(path: AffinePath, tau0: float, tau1: float, steps: int) -> Unitar
     """Time-ordered propagator of H(tau) = h0 + f(tau) x by the midpoint exponential-product rule.
 
     U = prod_j exp(-i H(tau_j + dt/2) dt) applied right to left, global error O(dt^2).
-    f is called once, on the array of the midpoints.  The path is one block, or two: a
-    single parity-banded path is its two real parity sectors, and any other path, complex
-    or a stack, is one block, real when h0 and x are, and returns a stack of its shape.
-    Each block takes eigendecompositions at a few Chebyshev nodes of f's range, or at
-    every midpoint where the interpolation bound asks for as many, and interpolates each
-    step factor between them within NODE_TOL; it takes one solve in all when f is equal at
-    every midpoint.  An f that is complex or does not broadcast to the midpoints is an
-    InputError, and a result that is not unitary is a NumericError: the input was a
-    checked path.
+    f is called once, on the array of the midpoints.  U is written one of `path.blocks` at a
+    time: the even and the odd indices of a single path with no entry of h0 or x at an odd
+    distance from the diagonal, else the whole path, a stack giving a stack of its shape; a
+    block is real when h0 and x are.  Each block takes eigendecompositions at a few
+    Chebyshev nodes of f's range, or at every midpoint where the interpolation bound asks
+    for as many, and interpolates each step factor between them within NODE_TOL; it takes
+    one solve in all when f is equal at every midpoint.  An f that is complex or does not
+    broadcast to the midpoints is an InputError, and a result that is not unitary is a
+    NumericError: the input was a checked path.
     """
     if not isinstance(path, AffinePath):
         raise InputError(f"propagator needs an AffinePath, got {type(path).__name__}")
@@ -378,14 +370,9 @@ def propagator(path: AffinePath, tau0: float, tau1: float, steps: int) -> Unitar
     if not math.isfinite((tau1 - tau0) * (norm[0] + float(np.max(np.abs(values))) * norm[1])):
         raise InputError(f"non-finite path coefficient at a midpoint, or phase (tau1 - tau0)"
                          f"(||h0|| + max|f| ||x||) past the float range, on [{tau0}, {tau1}]")
-    if path.sectors is not None:
-        u = np.zeros((path.h0.dim, path.h0.dim), dtype=complex)
-        for idx, h0, x in path.sectors:
-            u[np.ix_(idx, idx)] = _block_product(h0, x, values, dt)
-    else:
-        h0, x = path.h0.entries, path.x.entries
-        real = not (np.any(h0.imag) or np.any(x.imag))
-        u = _block_product(h0.real if real else h0, x.real if real else x, values, dt)
+    u = np.zeros(path.h0.entries.shape, dtype=complex)
+    for idx, h0, x in path.blocks:
+        u[..., idx[:, None], idx] = _block_product(h0, x, values, dt)
     try:
         return UnitaryOperator(u)
     except InputError as exc:  # the path was checked, so the fault is the program's

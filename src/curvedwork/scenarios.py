@@ -57,7 +57,7 @@ DEFAULT_OSCILLATOR_DIM = 40
 # Size bounds: a dense complex U at MAX_DIM is 64 MB, and the others keep a run's
 # time and memory within what one machine has.
 MAX_DIM, MAX_STEPS, MAX_SAMPLES, MAX_CURVE_POINTS = 2048, 10 ** 6, 10 ** 7, 10 ** 5
-Z_CHUNK = 2 ** 12  # times per time_dilation call along a curve: bounds the frame rows held
+Z_CHUNK = 2 ** 12  # times per call along a curve: bounds the frame rows or phases held
 
 # Field types: REAL is a finite number (a Python int or float, not a bool) and
 # POSITIVE one above 0; a range holds a Python int (not a bool); a tuple is the
@@ -414,7 +414,8 @@ def _desitter_outputs(config: ScenarioConfig, frame: FrameData, path: AffinePath
         "max_spacing_deviation": float(np.max(np.abs(spacings - omega_eff))),
     }, "hubble_ratio": hubble / omega0}
 
-    p_exact = np.abs(spectrum.amplitudes(2, 0, times)) ** 2
+    p_exact = np.abs(np.concatenate([spectrum.amplitudes(2, 0, times[start:start + Z_CHUNK])
+                                     for start in range(0, times.size, Z_CHUNK)])) ** 2
     p_pert = np.abs(perturbative_amplitude(
         mass, omega0, frame.tau, frame.riemann_titj[:, 0, 0], 2, 0, times)) ** 2
     p_formula = transition_probability_formula(mass, omega0, hubble, 2, 0, times)

@@ -245,19 +245,18 @@ def reverse_distribution(
                           np.swapaxes(u.entries, -1, -2), beta, merge_tol, shape)
 
 
-def crooks_check(fwd: WorkDistribution, rev: WorkDistribution, beta, delta_f,
-                 p_floor: float = P_FLOOR):
+def crooks_check(fwd: WorkDistribution, rev: WorkDistribution, beta, delta_f):
     """Maximum residual |ln(P_fwd(W)/P_rev(-W)) - beta (W - delta_F)| over matched support.
 
-    Each forward point above p_floor is matched to the nearer of the reverse points
+    Each forward point above P_FLOOR is matched to the nearer of the reverse points
     either side of -W in its row, the lower on a tie; it counts when that point lies
-    within the row's reverse merge_tol and carries probability above p_floor.  For
+    within the row's reverse merge_tol and carries probability above P_FLOOR.  For
     stacks of the same rows, beta and delta_f are scalars or one per row, and the
     residual is one per row.  A row with no matched point is a NumericError.
     """
     if fwd.stack_shape != rev.stack_shape:
         raise InputError(f"stack shapes {fwd.stack_shape} and {rev.stack_shape} differ")
-    keep = fwd.probs > p_floor
+    keep = fwd.probs > P_FLOOR
     w, p, row = fwd.works[keep], fwd.probs[keep], fwd._point_rows()[keep]
     # the reverse points up to -w, each counted in its row, from one stable sort of the
     # reverse points and the queries by (row, work); a point equal to -w is then the
@@ -271,7 +270,7 @@ def crooks_check(fwd: WorkDistribution, rev: WorkDistribution, beta, delta_f,
     dist_below, dist_above = np.abs(rev.works[below] + w), np.abs(rev.works[above] + w)
     q = rev.probs[np.where(dist_above < dist_below, above, below)]
     dist = np.minimum(dist_below, dist_above)
-    matched = (dist <= np.reshape(rev.merge_tol, -1)[row]) & (q > p_floor)
+    matched = (dist <= np.reshape(rev.merge_tol, -1)[row]) & (q > P_FLOOR)
     counts = np.bincount(row[matched], minlength=fwd.bounds.size - 1)
     if not counts.all():
         raise NumericError(f"{fwd._row(np.argmin(counts))}no matchable support points between "

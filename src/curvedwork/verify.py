@@ -160,7 +160,7 @@ def criterion_effective_frequency(level="full"):
 
 
 def _oscillator(mass, omega0, dim, f):
-    """The oscillator path h0 + f(tau) x^2, parity-banded."""
+    """The oscillator path h0 + f(tau) x^2, whose blocks are its even and odd levels."""
     return AffinePath(qho_hamiltonian(mass, omega0, dim), x_squared_matrix(mass, omega0, dim), f)
 
 
@@ -180,7 +180,7 @@ def criterion_perturbation_vs_propagator(level="full"):
     peak_mask = formula >= 0.5 * float(np.max(formula))
     rel_err = float(np.max(np.abs(exact[peak_mask] - formula[peak_mask])
                            / formula[peak_mask]))
-    # propagator's two parity sectors against the one whole block a stack of one path takes
+    # propagator's even and odd blocks against the one whole block a stack of one path takes
     driven = _oscillator(mass, omega0, dim, lambda tau: 0.05 * np.sin(2.0 * tau))
     dense = AffinePath(*(HermitianOperator(m.entries[None]) for m in (driven.h0, driven.x)),
                        driven.f)

@@ -1,6 +1,6 @@
 """Property tests of the propagator: unitarity of every path shape, the node rule of the
-block product on parity sectors and on stacks, the one block of a non-banded, complex or
-stacked path against per-step eigendecompositions, parity selection in the
+block product on parity blocks and on stacks, the one block of a path with odd-distance
+entries or of a stack against per-step eigendecompositions, parity selection in the
 curvature-driven oscillator, and stacks of paths against their single paths."""
 
 import math
@@ -64,7 +64,7 @@ def protocols(draw):
         h0, x = banded(rng, dim)
         value = f(1.0)
         path = AffinePath(h0, x, (lambda tau: value) if kind == "banded_constant" else f)
-        assert path.sectors is not None
+        assert len(path.blocks) == 2
     else:
         path = AffinePath(hermitian(rng, dim, True), hermitian(rng, dim, True), f)
     tau0 = draw(st.floats(-3.0, 3.0))
@@ -121,11 +121,11 @@ def test_node_rule_and_accuracy_on_random_banded_ramps(wide, data):
         u = propagator(path, 0.0, duration, steps).entries
     finally:
         quantum._block_eigh = block_eigh
-    # per sector the least m with 2 (rho/2)^m / m! <= NODE_TOL, at most the step count
+    # per block the least m with 2 (rho/2)^m / m! <= NODE_TOL, at most the step count
     dt = duration / steps
     spread = dt * abs(path.f((steps - 0.5) * dt) - path.f(0.5 * dt)) / 2
     expected = []
-    for _, _, x in path.sectors:
+    for _, _, x in path.blocks:
         rho, m = spread * np.max(np.sum(np.abs(x), axis=1)), 1
         while 2 * (rho / 2) ** m / math.factorial(m) > quantum.NODE_TOL and m < steps:
             m += 1
@@ -186,7 +186,7 @@ def members(path):
 @given(stacks())
 def test_stacked_propagator_matches_each_single_path(protocol):
     path, tau0, tau1, steps = protocol
-    assert path.sectors is None
+    assert len(path.blocks) == 1
     u = propagator(path, tau0, tau1, steps)
     assert u.entries.shape == path.h0.entries.shape and u.dim == path.h0.dim
     assert u.unitarity_defect < 1e-12
@@ -278,7 +278,7 @@ def scaled_paths(draw):
     r0 = max(float(np.max(np.sum(np.abs((h0 + v * x) * dt), axis=-1))) for v in values)
     scale = draw(st.floats(0.01, 200.0)) / r0
     path = AffinePath(HermitianOperator(scale * h0), HermitianOperator(scale * x), f)
-    assert path.sectors is None
+    assert len(path.blocks) == 1
     return path, tau0, tau1, steps
 
 

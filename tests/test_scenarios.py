@@ -472,8 +472,9 @@ class TestRunCustom:
         assert times.size > scenarios.Z_CHUNK
         np.testing.assert_array_equal(art.curves["zfactor"], whole)
 
-    def test_oscillator_curve_memory_is_bounded(self, tmp_path):
-        config = ScenarioConfig.from_dict({**ci_configs()["ci-oscillator"],
+    @pytest.mark.parametrize("name", ["ci-oscillator", "ci-desitter"])
+    def test_oscillator_curve_memory_is_bounded(self, tmp_path, name):
+        config = ScenarioConfig.from_dict({**ci_configs()[name],
                                            "curve_points": scenarios.MAX_CURVE_POINTS})
         tracemalloc.start()
         try:
@@ -483,11 +484,15 @@ class TestRunCustom:
         finally:
             tracemalloc.stop()
         assert peak < 40e6
-        # the curvature column equals one at() read of every time
         times = art.curves["t"]
-        assert times.size > scenarios.Z_CHUNK
-        np.testing.assert_array_equal(art.curves["curvature_tt"],
-                                      scenarios._frame(config).at(times)[1][:, 0, 0])
+        if name == "ci-oscillator":  # the curvature column equals one at() read of every time
+            np.testing.assert_array_equal(art.curves["curvature_tt"],
+                                          scenarios._frame(config).at(times)[1][:, 0, 0])
+        else:  # P(2 <- 0), taken Z_CHUNK times at a time, equals one call on every time
+            path = scenarios._oscillator_protocol(config, scenarios._frame(config))[0]
+            whole = path.spectrum(path.f(0.0)).amplitudes(2, 0, times)
+            assert times.size > scenarios.Z_CHUNK
+            np.testing.assert_array_equal(art.curves["p20_exact"], np.abs(whole) ** 2)
 
     @pytest.mark.parametrize("name", ["oscillator_d120.custom", "oscillator_d120.desitter"])
     def test_oscillator_reads_the_r_txtx_column(self, monkeypatch, name):

@@ -1,6 +1,8 @@
-"""Structured Hamiltonian paths: each propagator solver against a plain per-step loop."""
+"""Structured Hamiltonian paths: their block split, and the propagator against a plain
+per-step loop."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -51,12 +53,17 @@ def rescaled(h, z):
 
 
 def real_non_banded_path(seed, dim):
-    """Real symmetric h0 and x with a (0, 1) coupling, which no parity sector holds."""
+    """Real symmetric h0 and x with a (0, 1) coupling, which no parity block holds."""
     rng = np.random.default_rng(seed)
     a, b = rng.normal(size=(2, dim, dim))
     b[0, 1] += 1.0
     return AffinePath(HermitianOperator(0.5 * (a + a.T)), HermitianOperator(0.5 * (b + b.T)),
                       smooth)
+
+
+def stack_of_one(path):
+    """`path` as a stack of one path, shape (1, d, d)."""
+    return AffinePath(*(HermitianOperator(m.entries[None]) for m in (path.h0, path.x)), path.f)
 
 
 def smooth(tau):
@@ -69,10 +76,10 @@ def unitarity_defect(u):
 
 @pytest.mark.parametrize("dim", DIMS)
 @pytest.mark.parametrize("steps", STEPS)
-class TestAgainstDenseLoop:
+class TestAgainstReferenceLoop:
     def test_affine_banded(self, dim, steps):
         path = banded_path(dim + steps, dim, smooth)
-        assert path.sectors is not None
+        assert len(path.blocks) == 2
         u = propagator(path, 0.2, 2.7, steps).entries
         np.testing.assert_allclose(u, reference_loop(path, 0.2, 2.7, steps), rtol=0, atol=1e-12)
         assert unitarity_defect(u) < 1e-12
@@ -92,36 +99,72 @@ class TestAgainstDenseLoop:
 
     def test_real_non_banded(self, dim, steps):
         path = real_non_banded_path(13 * dim + steps, dim)
-        assert path.sectors is None
+        assert len(path.blocks) == 1
         u = propagator(path, 0.0, 2.0, steps).entries
         np.testing.assert_allclose(u, reference_loop(path, 0.0, 2.0, steps), rtol=0, atol=1e-12)
         assert unitarity_defect(u) < 1e-12
 
 
-class TestFallback:
-    def test_non_banded_x_takes_the_dense_loop(self):
+class TestBlocks:
+    def test_odd_distance_x_is_one_block(self):
         path = banded_path(1, 7, smooth)
         x = path.x.entries.copy()
         x[0, 1] = x[1, 0] = 0.1
         path = AffinePath(path.h0, HermitianOperator(x), smooth)
-        assert path.sectors is None
+        assert len(path.blocks) == 1
         np.testing.assert_allclose(propagator(path, 0.0, 1.0, 20).entries,
                                    reference_loop(path, 0.0, 1.0, 20), rtol=0, atol=1e-14)
 
-    def test_complex_h0_takes_the_dense_loop(self):
+    def test_even_distance_entries_split_into_real_blocks(self):
+        # h0 off its diagonal and x at distance 4: parity still never mixes
+        path = banded_path(3, 7, smooth)
+        h0, x = path.h0.entries.copy(), path.x.entries.copy()
+        h0[1, 3] = h0[3, 1] = 0.2
+        x[0, 4] = x[4, 0] = -0.3
+        path = AffinePath(HermitianOperator(h0), HermitianOperator(x), smooth)
+        assert [idx.tolist() for idx, _, _ in path.blocks] == [[0, 2, 4, 6], [1, 3, 5]]
+        assert not any(np.iscomplexobj(a) or np.iscomplexobj(b) for _, a, b in path.blocks)
+        np.testing.assert_allclose(propagator(path, 0.0, 1.0, 20).entries,
+                                   reference_loop(path, 0.0, 1.0, 20), rtol=0, atol=1e-12)
+
+    def test_complex_h0_splits_into_two_complex_blocks(self):
         path = banded_path(2, 7, smooth)
         h0 = path.h0.entries.copy()
         h0[0, 2], h0[2, 0] = 0.1j, -0.1j
         path = AffinePath(HermitianOperator(h0), path.x, smooth)
-        assert path.sectors is None
+        assert [np.iscomplexobj(a) for _, a, _ in path.blocks] == [True, True]
         np.testing.assert_allclose(propagator(path, 0.0, 1.0, 20).entries,
                                    reference_loop(path, 0.0, 1.0, 20), rtol=0, atol=1e-14)
 
-    def test_spectrum_needs_a_banded_path(self):
+    def test_stack_of_a_banded_path_is_one_block(self):
+        path = banded_path(4, 7, smooth)
+        stack = stack_of_one(path)
+        assert len(stack.blocks) == 1 and stack.blocks[0][1].shape == (1, 7, 7)
+        np.testing.assert_allclose(propagator(stack, 0.0, 1.0, 20).entries[0],
+                                   propagator(path, 0.0, 1.0, 20).entries, rtol=0, atol=1e-13)
+
+    def test_dense_spectrum_equals_eigh(self):
         rng = np.random.default_rng(4)
         path = AffinePath(random_hermitian(rng, 4), random_hermitian(rng, 4), smooth)
-        with pytest.raises(InputError, match="parity-banded"):
-            path.spectrum(0.5)
+        assert len(path.blocks) == 1
+        spectrum = path.spectrum(0.5)
+        w, v = np.linalg.eigh(path.h0.entries + 0.5 * path.x.entries)
+        np.testing.assert_array_equal(spectrum.eigenvalues, w)
+        times = np.array([0.0, 0.4, 1.3])
+        for m in range(4):
+            expected = [((v * np.exp(-1j * w * t)) @ v.conj().T)[:, m] for t in times]
+            np.testing.assert_allclose(spectrum.amplitudes(slice(None), m, times),
+                                       np.transpose(expected), rtol=0, atol=1e-13)
+
+    def test_stack_spectrum_rejected(self):
+        with pytest.raises(InputError, match="single path"):
+            stack_of_one(banded_path(5, 4, smooth)).spectrum(0.5)
+
+    @pytest.mark.parametrize("value", [np.array([0.1, 0.2]), "0.5", None, 0.5j],
+                             ids=["array", "string", "none", "complex"])
+    def test_spectrum_takes_one_real_number(self, value):
+        with pytest.raises(InputError, match=re.escape(f"one real number, got {value!r}")):
+            banded_path(6, 5, smooth).spectrum(value)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(InputError, match="dimension mismatch"):
@@ -153,7 +196,7 @@ class TestParitySelection:
             expected = [((v * np.exp(-1j * w * t)) @ v.conj().T)[:, m] for t in times]
             np.testing.assert_allclose(spectrum.amplitudes(slice(None), m, times),
                                        np.transpose(expected), rtol=0, atol=1e-13)
-        # every eigenvector lies in one parity sector, exactly zero on the other
+        # every eigenvector lies in one parity block, exactly zero on the other
         vectors = spectrum.eigenvectors
         assert np.all(np.all(vectors[0::2] == 0, axis=0) != np.all(vectors[1::2] == 0, axis=0))
 
@@ -170,11 +213,11 @@ def test_catalog_desitter_collapses_to_one_solve_per_sector(monkeypatch):
     np.testing.assert_allclose(u, reference_loop(path, 0.0, duration, steps), rtol=0, atol=1e-12)
 
 
-def per_step_parity_loop(path, tau0, tau1, steps):
-    """The parity-banded midpoint product with one exp(-i H dt) factor per sector and step."""
+def per_step_block_loop(path, tau0, tau1, steps):
+    """The midpoint product with one exp(-i H dt) factor per block and step."""
     dt = (tau1 - tau0) / steps
     u = np.zeros((path.h0.dim, path.h0.dim), dtype=complex)
-    for idx, h0, x in path.sectors:
+    for idx, h0, x in path.blocks:
         block = np.eye(idx.size, dtype=complex)
         for j in range(steps):
             w, v = quantum._block_eigh(h0, x, path.f(tau0 + (j + 0.5) * dt))
@@ -194,12 +237,12 @@ def count_node_solves(monkeypatch):
 
 
 def bound_node_count(path, tau0, tau1, steps):
-    """Node solves the interpolation bound asks for: per sector the least m with
-    2 (rho/2)^m / m! <= NODE_TOL, rho = dt ||x_sector||_inf (max f - min f)/2, at most steps."""
+    """Node solves the interpolation bound asks for: per block the least m with
+    2 (rho/2)^m / m! <= NODE_TOL, rho = dt ||x_block||_inf (max f - min f)/2, at most steps."""
     dt = (tau1 - tau0) / steps
     values = [path.f(tau0 + (j + 0.5) * dt) for j in range(steps)]
     total = 0
-    for _, _, x in path.sectors:
+    for _, _, x in path.blocks:
         rho = dt * (max(values) - min(values)) / 2 * np.max(np.sum(np.abs(x), axis=1))
         m = 1
         while 2 * (rho / 2) ** m / math.factorial(m) > quantum.NODE_TOL and m < steps:
@@ -208,7 +251,7 @@ def bound_node_count(path, tau0, tau1, steps):
     return total
 
 
-# A sector forms its run's node count m of step factors per product.  347 is prime, so no
+# A block forms its run's node count m of step factors per product.  347 is prime, so no
 # batch divides it and the last one is a part batch.
 @pytest.mark.parametrize("dim", (2, 3, 7, 12, 40, 120))
 @pytest.mark.parametrize("steps", (2, 3, 50, 347, 500))
@@ -220,7 +263,7 @@ def test_chained_eigenbasis_product_matches_per_step_factors(dim, steps, monkeyp
     if steps == 500:
         assert sum(solves) < steps
     monkeypatch.undo()
-    np.testing.assert_allclose(u, per_step_parity_loop(path, 0.3, 3.1, steps), rtol=0, atol=1e-13)
+    np.testing.assert_allclose(u, per_step_block_loop(path, 0.3, 3.1, steps), rtol=0, atol=1e-13)
     parity = np.arange(dim) % 2
     assert np.all(u[parity[:, None] != parity[None, :]] == 0.0)
     assert unitarity_defect(u) < 1e-12
@@ -235,7 +278,7 @@ def test_wide_f_range_takes_the_midpoints_as_nodes(monkeypatch):
     u = propagator(path, 0.0, 3.0, steps).entries
     assert solves == [steps, steps]
     monkeypatch.undo()
-    np.testing.assert_allclose(u, per_step_parity_loop(path, 0.0, 3.0, steps), rtol=0, atol=1e-13)
+    np.testing.assert_allclose(u, per_step_block_loop(path, 0.0, 3.0, steps), rtol=0, atol=1e-13)
     assert unitarity_defect(u) < 1e-12
 
 
@@ -247,15 +290,15 @@ def test_runs_bounded_by_node_entries_match_per_step_factors(node_entries, monke
     solves = count_node_solves(monkeypatch)
     u = propagator(path, 0.0, 3.0, 50).entries
     # runs of min(NODE_ENTRIES // n**2, isqrt(NODE_ENTRIES)) steps: at 112, 7 steps for the
-    # 4-index sector and 10 for the 3-index one; at 16, one step each
+    # 4-index block and 10 for the 3-index one; at 16, one step each
     assert 1 in solves and max(solves) <= (10 if node_entries == 112 else 1)
     monkeypatch.undo()
-    np.testing.assert_allclose(u, per_step_parity_loop(path, 0.0, 3.0, 50), rtol=0, atol=1e-13)
+    np.testing.assert_allclose(u, per_step_block_loop(path, 0.0, 3.0, 50), rtol=0, atol=1e-13)
     assert unitarity_defect(u) < 1e-12
 
 
 def test_factor_batches_across_a_node_entries_run_match_per_step_factors(monkeypatch):
-    # runs of NODE_ENTRIES // 60^2 = 291 steps on the 60-index sectors: 347 steps take a
+    # runs of NODE_ENTRIES // 60^2 = 291 steps on the 60-index blocks: 347 steps take a
     # run of 291 and one of 56, each in batches of its own node count
     monkeypatch.setattr(quantum, "NODE_ENTRIES", 2 ** 20)
     path = banded_path(7, 120, smooth)
@@ -263,7 +306,7 @@ def test_factor_batches_across_a_node_entries_run_match_per_step_factors(monkeyp
     u = propagator(path, 0.3, 3.1, 347).entries
     assert len(solves) == 4 and all(1 < m < 56 for m in solves)
     monkeypatch.undo()
-    np.testing.assert_allclose(u, per_step_parity_loop(path, 0.3, 3.1, 347), rtol=0, atol=1e-13)
+    np.testing.assert_allclose(u, per_step_block_loop(path, 0.3, 3.1, 347), rtol=0, atol=1e-13)
     assert unitarity_defect(u) < 1e-12
 
 
@@ -303,7 +346,7 @@ def test_batched_dense_product_matches_reference_loop(dim, steps, per_batch, mon
     ("zero_h0", [4, 3]), ("banded", [4, 3]), ("dense", [7]), ("complex", [7])],
     ids=["zero_h0", "banded", "dense", "complex"])
 def test_solver_follows_structure(kind, blocks, monkeypatch):
-    # a banded path is its two real parity sectors, any other one block of the whole path
+    # a real path with no odd-distance entry is its even and odd blocks, any other one block
     dim = 7
     path = {"zero_h0": rescaled(banded_path(1, dim, smooth).x, smooth),
             "banded": banded_path(2, dim, smooth),
@@ -347,7 +390,7 @@ class TestBadMidpointAtAnyBatchPosition:
         x[0, 1] += 5e-13
         path = AffinePath(random_hermitian(rng, 3), HermitianOperator(x),
                           lambda tau: np.where(is_bad(tau), 100.0, 0.5))
-        assert path.sectors is None
+        assert len(path.blocks) == 1
         with pytest.raises(InputError, match="not Hermitian"):
             self.run(path)
 
