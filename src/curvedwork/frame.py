@@ -164,8 +164,9 @@ def check_straight_line(frame: FrameData, duration: float, x_end) -> None:
     t = np.concatenate(([0.0], frame.tau[(frame.tau > 0) & (frame.tau < duration)], [duration]))
     a, *tensors = frame.at(t)
     t, worst = t[:, None], np.empty(2)
-    for k, v in ((1, a @ x_end[:, None]), (2, np.hstack([r.reshape(len(t), -1) for r in tensors]))):
-        with np.errstate(all="ignore"):  # tau* of c1 = 0 is dropped; inf or NaN is the worst
+    with np.errstate(all="ignore"):  # tau* of c1 = 0 is dropped; inf or NaN is the worst
+        for k, v in ((1, a @ x_end[:, None]),
+                     (2, np.hstack([r.reshape(len(t), -1) for r in tensors]))):
             c1 = np.diff(v, axis=0) / np.diff(t, axis=0)
             c0 = v[:-1] - c1 * t[:-1]
             star = -k * c0 / ((k + 1) * c1)

@@ -1,10 +1,10 @@
 """Finite-dimensional quantum mechanics on a truncated Hilbert space.
 
-Dense complex matrices with checked structure, Gibbs states computed via
-eigendecomposition, a midpoint exponential-product propagator along the one
-Hamiltonian path shape h0 + f(tau) x, and the first-order interaction-picture
-amplitude for the curvature-driven oscillator, integrated exactly over a
-piecewise-linear curvature history.
+Dense matrices with checked structure, float unless their entries are complex,
+Gibbs states computed via eigendecomposition, a midpoint exponential-product
+propagator along the one Hamiltonian path shape h0 + f(tau) x, and the
+first-order interaction-picture amplitude for the curvature-driven oscillator,
+integrated exactly over a piecewise-linear curvature history.
 """
 
 from __future__ import annotations
@@ -46,8 +46,9 @@ def broadcast_stacks(*shapes) -> tuple:
 
 
 def _square_stack(entries) -> np.ndarray:
-    """`entries` as a complex array of square matrices, shape (..., d, d)."""
-    m = np.asarray(entries, dtype=complex)
+    """`entries` as square matrices, shape (..., d, d): complex when the entries are, else
+    float.  This is the one place that sets an operator's dtype."""
+    m = np.asarray(entries, dtype=complex if np.iscomplexobj(entries) else float)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise InputError(f"operator must be square, got shape {m.shape}")
     return m
@@ -151,20 +152,20 @@ class EnergyBasis:
         if np.any(b <= 0):
             raise InputError(f"beta must be positive, got {float(np.min(b))}")
         shift = self.eigenvalues[..., :1]
-        boltz = np.exp(-b[..., None] * (self.eigenvalues - shift))
-        z_shifted = np.sum(boltz, axis=-1)
-        log_z = np.fromiter(map(math.log, z_shifted.ravel().tolist()), float, z_shifted.size)
-        log_z = log_z.reshape(z_shifted.shape) - b * shift[..., 0]
+        with np.errstate(over="ignore"):  # an overflowing beta (E - E_0) weighs 0, beta E_0 is inf
+            boltz = np.exp(-b[..., None] * (self.eigenvalues - shift))
+            z_shifted = np.sum(boltz, axis=-1)
+            log_z = np.fromiter(map(math.log, z_shifted.ravel().tolist()), float, z_shifted.size)
+            log_z = log_z.reshape(z_shifted.shape) - b * shift[..., 0]
         return boltz / z_shifted[..., None], float(log_z) if log_z.ndim == 0 else log_z
 
 
 def energy_basis(op: HermitianOperator) -> EnergyBasis:
     """Eigendecomposition of a Hermitian operator, or of a stack in one eigh call, each
-    matrix checked for faithful reconstruction against its own scale; a stack whose
-    imaginary parts are all exactly 0 takes the real solver."""
-    m = op.entries if np.any(op.entries.imag) else op.entries.real
-    w, v = np.linalg.eigh(m)
-    recon = np.max(np.abs((v * w[..., None, :]) @ np.swapaxes(v.conj(), -1, -2) - m),
+    matrix checked for faithful reconstruction against its own scale; a real operator
+    takes the real solver."""
+    w, v = np.linalg.eigh(op.entries)
+    recon = np.max(np.abs((v * w[..., None, :]) @ np.swapaxes(v.conj(), -1, -2) - op.entries),
                    axis=(-2, -1))
     excess = recon / np.maximum(np.max(np.abs(w), axis=-1), 1.0)
     worst = np.argmax(excess)
@@ -202,7 +203,7 @@ def two_level_hamiltonian(eps: float) -> HermitianOperator:
     """Two-level system with energies 0 and eps."""
     if eps <= 0:
         raise InputError(f"eps must be positive, got {eps}")
-    return HermitianOperator(np.diag([0.0, eps]).astype(complex))
+    return HermitianOperator(np.diag([0.0, eps]))
 
 
 def qho_hamiltonian(mass: float, omega: float, dim: int) -> HermitianOperator:
@@ -212,7 +213,7 @@ def qho_hamiltonian(mass: float, omega: float, dim: int) -> HermitianOperator:
     if dim < 2:
         raise InputError(f"dim must be at least 2, got {dim}")
     n = np.arange(dim)
-    return HermitianOperator(np.diag((n + 0.5) * omega).astype(complex))
+    return HermitianOperator(np.diag((n + 0.5) * omega))
 
 
 def x_squared_element(mass: float, omega: float, n, m):
@@ -232,7 +233,7 @@ def x_squared_element(mass: float, omega: float, n, m):
 def x_squared_matrix(mass: float, omega: float, dim: int) -> HermitianOperator:
     """Position-squared operator on the truncated Fock space."""
     n = np.arange(dim)
-    return HermitianOperator(x_squared_element(mass, omega, n[:, None], n[None, :]).astype(complex))
+    return HermitianOperator(x_squared_element(mass, omega, n[:, None], n[None, :]))
 
 
 def _exp_factor(w, v, t):
@@ -273,8 +274,6 @@ class AffinePath:
         with no entry at an odd distance from the diagonal, where parity never mixes, else
         the whole path as one block, a stack included."""
         h0, x = self.h0.entries, self.x.entries
-        if not (np.any(h0.imag) or np.any(x.imag)):
-            h0, x = h0.real, x.real
         n = np.arange(self.h0.dim)
         odd = (n[:, None] - n) % 2 == 1
         if h0.ndim > 2 or np.any(h0[odd]) or np.any(x[odd]):

@@ -275,7 +275,8 @@ def crooks_check(fwd: WorkDistribution, rev: WorkDistribution, beta, delta_f):
     if not counts.all():
         raise NumericError(f"{fwd._row(np.argmin(counts))}no matchable support points between "
                            "forward and reverse distributions")
-    drift = fwd._per_point(beta)[keep] * (w - fwd._per_point(delta_f)[keep])
+    with np.errstate(over="ignore"):  # an infinite drift leaves an infinite residual
+        drift = fwd._per_point(beta)[keep] * (w - fwd._per_point(delta_f)[keep])
     residual = np.abs(np.log(p[matched] / q[matched]) - drift[matched])
     return fwd._per_row(np.maximum.reduceat(residual, np.cumsum(counts) - counts))
 
@@ -316,9 +317,9 @@ def entropy_production_two_level(zfactor: float, beta_eps: float) -> float:
     """Closed-form average entropy production for the shifted two-level system.
 
     Sigma = (Z - 1) beta eps + ln((1 - e^{-Z beta eps}) / (1 - e^{-beta eps})),
-    implemented exactly as the closed form states.  Cross-validate against
-    beta * dissipated_work_thermal, which this package treats as ground truth;
-    the two are not identical (see the scenario reports).
+    implemented exactly as the closed form states.  beta * dissipated_work_thermal is no
+    ground truth but bookkeeping with thermal states at both ends, of the opposite sign to
+    Sigma on both sides of z = 1.  A run's TPM entropy production is D(rho_0 || rho_T^eq) >= 0.
     """
     # negated, so that a NaN fails it; the product of floats may underflow to 0 or overflow
     zfactor, beta_eps = float(zfactor), float(beta_eps)

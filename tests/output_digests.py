@@ -4,7 +4,9 @@ Runs each config of `test_scenarios.shipped_configs`, the ci-newtonian config wi
 `samples` and with a `zfactor_grid`, and `verify` at both levels, all through
 `curvedwork.cli.main` into a temporary directory.  A scenario run's digests cover
 its four files and the summary it prints; verification.json is hashed with every
-criterion's runtime set to 0.  To compare two trees, run it in each and diff:
+criterion's runtime set to 0.  The list does not depend on the BLAS thread count:
+runs at OPENBLAS_NUM_THREADS=1 and at 2 print the same digests.  To compare two
+trees, run it in each and diff:
 
     PYTHONPATH=src python tests/output_digests.py > digests.txt
 

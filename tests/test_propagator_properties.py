@@ -212,12 +212,12 @@ def test_stacked_energy_basis_equals_each_single_basis(protocol, tau):
 def test_stack_with_one_non_hermitian_member_is_an_input_error(protocol, data):
     path, tau0, tau1, steps = protocol
     bad = data.draw(st.integers(0, path.h0.entries.shape[0] - 1))
-    h0 = path.h0.entries.copy()
+    h0 = path.h0.entries.astype(complex)
     h0[bad, 0, -1] += 1e-6j if h0.shape[-1] == 1 else 1e-6
     with pytest.raises(InputError, match="not Hermitian"):
         HermitianOperator(h0)
     # x within tolerance, but a large f amplifies one member's deviation past it
-    x = path.x.entries.copy()
+    x = path.x.entries.astype(complex)
     x[bad, 0, -1] += 2e-13j if x.shape[-1] == 1 else 2e-13
     amplified = AffinePath(path.h0, HermitianOperator(x), lambda tau: 100.0)
     with pytest.raises(InputError, match="not Hermitian"):

@@ -71,6 +71,25 @@ class TestOperators:
         inner = slice(0, dim - 2)
         assert np.max(np.abs(built[inner, inner] - oracle[inner, inner])) < 1e-13
 
+    @pytest.mark.parametrize("kind", [HermitianOperator, UnitaryOperator])
+    @pytest.mark.parametrize("entries, dtype", [
+        pytest.param([[1, 0], [0, 1]], np.float64, id="int-list"),
+        pytest.param(np.eye(2, dtype=bool), np.float64, id="bool"),
+        pytest.param(np.eye(2, dtype=np.float32), np.float64, id="float32"),
+        pytest.param(np.eye(2), np.float64, id="float"),
+        pytest.param([[0, 1j], [-1j, 0]], np.complex128, id="complex-list"),
+        pytest.param(np.eye(2, dtype=np.complex64), np.complex128, id="complex64"),
+        # complex entries stay complex, even with every imaginary part 0
+        pytest.param(np.eye(2, dtype=complex), np.complex128, id="complex-real-valued"),
+    ])
+    def test_entries_are_float_unless_complex(self, kind, entries, dtype):
+        assert kind(entries).entries.dtype == dtype
+
+    def test_builders_are_float(self):
+        for op in (two_level_hamiltonian(1.0), qho_hamiltonian(1.0, 1.0, 4),
+                   x_squared_matrix(1.0, 1.0, 4)):
+            assert op.entries.dtype == np.float64
+
     def test_hermiticity_enforced(self):
         with pytest.raises(InputError):
             HermitianOperator(np.array([[0.0, 1.0], [0.0, 0.0]]))

@@ -19,7 +19,8 @@ from curvedwork import quantum, scenarios
 from curvedwork.cli import main as cli_main
 from curvedwork.errors import ConfigError, ConvergenceError, InputError
 from curvedwork.frame import FrameData, FramePoint, time_dilation
-from curvedwork.quantum import EnergyBasis, qho_hamiltonian, x_squared_matrix
+from curvedwork.quantum import (AffinePath, EnergyBasis, propagator, qho_hamiltonian,
+                                thermal_state, x_squared_matrix)
 from curvedwork.scenarios import (
     RunArtifacts,
     ScenarioConfig,
@@ -338,6 +339,21 @@ class TestRunDesitter:
         expected = [abs(((v * np.exp(-1j * w * t)) @ v.conj().T)[2, 0]) ** 2
                     for t in art.curves["t"]]
         np.testing.assert_allclose(art.curves["p20_exact"], expected, rtol=1e-12, atol=1e-30)
+
+    def test_truncation_guard_reads_the_level_below_the_top(self):
+        # at beta 30 the top level holds 1.7e-14, under LEAKAGE_LIMIT, and the level below
+        # it 4.8e-3: a guard on the top level alone would let this run pass
+        mass, omega0, dim, hubble = 1.0, 1.0, 4, 0.9
+        cfg = desitter_config(system={"kind": "oscillator", "mass": mass, "omega0": omega0,
+                                      "dim": dim}, geometry={"hubble": hubble}, beta=30.0)
+        h0 = qho_hamiltonian(mass, omega0, dim)
+        path = AffinePath(h0, x_squared_matrix(mass, omega0, dim),
+                          lambda tau: -0.5 * mass * hubble ** 2)
+        u = propagator(path, 0.0, cfg.duration, cfg.steps).entries
+        evolved = np.diag(u @ thermal_state(h0, cfg.beta).density @ u.conj().T).real
+        assert evolved[-1] < scenarios.LEAKAGE_LIMIT < evolved[-2]
+        with pytest.raises(ConvergenceError, match="top-two-level population 0.00478 "):
+            run_scenario(cfg)
 
     def test_truncation_guard_trips(self):
         cfg = desitter_config(
@@ -852,6 +868,24 @@ class TestCli:
         assert err[0].startswith("error: frame tables violate Riemann symmetries: "
                                  "{'ikjl_antisymmetric_first_pair': inf")
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_beta_whose_gibbs_weights_overflow_is_one_numeric_error_line(self, tmp_path, capsys):
+        # beta (E_n - E_0) and beta E_0 overflow in the Gibbs weights, and beta (W - delta_F)
+        # in the Crooks drift: an overflowing exponent weighs 0, and the emptied levels
+        # break the Jarzynski relation
+        data = {**ci_configs()["ci-desitter"], "beta": 1.7e308}
+        rc, err = self.stderr_of(tmp_path, capsys, data)
+        assert rc == 2 and len(err) == 1, err
+        assert err[0].startswith("numeric error: Jarzynski relation broken")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_acceleration_whose_a_dot_x_overflows_is_one_error_line(self, tmp_path, capsys):
+        # a.x_end = -1.7e308 * 1.7e308 overflows in the straight-line guard
+        data = {**ci_configs()["ci-newtonian"], "geometry": {"g": -1.7e308},
+                "position": [1.7e308, 0.0, 0.0]}
+        rc, err = self.stderr_of(tmp_path, capsys, data)
+        assert rc == 1 and err == ["error: |a.x| = inf exceeds expansion bound"], err
+
     def test_output_path_key_rejected(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({**vars(newtonian_config()), "output_path": "results"}))
@@ -969,3 +1003,25 @@ class TestCli:
         assert runtimes["A2"] == 0.0
         out = capsys.readouterr().out
         assert "A1: PASS" in out
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # at dim 200 the complex eigensolver's rounding followed the thread count; a real
+    # matrix is stored as float and takes the real solver, whose rounding does not
+    data = {**ci_configs()["ci-matrix"],
+            "system": {"kind": "matrix", "entries": random_symmetric(1, 200).tolist()}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": pythonpath, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads}
+        out = tmp_path / f"threads-{threads}"
+        done = subprocess.run([sys.executable, "-m", "curvedwork.cli", "custom", "--config",
+                               str(path), "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        outputs.append([(out / name).read_bytes()
+                        for name in ("report.json", "forward.csv", "reverse.csv")])
+    assert outputs[0] == outputs[1]

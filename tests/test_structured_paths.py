@@ -129,12 +129,22 @@ class TestBlocks:
 
     def test_complex_h0_splits_into_two_complex_blocks(self):
         path = banded_path(2, 7, smooth)
-        h0 = path.h0.entries.copy()
+        h0 = path.h0.entries.astype(complex)
         h0[0, 2], h0[2, 0] = 0.1j, -0.1j
         path = AffinePath(HermitianOperator(h0), path.x, smooth)
         assert [np.iscomplexobj(a) for _, a, _ in path.blocks] == [True, True]
         np.testing.assert_allclose(propagator(path, 0.0, 1.0, 20).entries,
                                    reference_loop(path, 0.0, 1.0, 20), rtol=0, atol=1e-14)
+
+    def test_complex_h0_with_real_x_is_one_complex_block(self):
+        # numpy promotes h0 + f x to complex: the real x needs no cast of its own
+        x = real_non_banded_path(4, 6).x
+        path = AffinePath(random_hermitian(np.random.default_rng(4), 6), x, smooth)
+        assert x.entries.dtype == np.float64
+        [(_, h0, x_block)] = path.blocks
+        assert np.iscomplexobj(h0) and not np.iscomplexobj(x_block)
+        np.testing.assert_allclose(propagator(path, 0.0, 1.0, 20).entries,
+                                   reference_loop(path, 0.0, 1.0, 20), rtol=0, atol=1e-13)
 
     def test_stack_of_a_banded_path_is_one_block(self):
         path = banded_path(4, 7, smooth)
