@@ -46,11 +46,13 @@ def broadcast_stacks(*shapes) -> tuple:
 
 
 def _square_stack(entries) -> np.ndarray:
-    """`entries` as square matrices, shape (..., d, d): complex when the entries are, else
-    float.  This is the one place that sets an operator's dtype."""
-    m = np.asarray(entries, dtype=complex if np.iscomplexobj(entries) else float)
+    """A read-only copy of `entries` as square matrices, shape (..., d, d): complex when the
+    entries are, else float.  This is the one place that sets the dtype of an operator and
+    of a basis's eigenvectors."""
+    m = np.array(entries, dtype=complex if np.iscomplexobj(entries) else float)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise InputError(f"operator must be square, got shape {m.shape}")
+    m.flags.writeable = False
     return m
 
 
@@ -98,15 +100,16 @@ class UnitaryOperator:
 
 @dataclass(frozen=True)
 class EnergyBasis:
-    """Ascending eigenvalues (..., d) with eigenvector columns (..., d, d); a single basis
-    is the stack shape ()."""
+    """Ascending eigenvalues (..., d) with eigenvector columns (..., d, d), read-only; a
+    single basis is the stack shape ()."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.eigenvalues, dtype=float)
-        v = np.asarray(self.eigenvectors, dtype=complex)
+        w = np.array(self.eigenvalues, dtype=float)
+        w.flags.writeable = False
+        v = _square_stack(self.eigenvectors)
         if w.ndim == 0 or v.shape != w.shape + w.shape[-1:]:
             raise InputError(f"eigenvectors of shape {v.shape} do not fit eigenvalues of "
                              f"shape {w.shape}")
@@ -176,11 +179,10 @@ def energy_basis(op: HermitianOperator) -> EnergyBasis:
 
 @dataclass(frozen=True)
 class ThermalState:
-    """Gibbs state e^(-beta H)/Z with its inverse temperature, log partition function
-    and mean energy Tr(H rho); floats for a single basis at a scalar beta, else arrays
-    shaped like the broadcast stack."""
+    """Gibbs state e^(-beta H)/Z with its log partition function and mean energy
+    Tr(H rho); floats for a single basis at a scalar beta, else arrays shaped like the
+    broadcast stack."""
 
-    beta: float | np.ndarray
     density: np.ndarray
     log_partition: float | np.ndarray
     mean_energy: float | np.ndarray
@@ -195,7 +197,7 @@ def thermal_state(op: HermitianOperator | EnergyBasis, beta) -> ThermalState:
     rho = (v * populations[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
     rho = 0.5 * (rho + np.swapaxes(rho.conj(), -1, -2))
     mean = (populations[..., None, :] @ basis.eigenvalues[..., :, None])[..., 0, 0]
-    return ThermalState(beta=beta, density=rho, log_partition=log_partition,
+    return ThermalState(density=rho, log_partition=log_partition,
                         mean_energy=float(mean) if mean.ndim == 0 else mean)
 
 
@@ -282,17 +284,19 @@ class AffinePath:
                 for idx in (n[0::2], n[1::2]) if idx.size]
 
     def spectrum(self, value) -> EnergyBasis:
-        """Energy basis of a single path's h0 + value x at one real value, by one solve per
-        block; the eigenvectors are exactly zero between the blocks."""
+        """Energy basis of a single path's h0 + value x at one real value, by one
+        `energy_basis` per block, so each is checked for reconstruction; the eigenvectors are
+        exactly zero between the blocks, and real when h0 and x are."""
         if np.ndim(value) != 0 or np.asarray(value).dtype.kind not in "iuf":
             raise InputError(f"spectrum needs one real number, got {value!r}")
         if self.h0.entries.ndim > 2:
             raise InputError(f"spectrum reads a single path, got shape {self.h0.entries.shape}")
-        w, v = np.empty(0), np.zeros((self.h0.dim, self.h0.dim), dtype=complex)
+        w = np.empty(0)
+        v = np.zeros((self.h0.dim, self.h0.dim), np.result_type(self.h0.entries, self.x.entries))
         for idx, a, b in self.blocks:
-            ws, vs = _block_eigh(a, b, value)
-            v[idx, w.size:w.size + ws.size] = vs
-            w = np.concatenate((w, ws))
+            block = energy_basis(HermitianOperator(a + value * b))
+            v[idx, w.size:w.size + block.dim] = block.eigenvectors
+            w = np.concatenate((w, block.eigenvalues))
         order = np.argsort(w, kind="stable")
         return EnergyBasis(w[order], v[:, order])
 

@@ -272,8 +272,6 @@ def _protocol_outputs(b_init, b_final, u, config):
         jarzynski_lhs=lhs,
         jarzynski_rhs=zratio,
         crooks_max_residual=residual,
-        entropy_production=beta * (mw - df),
-        dissipated_work=mw - df,
     )
     return fwd, rev, report
 

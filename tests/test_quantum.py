@@ -85,6 +85,29 @@ class TestOperators:
     def test_entries_are_float_unless_complex(self, kind, entries, dtype):
         assert kind(entries).entries.dtype == dtype
 
+    @pytest.mark.parametrize("h0, x, dtype", [
+        pytest.param(qho_hamiltonian(1.0, 1.0, 4), x_squared_matrix(1.0, 1.0, 4), np.float64,
+                     id="two-real-blocks"),
+        pytest.param(HermitianOperator([[1, 2], [2, 0]]), HermitianOperator(np.eye(2)),
+                     np.float64, id="real"),
+        pytest.param(HermitianOperator([[1, 2j], [-2j, 0]]), HermitianOperator(np.eye(2)),
+                     np.complex128, id="complex"),
+    ])
+    def test_bases_are_float_unless_complex(self, h0, x, dtype):
+        bases = (energy_basis(h0), AffinePath(h0, x, np.sin).spectrum(0.5),
+                 energy_basis(h0).scaled(-2.0))
+        assert [basis.eigenvectors.dtype for basis in bases] == [dtype] * 3
+
+    def test_operators_and_bases_hold_read_only_copies(self):
+        source, w = np.eye(2), np.array([0.0, 1.0])
+        h, u, basis = HermitianOperator(source), UnitaryOperator(source), EnergyBasis(w, source)
+        source[0, 1], w[0] = 5.0, -1.0
+        assert h.entries[0, 1] == u.entries[0, 1] == basis.eigenvectors[0, 1] == 0.0
+        assert basis.eigenvalues[0] == 0.0
+        for array in (h.entries, u.entries, basis.eigenvectors, basis.eigenvalues):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+
     def test_builders_are_float(self):
         for op in (two_level_hamiltonian(1.0), qho_hamiltonian(1.0, 1.0, 4),
                    x_squared_matrix(1.0, 1.0, 4)):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from curvedwork import quantum
-from curvedwork.errors import InputError
+from curvedwork.errors import InputError, NumericError
 from curvedwork.spacetimes import desitter_frame
 from curvedwork.quantum import (
     AffinePath,
@@ -165,6 +165,23 @@ class TestBlocks:
             expected = [((v * np.exp(-1j * w * t)) @ v.conj().T)[:, m] for t in times]
             np.testing.assert_allclose(spectrum.amplitudes(slice(None), m, times),
                                        np.transpose(expected), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("blocks", [1, 2])
+    def test_spectrum_checks_each_solve(self, monkeypatch, blocks):
+        # eigenvector columns reversed against their eigenvalues, a wrong basis
+        rng = np.random.default_rng(4)
+        path = (banded_path(6, 5, smooth) if blocks == 2 else
+                AffinePath(random_hermitian(rng, 4), random_hermitian(rng, 4), smooth))
+        assert len(path.blocks) == blocks
+        eigh = np.linalg.eigh
+
+        def reversed_eigh(m):
+            w, v = eigh(m)
+            return w, v[..., ::-1]
+
+        monkeypatch.setattr(np.linalg, "eigh", reversed_eigh)
+        with pytest.raises(NumericError, match="eigendecomposition reconstruction error"):
+            path.spectrum(0.5)
 
     def test_stack_spectrum_rejected(self):
         with pytest.raises(InputError, match="single path"):
@@ -396,7 +413,7 @@ class TestBadMidpointAtAnyBatchPosition:
         # x is Hermitian within tolerance, but a large f amplifies its deviation past it
         is_bad = self.is_bad(bad_step)
         rng = np.random.default_rng(bad_step)
-        x = random_hermitian(rng, 3).entries
+        x = random_hermitian(rng, 3).entries.copy()
         x[0, 1] += 5e-13
         path = AffinePath(random_hermitian(rng, 3), HermitianOperator(x),
                           lambda tau: np.where(is_bad(tau), 100.0, 0.5))

@@ -1,6 +1,7 @@
 """Two-point-measurement protocol: distributions, Crooks/Jarzynski, entropy."""
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -447,43 +448,15 @@ class TestWorkDistribution:
 
 
 class TestProtocolReport:
-    def test_consistency_enforced(self):
-        # an inconsistent report is a program fault (exit 2), not a user error
-        with pytest.raises(NumericError, match="entropy_production"):
-            ProtocolReport(
-                beta=1.0,
-                delta_F=0.0,
-                mean_work=1.0,
-                jarzynski_lhs=1.0,
-                jarzynski_rhs=1.0,
-                crooks_max_residual=0.0,
-                entropy_production=0.0,  # should be beta * dissipated_work = 1.0
-                dissipated_work=1.0,
-            )
-
-    def test_dissipated_work_mismatch_is_a_program_fault(self):
-        with pytest.raises(NumericError, match="dissipated_work") as info:
-            ProtocolReport(
-                beta=1.0,
-                delta_F=0.5,
-                mean_work=1.0,
-                jarzynski_lhs=1.0,
-                jarzynski_rhs=1.0,
-                crooks_max_residual=0.0,
-                entropy_production=1.0,
-                dissipated_work=1.0,  # should be mean_work - delta_F = 0.5
-            )
-        assert not isinstance(info.value, InputError)
-
-    def test_valid_report(self):
-        report = ProtocolReport(
-            beta=2.0,
-            delta_F=0.5,
-            mean_work=0.7,
-            jarzynski_lhs=math.exp(-1.0),
-            jarzynski_rhs=math.exp(-1.0),
-            crooks_max_residual=0.0,
-            entropy_production=0.4,
-            dissipated_work=0.2,
-        )
-        assert report.dissipated_work == pytest.approx(0.2)
+    def test_derived_fields_are_their_formulas(self):
+        inputs = {"beta": 2.0, "delta_F": 0.5, "mean_work": 0.7,
+                  "jarzynski_lhs": math.exp(-1.0), "jarzynski_rhs": math.exp(-1.0),
+                  "crooks_max_residual": 0.0}
+        report = ProtocolReport(**inputs)
+        assert report.dissipated_work == 0.7 - 0.5
+        assert report.entropy_production == 2.0 * (0.7 - 0.5)
+        # report.json keeps its key order, the derived fields last
+        assert list(asdict(report)) == [*inputs, "entropy_production", "dissipated_work"]
+        for derived in ("entropy_production", "dissipated_work"):
+            with pytest.raises(TypeError):
+                ProtocolReport(**inputs, **{derived: 0.2})
