@@ -152,9 +152,17 @@ UNREAD_FIELDS = [
 ]
 
 
+# the rows of ci_error_cases() whose prefix is the whole stderr line
+WHOLE_LINE_CASES = {
+    *(f"{name}-with-{key}" for name, key, _, _ in UNREAD_FIELDS), "missing-keys",
+    "output-path-key", "momentum-1e200-newtonian", "momentum-1e200-custom", "far-position",
+    "guard-accel-row", "guard-accel", "guard-titj", "accel-overflow", "mass-overflow"}
+
+
 def ci_error_cases():
-    """The error-line cases of Tier-1 and of the CI console step: (name, config, exit code,
-    the prefix of the one stderr line).  Each run ends in that code and that one line."""
+    """The error-line cases of Tier-1 and of the CI console step, name -> (config, exit code,
+    the prefix of the one stderr line).  Each run ends in that code and one stderr line: the
+    prefix itself for the names in WHOLE_LINE_CASES, a line that starts with it for the rest."""
     ci = ci_configs()
     n, d, c, o = ci["ci-newtonian"], ci["ci-desitter"], ci["ci-custom"], ci["ci-oscillator"]
     tables = c["geometry"]["frame_tables"]
@@ -200,74 +208,74 @@ def ci_error_cases():
         "seed-without-samples": {"seed": 3},
         "zfactor_grid-empty": {"zfactor_grid": []},
     }
-    return [
-        *[(name, {**n, **overrides}, 1, "error:") for name, overrides in malformed.items()],
-        *[(f"{name}-with-{key}", {**ci[name], key: value}, 1,
-           f"error: config keys ['{key}'] do not apply to the {run}")
-          for name, key, value, run in UNREAD_FIELDS],
-        ("missing-keys", {"scenario": "newtonian"}, 1,
-         "error: scenario, beta, system and geometry are required"),
-        ("output-path-key", {**n, "output_path": "results"}, 1,
-         "error: unknown config keys ['output_path']"),
+    return {
+        **{name: ({**n, **overrides}, 1, "error:") for name, overrides in malformed.items()},
+        **{f"{name}-with-{key}": ({**ci[name], key: value}, 1,
+                                 f"error: config keys ['{key}'] do not apply to the {run}")
+            for name, key, value, run in UNREAD_FIELDS},
+        "missing-keys": ({"scenario": "newtonian"}, 1,
+            "error: scenario, beta, system and geometry are required"),
+        "output-path-key": ({**n, "output_path": "results"}, 1,
+            "error: unknown config keys ['output_path']"),
         # z_T = 1 - 40^2/2 + 0.05 = -799, so e^(-beta delta_F) = Z_T / Z_0 is near e^799
-        ("momentum40", {**n, "momentum": [40, 0, 0]}, 2,
-         "numeric error: e^(-beta delta_F) overflows"),
+        "momentum40": ({**n, "momentum": [40, 0, 0]}, 2,
+            "numeric error: e^(-beta delta_F) overflows"),
         # p.p overflows, so z is -inf everywhere after tau = 0
-        *[(f"momentum-1e200-{run['scenario']}", {**run, "momentum": [1e200, 0.0, 0.0]}, 1,
-           "error: non-finite time-dilation factor on the trajectory") for run in (n, c)],
-        ("omega0-1e300", {**d, "system": {**d["system"], "omega0": 1e300}}, 1,
-         "error: omega0 1e+300 is too large"),
+        **{f"momentum-1e200-{run['scenario']}": ({**run, "momentum": [1e200, 0.0, 0.0]}, 1,
+            "error: non-finite time-dilation factor on the trajectory") for run in (n, c)},
+        "omega0-1e300": ({**d, "system": {**d["system"], "omega0": 1e300}}, 1,
+            "error: omega0 1e+300 is too large"),
         # z beta eps = 0.5 * 5e-324 rounds to 0, and the closed form takes log(1 - e^0)
-        ("eps-underflow", {**n, "system": {**n["system"], "eps": 5e-324}}, 1,
-         "error: zfactor and zfactor * beta_eps must be positive"),
+        "eps-underflow": ({**n, "system": {**n["system"], "eps": 5e-324}}, 1,
+            "error: zfactor and zfactor * beta_eps must be positive"),
         # z beta eps = 1.075 * 1.7e308 overflows: the closed form read log(1 - e^-inf) = 0
-        ("eps-overflow", {**n, "system": {**n["system"], "eps": 1.7e308}}, 1,
-         "error: zfactor and zfactor * beta_eps must be positive and finite, got zfactor 1.075"),
+        "eps-overflow": ({**n, "system": {**n["system"], "eps": 1.7e308}}, 1,
+            "error: zfactor and zfactor * beta_eps must be positive and finite, got zfactor 1.075"),
         # <n|x^2|m> = band / (2 mass omega0) overflows at omega0 = 5e-324
-        ("omega0-tiny", {**o, "system": {**o["system"], "omega0": 5e-324}}, 1,
-         "error: <n|x^2|m> overflows the float range"),
+        "omega0-tiny": ({**o, "system": {**o["system"], "omega0": 5e-324}}, 1,
+            "error: <n|x^2|m> overflows the float range"),
         # r^2 = 1e600 overflows, so |R| r^2 on zero curvature is 0 * inf: no trusted region
-        ("far-position", {**ci["ci-matrix"], "position": [0.5, 1e300, 0]}, 1,
-         "error: |R| r^2 = nan at r = 1e+300 exceeds expansion bound"),
+        "far-position": ({**ci["ci-matrix"], "position": [0.5, 1e300, 0]}, 1,
+            "error: |R| r^2 = nan at r = 1e+300 exceeds expansion bound"),
         # the accel row at tau = 0.5 takes |a.x| past 0.1 only between the two curve points
-        ("guard-accel-row", {**guard, "position": [0.4, 0.0, 0.0], "geometry": {"frame_tables": {
+        "guard-accel-row": ({**guard, "position": [0.4, 0.0, 0.0], "geometry": {"frame_tables": {
             **uniform_gravity_tables(n=3), "accel": [[0.0] * 3, [1.0, 0.0, 0.0], [0.0] * 3]}}},
-         1, "error: |a.x| = 0.2 exceeds expansion bound"),
+            1, "error: |a.x| = 0.2 exceeds expansion bound"),
         # |a.x| and |R| r^2 pass 0.1 only between the step midpoints; 0.75 (1 - tau) tau^2
         # peaks at tau = 2/3, inside the one segment
-        ("guard-accel", {**guard, "position": [0.5, 0.0, 0.0], "steps": 2, "geometry": {
+        "guard-accel": ({**guard, "position": [0.5, 0.0, 0.0], "steps": 2, "geometry": {
             "frame_tables": {**tables, "accel": [[0.9, 0.0, 0.0], [0.0, 0.0, 0.0]]}}}, 1,
-         "error: |a.x| = 0.113 exceeds expansion bound"),
-        ("guard-titj", {**guard, "position": [1.0, 0.0, 0.0], "steps": 3, "geometry": {
+            "error: |a.x| = 0.113 exceeds expansion bound"),
+        "guard-titj": ({**guard, "position": [1.0, 0.0, 0.0], "steps": 3, "geometry": {
             "frame_tables": {**tables, "accel": np.zeros((2, 3)).tolist(), "riemann_titj": [
                 np.diag([0.75, 0.0, 0.0]).tolist(), np.zeros((3, 3)).tolist()]}}}, 1,
-         "error: |R| r^2 = 0.111 at r = 0.667 exceeds expansion bound"),
+            "error: |R| r^2 = 0.111 at r = 0.667 exceeds expansion bound"),
         # a.x_end = -1.7e308 * 1.7e308 overflows in the straight-line guard
-        ("accel-overflow", {**n, "geometry": {"g": -1.7e308}, "position": [1.7e308, 0, 0]}, 1,
-         "error: |a.x| = inf exceeds expansion bound"),
+        "accel-overflow": ({**n, "geometry": {"g": -1.7e308}, "position": [1.7e308, 0, 0]}, 1,
+            "error: |a.x| = inf exceeds expansion bound"),
         # (tau1 - tau0) ||h0|| = 1.7e308 * 39.5 overflows
-        ("duration-overflow", {**d, "duration": 1.7e308}, 1,
-         "error: non-finite path coefficient at a midpoint, or phase"),
+        "duration-overflow": ({**d, "duration": 1.7e308}, 1,
+            "error: non-finite path coefficient at a midpoint, or phase"),
         # (mass H^2 / 2)^2 = (5e295)^2 overflows in the closed-form transition probability
-        ("mass-overflow", {**d, "system": {**d["system"], "mass": 1e300}}, 1,
-         "error: (mass H^2 / 2)^2 overflows the float range at mass 1e+300"),
-        ("ikjl-overflow", {**c, "geometry": {"frame_tables": {**tables,
+        "mass-overflow": ({**d, "system": {**d["system"], "mass": 1e300}}, 1,
+            "error: (mass H^2 / 2)^2 overflows the float range at mass 1e+300"),
+        "ikjl-overflow": ({**c, "geometry": {"frame_tables": {**tables,
                                                               "riemann_ikjl": ikjl.tolist()}}},
-         1, "error: frame tables violate Riemann symmetries: "
-            "{'ikjl_antisymmetric_first_pair': inf"),
+            1, "error: frame tables violate Riemann symmetries: "
+               "{'ikjl_antisymmetric_first_pair': inf"),
         # <e^(-beta W)> leaves e^(-beta delta_F) by more than 1e-10: at 2^64, an integer past
         # int64 that runs as its float, and at 1e19 with hubble 0.3
-        ("beta-2e64", {**d, "beta": 2 ** 64}, 2, "numeric error: Jarzynski relation broken"),
-        ("beta-1e19", {**d, "beta": 1e19, "geometry": {"hubble": 0.3}}, 2,
-         "numeric error: Jarzynski relation broken: <e^(-beta W)> = 0.99889"),
+        "beta-2e64": ({**d, "beta": 2 ** 64}, 2, "numeric error: Jarzynski relation broken"),
+        "beta-1e19": ({**d, "beta": 1e19, "geometry": {"hubble": 0.3}}, 2,
+            "numeric error: Jarzynski relation broken: <e^(-beta W)> = 0.99889"),
         # beta (E_n - E_0) and beta E_0 overflow in the Gibbs weights, and beta (W - delta_F)
         # in the Crooks drift: an overflowing exponent weighs 0, and the emptied levels
         # break the Jarzynski relation
-        ("beta-overflow", {**d, "beta": 1.7e308}, 2, "numeric error: Jarzynski relation broken"),
-        ("truncation", {**d, "beta": 0.05, "geometry": {"hubble": 0.9},
+        "beta-overflow": ({**d, "beta": 1.7e308}, 2, "numeric error: Jarzynski relation broken"),
+        "truncation": ({**d, "beta": 0.05, "geometry": {"hubble": 0.9},
                         "system": {**d["system"], "dim": 4}}, 2,
-         "numeric error: top-two-level population"),
-    ]
+            "numeric error: top-two-level population"),
+    }
 
 
 class TestScenarioConfig:
@@ -796,18 +804,23 @@ class TestCli:
         return rc, capsys.readouterr().err.strip().splitlines()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("data, code, prefix",
-                             [pytest.param(*row, id=name) for name, *row in ci_error_cases()])
-    def test_error_case_is_one_line(self, tmp_path, capsys, data, code, prefix):
+    @pytest.mark.parametrize("name, data, code, prefix", [
+        pytest.param(name, *row, id=name) for name, row in ci_error_cases().items()])
+    def test_error_case_is_one_line(self, tmp_path, capsys, name, data, code, prefix):
         rc, err = self.stderr_of(tmp_path, capsys, data)
         assert rc == code and len(err) == 1, err
-        assert err[0].startswith(prefix), err
+        if name in WHOLE_LINE_CASES:
+            assert err == [prefix]
+        else:
+            assert err[0].startswith(prefix), err
+
+    def test_whole_line_cases_are_rows(self):
+        assert WHOLE_LINE_CASES <= ci_error_cases().keys()
 
     @pytest.mark.parametrize("scenario", ["newtonian", "custom"])
     def test_non_finite_zfactor_with_warnings_as_errors(self, tmp_path, scenario):
         # as the CI console-script step runs: a RuntimeWarning would end in a traceback
-        [(data, line)] = [(data, prefix) for name, data, _, prefix in ci_error_cases()
-                          if name == f"momentum-1e200-{scenario}"]
+        data, _, line = ci_error_cases()[f"momentum-1e200-{scenario}"]
         path = tmp_path / "config.json"
         path.write_text(json.dumps(data))
         pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
@@ -847,8 +860,7 @@ class TestCli:
     def test_broken_jarzynski_relation_is_one_numeric_error_line(self, tmp_path, capsys):
         # at beta 1e19 <e^(-beta W)> read 0.998893 against e^(-beta delta_F) = 1, and the run
         # wrote that report with an entropy production of 2.2e16
-        [(data, prefix)] = [(data, prefix) for name, data, _, prefix in ci_error_cases()
-                            if name == "beta-1e19"]
+        data, _, prefix = ci_error_cases()["beta-1e19"]
         rc, err = self.stderr_of(tmp_path, capsys, data)
         assert rc == 2 and len(err) == 1 and err[0].startswith(prefix), err
         assert not (tmp_path / "o").exists()
