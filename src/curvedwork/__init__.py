@@ -26,7 +26,6 @@ from .quantum import (
     AffinePath,
     EnergyBasis,
     HermitianOperator,
-    ThermalState,
     UnitaryOperator,
     energy_basis,
     perturbative_amplitude,

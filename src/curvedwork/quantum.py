@@ -177,28 +177,15 @@ def energy_basis(op: HermitianOperator) -> EnergyBasis:
     return EnergyBasis(eigenvalues=w, eigenvectors=v)
 
 
-@dataclass(frozen=True)
-class ThermalState:
-    """Gibbs state e^(-beta H)/Z with its log partition function and mean energy
-    Tr(H rho); floats for a single basis at a scalar beta, else arrays shaped like the
-    broadcast stack."""
-
-    density: np.ndarray
-    log_partition: float | np.ndarray
-    mean_energy: float | np.ndarray
-
-
-def thermal_state(op: HermitianOperator | EnergyBasis, beta) -> ThermalState:
-    """Thermal state of a Hamiltonian, or of the energy basis it was diagonalised into;
-    a stack of either, with beta a scalar or an array that broadcasts against it."""
-    basis = op if isinstance(op, EnergyBasis) else energy_basis(op)
-    populations, log_partition = basis.gibbs(beta)
+def thermal_state(basis: EnergyBasis, beta) -> np.ndarray:
+    """Gibbs density matrix e^(-beta H)/Z, Hermitian, from the energy basis of H; a stack
+    of bases gives a stack, with beta a scalar or an array that broadcasts against it."""
+    if not isinstance(basis, EnergyBasis):
+        raise InputError(f"thermal_state needs an energy_basis, got {type(basis).__name__}")
+    populations = basis.gibbs(beta)[0]
     v = basis.eigenvectors
     rho = (v * populations[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
-    rho = 0.5 * (rho + np.swapaxes(rho.conj(), -1, -2))
-    mean = (populations[..., None, :] @ basis.eigenvalues[..., :, None])[..., 0, 0]
-    return ThermalState(density=rho, log_partition=log_partition,
-                        mean_energy=float(mean) if mean.ndim == 0 else mean)
+    return 0.5 * (rho + np.swapaxes(rho.conj(), -1, -2))
 
 
 def two_level_hamiltonian(eps: float) -> HermitianOperator:
@@ -214,8 +201,9 @@ def qho_hamiltonian(mass: float, omega: float, dim: int) -> HermitianOperator:
         raise InputError("mass and omega must be positive")
     if dim < 2:
         raise InputError(f"dim must be at least 2, got {dim}")
-    n = np.arange(dim)
-    return HermitianOperator(np.diag((n + 0.5) * omega))
+    if not math.isfinite((dim - 0.5) * float(omega)):  # the top level; a float product never warns
+        raise InputError(f"levels (n + 1/2) omega overflow the float range at omega {omega:g}")
+    return HermitianOperator(np.diag((np.arange(dim) + 0.5) * omega))
 
 
 def x_squared_element(mass: float, omega: float, n, m):

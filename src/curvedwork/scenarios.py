@@ -380,7 +380,7 @@ def _oscillator_protocol(config, frame):
 
     # truncation guard: evolved thermal populations must not reach the cutoff
     b0 = energy_basis(h0)
-    rho0 = thermal_state(b0, config.beta).density
+    rho0 = thermal_state(b0, config.beta)
     top = u.entries[dim - 2:]  # the diagonal of U rho0 U^dagger at the top two levels
     leak = float(np.real(np.sum((top @ rho0) * top.conj())))
     if leak > LEAKAGE_LIMIT:

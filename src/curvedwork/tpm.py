@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, NumericError
-from .quantum import (EnergyBasis, HermitianOperator, UnitaryOperator, broadcast_stacks,
-                      energy_basis, thermal_state)
+from .quantum import EnergyBasis, UnitaryOperator, broadcast_stacks
+# unused here; benchmarks/tracer.py TARGETS wraps both names in this module (ROADMAP item 10)
+from .quantum import energy_basis, thermal_state  # noqa: F401
 
 P_FLOOR = 1e-12
 MERGE_TOL_RELATIVE = 1e-9
@@ -149,37 +150,36 @@ class ProtocolReport:
 def default_merge_tol(first, second) -> np.ndarray:
     """MERGE_TOL_RELATIVE times the span of both spectra's levels, or 1e-12 for one level,
     per stack row of the spectra (..., d)."""
-    span = (np.maximum(np.max(first, axis=-1), np.max(second, axis=-1))
-            - np.minimum(np.min(first, axis=-1), np.min(second, axis=-1)))
+    with np.errstate(over="ignore"):  # a span past the float range is inf, refused in from_raw
+        span = (np.maximum(np.max(first, axis=-1), np.max(second, axis=-1))
+                - np.minimum(np.min(first, axis=-1), np.min(second, axis=-1)))
     return np.where(span > 0, MERGE_TOL_RELATIVE * span, 1e-12)
 
 
-# A protocol endpoint: a Hamiltonian, or its energy basis, so that a caller
-# evaluating several quantities of one protocol diagonalises each endpoint once.
-# Either may be a stack (..., d, d), one protocol per stack entry.
-Endpoint = HermitianOperator | EnergyBasis
-
-
-def _endpoints(h_init: Endpoint, h_final: Endpoint, beta, u: UnitaryOperator | None = None):
-    """Energy bases of both endpoints, beta as an array when it is one, and the stack shape
-    that the endpoints, u and beta broadcast to; mismatched dims or stacks are InputErrors."""
-    ops = (h_init, h_final) if u is None else (h_init, h_final, u)
+def _endpoints(b0: EnergyBasis, bt: EnergyBasis, beta, u: UnitaryOperator | None = None):
+    """beta as an array when it is one, and the stack shape that the endpoint bases, u and
+    beta broadcast to; an endpoint that is no EnergyBasis, or mismatched dims or stacks, is
+    an InputError."""
+    if not (isinstance(b0, EnergyBasis) and isinstance(bt, EnergyBasis)):
+        raise InputError(f"endpoints must be bases made by energy_basis, got "
+                         f"{type(b0).__name__} and {type(bt).__name__}")
+    ops = (b0, bt) if u is None else (b0, bt, u)
     if len({op.dim for op in ops}) > 1:
         raise InputError("dimension mismatch: " + ", ".join(
             f"{name} {op.dim}" for name, op in zip(("h_init", "h_final", "u"), ops)))
-    b0, bt = (h if isinstance(h, EnergyBasis) else energy_basis(h) for h in (h_init, h_final))
     beta = np.asarray(beta, dtype=float) if np.ndim(beta) else beta
     shapes = [b0.stack_shape, bt.stack_shape, np.shape(beta)]
     if u is not None:
         shapes.append(u.entries.shape[:-2])
-    return b0, bt, beta, broadcast_stacks(*shapes)
+    return beta, broadcast_stacks(*shapes)
 
 
-def delta_F(h_init: Endpoint, h_final: Endpoint, beta):
-    """Free-energy difference -(1/beta)(ln Z_T - ln Z_0) between the endpoint Hamiltonians;
-    an array shaped like the broadcast stack of the endpoints and beta, or a float."""
-    b0, bt, beta, _ = _endpoints(h_init, h_final, beta)
-    return -(bt.gibbs(beta)[1] - b0.gibbs(beta)[1]) / beta
+def delta_F(h_init: EnergyBasis, h_final: EnergyBasis, beta):
+    """Free-energy difference -(1/beta)(ln Z_T - ln Z_0) between the endpoint Hamiltonians,
+    from their energy bases; an array shaped like the broadcast stack of the bases and beta,
+    or a float."""
+    beta, _ = _endpoints(h_init, h_final, beta)
+    return -(h_final.gibbs(beta)[1] - h_init.gibbs(beta)[1]) / beta
 
 
 def _measured_work(first: EnergyBasis, second: EnergyBasis, u: np.ndarray, beta, merge_tol,
@@ -191,7 +191,8 @@ def _measured_work(first: EnergyBasis, second: EnergyBasis, u: np.ndarray, beta,
         merge_tol = default_merge_tol(first.eigenvalues, second.eigenvalues)
     amp = np.swapaxes(second.eigenvectors.conj(), -1, -2) @ u @ first.eigenvectors
     joint = np.abs(amp) ** 2 * first.gibbs(beta)[0][..., None, :]
-    works = second.eigenvalues[..., :, None] - first.eigenvalues[..., None, :]
+    with np.errstate(over="ignore"):  # a work past the float range is inf, refused in from_raw
+        works = second.eigenvalues[..., :, None] - first.eigenvalues[..., None, :]
     rows = (math.prod(shape),) if shape else ()
     return WorkDistribution.from_raw(
         np.broadcast_to(works, shape + works.shape[-2:]).reshape(rows + (-1,)),
@@ -200,18 +201,18 @@ def _measured_work(first: EnergyBasis, second: EnergyBasis, u: np.ndarray, beta,
 
 
 def forward_distribution(
-    h_init: Endpoint, h_final: Endpoint, u: UnitaryOperator, beta,
+    h_init: EnergyBasis, h_final: EnergyBasis, u: UnitaryOperator, beta,
     merge_tol: float | None = None,
 ) -> WorkDistribution:
     """Forward-protocol work distribution from exact outcome enumeration.
 
-    First measurement in the eigenbasis of h_init with Gibbs weights at beta,
-    evolution by u, second measurement in the eigenbasis of h_final.  Stacked
-    endpoints, u and beta broadcast against each other, and a stack gives one
+    First measurement in the energy basis h_init with Gibbs weights at beta,
+    evolution by u, second measurement in the energy basis h_final.  Stacked
+    bases, u and beta broadcast against each other, and a stack gives one
     stacked WorkDistribution with a row per protocol in C order.
     """
-    b0, bt, beta, shape = _endpoints(h_init, h_final, beta, u)
-    return _measured_work(b0, bt, u.entries, beta, merge_tol, shape)
+    beta, shape = _endpoints(h_init, h_final, beta, u)
+    return _measured_work(h_init, h_final, u.entries, beta, merge_tol, shape)
 
 
 def _check_real(name: str, basis: EnergyBasis) -> EnergyBasis:
@@ -224,21 +225,21 @@ def _check_real(name: str, basis: EnergyBasis) -> EnergyBasis:
 
 
 def reverse_distribution(
-    h_init: Endpoint, h_final: Endpoint, u: UnitaryOperator, beta,
+    h_init: EnergyBasis, h_final: EnergyBasis, u: UnitaryOperator, beta,
     merge_tol: float | None = None,
 ) -> WorkDistribution:
     """Reverse-protocol distribution over the reverse work variable -W.
 
     The reverse propagator follows from micro-reversibility with the
     time-reversal operator taken as complex conjugation in the computational
-    basis, which requires real-symmetric endpoint Hamiltonians; an endpoint
-    given as a basis, or a stack of them, must have real eigenvectors.  Stacks
-    broadcast and return as in forward_distribution.
+    basis, which requires real-symmetric endpoint Hamiltonians: both energy
+    bases, or stacks of them, must have real eigenvectors.  Stacks broadcast
+    and return as in forward_distribution.
     """
-    b0, bt, beta, shape = _endpoints(h_init, h_final, beta, u)
+    beta, shape = _endpoints(h_init, h_final, beta, u)
     # conjugation-Theta micro-reversibility: Theta U^dagger Theta^dagger = U^T, and
     # Theta acts trivially on the real eigenvectors of the endpoint Hamiltonians
-    return _measured_work(_check_real("h_final", bt), _check_real("h_init", b0),
+    return _measured_work(_check_real("h_final", h_final), _check_real("h_init", h_init),
                           np.swapaxes(u.entries, -1, -2), beta, merge_tol, shape)
 
 
@@ -294,20 +295,20 @@ def mean_work(fwd: WorkDistribution):
     return fwd._per_row(np.add.reduceat(fwd.works * fwd.probs, fwd.bounds[:-1]))
 
 
-def dissipated_work_thermal(h_init: Endpoint, h_final: Endpoint, beta):
+def dissipated_work_thermal(h_init: EnergyBasis, h_final: EnergyBasis, beta):
     """Average and dissipated work with thermal states at both protocol endpoints.
 
-    <W> = Tr{h_final rho_T} - Tr{h_init rho_0}, both states Gibbs at beta;
-    W_diss = <W> - delta_F, with delta_F from the two states' partition functions.
-    Each endpoint is a Hamiltonian or its energy basis, or a stack of either; the
-    pair is two floats, or two arrays shaped like the broadcast stack.
+    <W> = Tr{h_final rho_T} - Tr{h_init rho_0}, both states Gibbs at beta, each mean
+    energy the Gibbs populations of an energy basis times its levels; W_diss = <W> -
+    delta_F.  Each endpoint is an energy basis, or a stack of them; the pair is two
+    floats, or two arrays shaped like the broadcast stack.
     """
-    b0, bt, beta, _ = _endpoints(h_init, h_final, beta)
-    state0 = thermal_state(b0, beta)
-    statet = thermal_state(bt, beta)
-    mw = statet.mean_energy - state0.mean_energy
-    delta_f = -(statet.log_partition - state0.log_partition) / beta
-    return mw, mw - delta_f
+    beta, _ = _endpoints(h_init, h_final, beta)
+    e0, et = ((b.gibbs(beta)[0][..., None, :] @ b.eigenvalues[..., :, None])[..., 0, 0]
+              for b in (h_init, h_final))
+    mw = et - e0
+    mw = float(mw) if mw.ndim == 0 else mw
+    return mw, mw - delta_F(h_init, h_final, beta)
 
 
 def entropy_production_two_level(zfactor: float, beta_eps: float) -> float:

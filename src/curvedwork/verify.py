@@ -80,7 +80,7 @@ def check_fluctuation_relations(n_protocols=200, seed=7):
         u = propagator(path, 0.0, 1.0, 40)
         h0, ht = path(0.0), path(1.0)
         b0, bt = energy_basis(h0), energy_basis(ht)
-        rho = thermal_state(b0, betas).density
+        rho = thermal_state(b0, betas)
         evolved = u.entries @ rho @ np.swapaxes(u.entries.conj(), -1, -2)
         traces = (np.einsum("kij,kji->k", ht.entries, evolved)
                   - np.einsum("kij,kji->k", h0.entries, rho)).real

@@ -152,33 +152,47 @@ class TestOperators:
 
 class TestThermalState:
     def test_two_level_populations(self):
-        state = thermal_state(two_level_hamiltonian(1.0), 1.0)
-        pops = np.diag(state.density).real
+        state = thermal_state(energy_basis(two_level_hamiltonian(1.0)), 1.0)
+        pops = np.diag(state).real
         expected = np.array([1.0, math.exp(-1.0)])
         expected /= expected.sum()
         np.testing.assert_allclose(pops, expected, atol=1e-4)
         assert pops[0] == pytest.approx(0.7311, abs=1e-4)
 
     def test_ground_state_limit(self):
-        state = thermal_state(two_level_hamiltonian(1.0), 500.0)
-        np.testing.assert_allclose(np.diag(state.density).real, [1.0, 0.0], atol=1e-12)
+        state = thermal_state(energy_basis(two_level_hamiltonian(1.0)), 500.0)
+        np.testing.assert_allclose(np.diag(state).real, [1.0, 0.0], atol=1e-12)
 
     def test_commutes_with_hamiltonian(self):
         rng = np.random.default_rng(2)
         m = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
         h = HermitianOperator(0.5 * (m + m.conj().T))
-        rho = thermal_state(h, 0.7).density
+        rho = thermal_state(energy_basis(h), 0.7)
+        np.testing.assert_array_equal(rho, rho.conj().T)
         comm = rho @ h.entries - h.entries @ rho
         assert np.max(np.abs(comm)) < 1e-12
 
     def test_log_partition(self):
         beta, eps = 0.8, 1.4
-        state = thermal_state(two_level_hamiltonian(eps), beta)
-        assert state.log_partition == pytest.approx(math.log(1 + math.exp(-beta * eps)))
+        log_z = energy_basis(two_level_hamiltonian(eps)).gibbs(beta)[1]
+        assert log_z == pytest.approx(math.log(1 + math.exp(-beta * eps)))
 
     def test_invalid_beta(self):
-        with pytest.raises(InputError):
-            thermal_state(two_level_hamiltonian(1.0), 0.0)
+        with pytest.raises(InputError, match="beta must be positive"):
+            thermal_state(energy_basis(two_level_hamiltonian(1.0)), 0.0)
+
+    def test_a_hamiltonian_is_an_input_error(self):
+        # the caller diagonalises once, with energy_basis, and passes the basis
+        with pytest.raises(InputError, match="needs an energy_basis, got HermitianOperator"):
+            thermal_state(two_level_hamiltonian(1.0), 1.0)
+
+    def test_a_stack_gives_a_stack_of_states(self):
+        ops = [two_level_hamiltonian(eps) for eps in (1.0, 2.0)]
+        stack = energy_basis(HermitianOperator(np.array([op.entries for op in ops])))
+        rho = thermal_state(stack, np.array([1.0, 0.5]))
+        assert rho.shape == (2, 2, 2)
+        for k, (op, beta) in enumerate(zip(ops, (1.0, 0.5))):
+            np.testing.assert_array_equal(rho[k], thermal_state(energy_basis(op), beta))
 
     def test_log_partition_takes_math_log_in_a_stack(self):
         # numpy's array log differs from math.log by an ulp on a few of these inputs, and
@@ -191,7 +205,6 @@ class TestThermalState:
         expected = [math.log(z) - b * s for z, b, s in zip(np.sum(boltz, axis=-1).tolist(),
                                                             beta.tolist(), w[:, 0].tolist())]
         assert stack.gibbs(beta)[1].tolist() == expected
-        assert thermal_state(stack, beta).log_partition.tolist() == expected
         single = EnergyBasis(w[0], np.eye(3))
         assert single.gibbs(float(beta[0]))[1] == expected[0]
 

@@ -1,10 +1,12 @@
 """Config handling, scenario runners, sampling, CSV/JSON emission, CLI."""
 
 import csv
+import functools
 import hashlib
 import importlib
 import json
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -19,8 +21,8 @@ from curvedwork import quantum, scenarios
 from curvedwork.cli import main as cli_main
 from curvedwork.errors import ConfigError, ConvergenceError, InputError
 from curvedwork.frame import FrameData, FramePoint, time_dilation
-from curvedwork.quantum import (AffinePath, EnergyBasis, propagator, qho_hamiltonian,
-                                thermal_state, x_squared_matrix)
+from curvedwork.quantum import (AffinePath, EnergyBasis, energy_basis, propagator,
+                                qho_hamiltonian, thermal_state, x_squared_matrix)
 from curvedwork.scenarios import (
     RunArtifacts,
     ScenarioConfig,
@@ -156,7 +158,8 @@ UNREAD_FIELDS = [
 WHOLE_LINE_CASES = {
     *(f"{name}-with-{key}" for name, key, _, _ in UNREAD_FIELDS), "missing-keys",
     "output-path-key", "momentum-1e200-newtonian", "momentum-1e200-custom", "far-position",
-    "guard-accel-row", "guard-accel", "guard-titj", "accel-overflow", "mass-overflow"}
+    "guard-accel-row", "guard-accel", "guard-titj", "accel-overflow", "mass-overflow",
+    "omega0-overflow", "matrix-span-overflow"}
 
 
 def ci_error_cases():
@@ -166,6 +169,7 @@ def ci_error_cases():
     ci = ci_configs()
     n, d, c, o = ci["ci-newtonian"], ci["ci-desitter"], ci["ci-custom"], ci["ci-oscillator"]
     tables = c["geometry"]["frame_tables"]
+    wide = [[1.0, 1.7e308, 0.0], [1.7e308, 0.5, 0.1], [0.0, 0.1, -0.3]]
     ikjl = np.zeros((2, 3, 3, 3, 3))
     ikjl[0, 0, 0, 1, 1] = 1.7e308  # doubles past the float range in r + swapaxes(r)
     guard = {**c, "curve_points": 2}
@@ -234,6 +238,13 @@ def ci_error_cases():
         # <n|x^2|m> = band / (2 mass omega0) overflows at omega0 = 5e-324
         "omega0-tiny": ({**o, "system": {**o["system"], "omega0": 5e-324}}, 1,
             "error: <n|x^2|m> overflows the float range"),
+        # the top level (n + 1/2) omega0 = 19.5 * 1.7e308 of a custom oscillator overflows
+        "omega0-overflow": ({**o, "system": {**o["system"], "omega0": 1.7e308}}, 1,
+            "error: levels (n + 1/2) omega overflow the float range at omega 1.7e+308"),
+        # the levels span 3.4e308, past the float range: the works E_T - E_0 are inf
+        "matrix-span-overflow": ({**ci["ci-matrix"], "system": {"kind": "matrix",
+                                                                "entries": wide}}, 1,
+            "error: non-finite work or probability values"),
         # r^2 = 1e600 overflows, so |R| r^2 on zero curvature is 0 * inf: no trusted region
         "far-position": ({**ci["ci-matrix"], "position": [0.5, 1e300, 0]}, 1,
             "error: |R| r^2 = nan at r = 1e+300 exceeds expansion bound"),
@@ -276,6 +287,37 @@ def ci_error_cases():
                         "system": {**d["system"], "dim": 4}}, 2,
             "numeric error: top-two-level population"),
     }
+
+
+# the extreme-value sweep: each field of SWEEP_FIELDS that a CI config has, the paths of
+# the entries it sets (a matrix's symmetric pair both), set in turn to each extreme value
+EXTREME_VALUES = [0.0, 5e-324, 1e-300, -1e-300, 1e-8, 1e8, 1e150, 1e300, 1.7e308, -1.7e308]
+SWEEP_FIELDS = {
+    **{key: [tuple(key.split("."))] for key in (
+        "beta", "duration", "merge_tol", "system.mass", "system.omega0", "system.eps",
+        "geometry.g", "geometry.hubble")},
+    "position[0]": [("position", 0)], "momentum[0]": [("momentum", 0)],
+    "entries[0][1]": [("system", "entries", 0, 1), ("system", "entries", 1, 0)],
+    "accel[0][0]": [("geometry", "frame_tables", "accel", 0, 0)],
+    "riemann_titj[0][0][0]": [("geometry", "frame_tables", "riemann_titj", 0, 0, 0)],
+}
+
+
+def extreme_value_runs(config):
+    """(field, value, config) for each extreme value set in each sweep field of `config`."""
+    def has(path):
+        try:
+            functools.reduce(operator.getitem, path, config)
+        except (KeyError, IndexError, TypeError):
+            return False
+        return True
+
+    for field, paths in SWEEP_FIELDS.items():
+        for value in EXTREME_VALUES if all(map(has, paths)) else ():
+            data = json.loads(json.dumps(config))
+            for path in paths:
+                functools.reduce(operator.getitem, path[:-1], data)[path[-1]] = value
+            yield field, value, data
 
 
 class TestScenarioConfig:
@@ -476,7 +518,7 @@ class TestRunDesitter:
         path = AffinePath(h0, x_squared_matrix(mass, omega0, dim),
                           lambda tau: -0.5 * mass * hubble ** 2)
         u = propagator(path, 0.0, cfg.duration, cfg.steps).entries
-        evolved = np.diag(u @ thermal_state(h0, cfg.beta).density @ u.conj().T).real
+        evolved = np.diag(u @ thermal_state(energy_basis(h0), cfg.beta) @ u.conj().T).real
         assert evolved[-1] < scenarios.LEAKAGE_LIMIT < evolved[-2]
         with pytest.raises(ConvergenceError, match="top-two-level population 0.00478 "):
             run_scenario(cfg)
@@ -813,6 +855,29 @@ class TestCli:
             assert err == [prefix]
         else:
             assert err[0].startswith(prefix), err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("name", list(ci_configs()))
+    def test_extreme_values_end_in_one_line_or_none(self, tmp_path, capsys, name):
+        # exit 0 with an empty stderr, or exit 1 or 2 with one typed line, and no exception
+        escapes = []
+        for field, value, data in extreme_value_runs(ci_configs()[name]):
+            try:
+                rc, err = self.stderr_of(tmp_path, capsys, data)
+            except Exception as exc:  # a RuntimeWarning under the filter too
+                capsys.readouterr()
+                escapes.append((field, value, repr(exc)))
+                continue
+            typed = len(err) == 1 and err[0].startswith(("error:", "numeric error:"))
+            if not (rc == 0 and err == [] or rc in (1, 2) and typed):
+                escapes.append((field, value, rc, err))
+        assert escapes == []
+
+    def test_sweep_covers_every_field(self):
+        fields = {field for config in ci_configs().values()
+                  for field, _, _ in extreme_value_runs(config)}
+        assert fields == SWEEP_FIELDS.keys()
+        assert sum(1 for config in ci_configs().values() for _ in extreme_value_runs(config)) == 410
 
     def test_whole_line_cases_are_rows(self):
         assert WHOLE_LINE_CASES <= ci_error_cases().keys()

@@ -41,13 +41,18 @@ def random_protocol(rng, dim, duration=1.0, steps=40, scale=0.4):
 
 
 def two_level_shift(zfactor, eps=1.0):
+    """Energy bases of the two-level h0 and of zfactor h0."""
     h0 = two_level_hamiltonian(eps)
-    return h0, HermitianOperator(zfactor * h0.entries)
+    return energy_basis(h0), energy_basis(HermitianOperator(zfactor * h0.entries))
+
+
+def two_level_basis(eps=1.0):
+    return energy_basis(two_level_hamiltonian(eps))
 
 
 class TestDeltaF:
     def test_equal_hamiltonians(self):
-        h = two_level_hamiltonian(1.0)
+        h = two_level_basis()
         assert delta_F(h, h, 2.0) == 0.0
 
     def test_two_level_closed_form(self):
@@ -61,19 +66,20 @@ class TestDeltaF:
     def test_oscillator_truncation_stable(self):
         beta, omega0, omega_eff = 0.9, 1.0, 0.8
         vals = [
-            delta_F(qho_hamiltonian(1.0, omega0, dim), qho_hamiltonian(1.0, omega_eff, dim), beta)
+            delta_F(energy_basis(qho_hamiltonian(1.0, omega0, dim)),
+                    energy_basis(qho_hamiltonian(1.0, omega_eff, dim)), beta)
             for dim in (40, 80)
         ]
         assert abs(vals[0] - vals[1]) < 1e-10
 
     def test_dimension_mismatch(self):
-        with pytest.raises(InputError):
-            delta_F(two_level_hamiltonian(1.0), qho_hamiltonian(1.0, 1.0, 3), 1.0)
+        with pytest.raises(InputError, match="dimension mismatch: h_init 2, h_final 3"):
+            delta_F(two_level_basis(), energy_basis(qho_hamiltonian(1.0, 1.0, 3)), 1.0)
 
 
 class TestForwardDistribution:
     def test_identity_protocol_single_point(self):
-        h = two_level_hamiltonian(1.0)
+        h = two_level_basis()
         dist = forward_distribution(h, h, UnitaryOperator(np.eye(2)), 1.0)
         np.testing.assert_array_equal(dist.works, [0.0])
         np.testing.assert_allclose(dist.probs, [1.0])
@@ -89,13 +95,13 @@ class TestForwardDistribution:
     def test_random_protocol_normalized(self):
         rng = np.random.default_rng(17)
         h0, ht, u = random_protocol(rng, 4)
-        dist = forward_distribution(h0, ht, u, 0.8)
+        dist = forward_distribution(energy_basis(h0), energy_basis(ht), u, 0.8)
         assert abs(np.sum(dist.probs) - 1.0) < 1e-12
 
 
 class TestReverseDistribution:
     def test_identity_protocol(self):
-        h = two_level_hamiltonian(1.0)
+        h = two_level_basis()
         dist = reverse_distribution(h, h, UnitaryOperator(np.eye(2)), 1.0)
         np.testing.assert_array_equal(dist.works, [0.0])
         np.testing.assert_allclose(dist.probs, [1.0])
@@ -105,8 +111,6 @@ class TestReverseDistribution:
         rng = np.random.default_rng(23)
         for dim in (2, 4, 6):
             h0, ht, u = random_protocol(rng, dim)
-            from curvedwork.quantum import energy_basis
-
             b0, bt = energy_basis(h0), energy_basis(ht)
             amp_f = np.abs(bt.eigenvectors.conj().T @ u.entries @ b0.eigenvectors) ** 2
             amp_r = np.abs(b0.eigenvectors.conj().T @ u.entries.T @ bt.eigenvectors) ** 2
@@ -122,7 +126,7 @@ class TestReverseDistribution:
 
     def test_complex_hamiltonian_rejected(self):
         m = np.array([[0.0, 1j], [-1j, 1.0]])
-        h = HermitianOperator(m)
+        h = energy_basis(HermitianOperator(m))
         with pytest.raises(InputError, match="time-reversal"):
             reverse_distribution(h, h, UnitaryOperator(np.eye(2)), 1.0)
 
@@ -179,6 +183,19 @@ class TestStacks:
             with pytest.raises(InputError, match="do not broadcast"):
                 b0.gibbs(beta)
 
+    @pytest.mark.parametrize("reader", [
+        lambda b0, bt: forward_distribution(b0, bt, UnitaryOperator(np.eye(2)), 1.0),
+        lambda b0, bt: reverse_distribution(b0, bt, UnitaryOperator(np.eye(2)), 1.0),
+        lambda b0, bt: delta_F(b0, bt, 1.0),
+        lambda b0, bt: dissipated_work_thermal(b0, bt, 1.0)],
+        ids=["forward", "reverse", "delta_F", "dissipated_work_thermal"])
+    def test_endpoints_that_are_not_bases_are_input_errors(self, reader):
+        # each endpoint is diagonalised once, by its caller: a Hamiltonian is refused
+        h = two_level_hamiltonian(1.0)
+        for ends in ((h, two_level_basis()), (two_level_basis(), h), (h, h)):
+            with pytest.raises(InputError, match="made by energy_basis, got .*HermitianOperator"):
+                reader(*ends)
+
     def test_stacked_complex_eigenvectors_rejected_by_reverse(self):
         b0, bt, u = two_level_stack()
         bt = EnergyBasis(bt.eigenvalues, bt.eigenvectors * np.array([1.0, 1.0, 1j])[:, None, None])
@@ -189,7 +206,7 @@ class TestStacks:
 
 class TestCrooks:
     def test_identity_protocol_zero_residual(self):
-        h = two_level_hamiltonian(1.0)
+        h = two_level_basis()
         fwd = forward_distribution(h, h, UnitaryOperator(np.eye(2)), 1.0)
         rev = reverse_distribution(h, h, UnitaryOperator(np.eye(2)), 1.0)
         assert crooks_check(fwd, rev, 1.0, 0.0) == 0.0
@@ -207,6 +224,7 @@ class TestCrooks:
         for _ in range(5):
             beta = float(rng.uniform(0.1, 5.0))
             h0, ht, u = random_protocol(rng, dim)
+            h0, ht = energy_basis(h0), energy_basis(ht)
             fwd = forward_distribution(h0, ht, u, beta)
             rev = reverse_distribution(h0, ht, u, beta)
             assert crooks_check(fwd, rev, beta, delta_F(h0, ht, beta)) < 1e-8
@@ -226,7 +244,7 @@ class TestCrooks:
 
 class TestJarzynskiAndMoments:
     def test_identity_protocol(self):
-        h = two_level_hamiltonian(1.0)
+        h = two_level_basis()
         fwd = forward_distribution(h, h, UnitaryOperator(np.eye(2)), 1.0)
         assert jarzynski_average(fwd, 1.0) == 1.0
         assert mean_work(fwd) == 0.0
@@ -236,6 +254,7 @@ class TestJarzynskiAndMoments:
         for dim in (2, 4, 8):
             beta = float(rng.uniform(0.2, 3.0))
             h0, ht, u = random_protocol(rng, dim)
+            h0, ht = energy_basis(h0), energy_basis(ht)
             fwd = forward_distribution(h0, ht, u, beta)
             zratio = math.exp(-beta * delta_F(h0, ht, beta))
             assert abs(jarzynski_average(fwd, beta) - zratio) < 1e-10
@@ -277,7 +296,7 @@ class TestJarzynskiAndMoments:
 
 class TestDissipatedWork:
     def test_equal_hamiltonians(self):
-        h = two_level_hamiltonian(1.0)
+        h = two_level_basis()
         assert dissipated_work_thermal(h, h, 1.0) == (0.0, 0.0)
 
     def test_unit_zfactor_no_dissipation(self):
@@ -313,9 +332,8 @@ class TestDissipatedWork:
             m0, mt = rng.normal(size=(2, dim, dim))
             h0, ht = HermitianOperator(m0 + m0.T), HermitianOperator(mt + mt.T)
             beta = float(rng.uniform(0.2, 3.0))
-            from_ops = dissipated_work_thermal(h0, ht, beta)
-            assert dissipated_work_thermal(energy_basis(h0), energy_basis(ht), beta) == from_ops
-            np.testing.assert_allclose(from_ops, trace_oracle(h0, ht, beta), rtol=0, atol=1e-12)
+            from_bases = dissipated_work_thermal(energy_basis(h0), energy_basis(ht), beta)
+            np.testing.assert_allclose(from_bases, trace_oracle(h0, ht, beta), rtol=0, atol=1e-12)
 
     def test_rescaled_basis_matches_rescaled_hamiltonian(self):
         # EnergyBasis.scaled(z) is the basis of z h for every real z; z < 0 reverses the levels
@@ -330,7 +348,7 @@ class TestDissipatedWork:
                                            rtol=0, atol=1e-12)
                 for beta in (0.1, 1.0, 10.0):
                     np.testing.assert_allclose(dissipated_work_thermal(b, bz, beta),
-                                               dissipated_work_thermal(b, hz, beta),
+                                               dissipated_work_thermal(b, energy_basis(hz), beta),
                                                rtol=1e-12, atol=1e-12)
 
     def test_a3_diagonalises_once(self, monkeypatch):

@@ -206,27 +206,15 @@ def degenerate_protocols(draw, dim=None):
 
 class TestFluctuationRelationsOnDegenerateSpectra:
     @PROPERTY_SETTINGS
-    @given(degenerate_protocols(), st.booleans())
-    def test_crooks_and_jarzynski(self, protocol, pass_bases):
+    @given(degenerate_protocols())
+    def test_crooks_and_jarzynski(self, protocol):
         h0, ht, u, beta = protocol
-        if pass_bases:
-            h0, ht = energy_basis(h0), energy_basis(ht)
+        h0, ht = energy_basis(h0), energy_basis(ht)
         fwd = forward_distribution(h0, ht, u, beta)
         rev = reverse_distribution(h0, ht, u, beta)
         df = delta_F(h0, ht, beta)
         assert crooks_check(fwd, rev, beta, df) < 1e-8
         assert abs(jarzynski_average(fwd, beta) - math.exp(-beta * df)) < 1e-10
-
-    @PROPERTY_SETTINGS
-    @given(degenerate_protocols())
-    def test_bases_and_operators_give_the_same_results(self, protocol):
-        h0, ht, u, beta = protocol
-        b0, bt = energy_basis(h0), energy_basis(ht)
-        for fn in (forward_distribution, reverse_distribution):
-            by_op, by_basis = fn(h0, ht, u, beta), fn(b0, bt, u, beta)
-            np.testing.assert_array_equal(by_basis.works, by_op.works)
-            np.testing.assert_array_equal(by_basis.probs, by_op.probs)
-        assert delta_F(b0, bt, beta) == delta_F(h0, ht, beta)
 
 
 @st.composite
