@@ -64,7 +64,7 @@ class FrameData:
                 raise InputError(f"non-finite frame {name} entries")
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        if np.any(np.diff(self.tau) <= 0):
+        if np.any(self.tau[1:] <= self.tau[:-1]):  # no difference, which may overflow
             raise InputError("frame table taus must be strictly increasing")
 
     def at(self, tau):
@@ -107,7 +107,8 @@ class FramePoint:
 
     @property
     def r(self) -> float | np.ndarray:
-        return np.hypot.reduce(self.x, axis=-1)
+        with np.errstate(over="ignore"):  # a radius past the float range is inf
+            return np.hypot.reduce(self.x, axis=-1)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,10 @@
 """Finite-dimensional quantum mechanics on a truncated Hilbert space.
 
-Dense matrices with checked structure, float unless their entries are complex,
-Gibbs states computed via eigendecomposition, a midpoint exponential-product
-propagator along the one Hamiltonian path shape h0 + f(tau) x, and the
-first-order interaction-picture amplitude for the curvature-driven oscillator,
-integrated exactly over a piecewise-linear curvature history.
+Dense matrices with checked structure, float unless their entries are complex;
+energy bases and Gibbs states from one eigendecomposition per parity block of
+`_blocks`; a midpoint exponential-product propagator along the one Hamiltonian
+path shape h0 + f(tau) x; and the first-order interaction-picture amplitude for
+the curvature-driven oscillator, integrated exactly over a piecewise-linear history.
 """
 
 from __future__ import annotations
@@ -113,7 +113,7 @@ class EnergyBasis:
         if w.ndim == 0 or v.shape != w.shape + w.shape[-1:]:
             raise InputError(f"eigenvectors of shape {v.shape} do not fit eigenvalues of "
                              f"shape {w.shape}")
-        if np.any(np.diff(w, axis=-1) < 0):
+        if np.any(w[..., 1:] < w[..., :-1]):
             raise InputError("eigenvalues must be ascending")
         object.__setattr__(self, "eigenvalues", w)
         object.__setattr__(self, "eigenvectors", v)
@@ -136,8 +136,12 @@ class EnergyBasis:
 
     def scaled(self, z) -> "EnergyBasis":
         """Energy basis of z H: the eigenvalues times z, reordered ascending (z < 0 reverses);
-        z is a scalar or an array that broadcasts against the stack shape."""
-        w = np.asarray(z, dtype=float)[..., None] * self.eigenvalues
+        z is a scalar or an array that broadcasts against the stack shape; a level z E past
+        the float range is an InputError."""
+        with np.errstate(over="ignore"):
+            w = np.asarray(z, dtype=float)[..., None] * self.eigenvalues
+        if not np.all(np.isfinite(w)):
+            raise InputError("scaled levels z E overflow the float range")
         order = np.argsort(w, axis=-1, kind="stable")
         v = np.broadcast_to(self.eigenvectors, w.shape[:-1] + self.eigenvectors.shape[-2:])
         return EnergyBasis(np.take_along_axis(w, order, -1),
@@ -163,18 +167,37 @@ class EnergyBasis:
         return boltz / z_shifted[..., None], float(log_z) if log_z.ndim == 0 else log_z
 
 
+def _blocks(*matrices) -> list:
+    """(indices, each matrix's block on them) for each set of indices that the matrices, all
+    of one shape, never couple to the rest: the even and the odd indices when none is a stack
+    or has an entry at an odd distance from the diagonal, else all indices as one block."""
+    n = np.arange(matrices[0].shape[-1])
+    # the entries at an odd distance from the diagonal: even rows' odd columns, and the reverse
+    if matrices[0].ndim > 2 or any(np.any(m[0::2, 1::2]) or np.any(m[1::2, 0::2])
+                                   for m in matrices):
+        return [(n, *matrices)]
+    return [(n[start::2], *(m[start::2, start::2] for m in matrices))
+            for start in (0, 1) if start < n.size]
+
+
 def energy_basis(op: HermitianOperator) -> EnergyBasis:
-    """Eigendecomposition of a Hermitian operator, or of a stack in one eigh call, each
-    matrix checked for faithful reconstruction against its own scale; a real operator
-    takes the real solver."""
-    w, v = np.linalg.eigh(op.entries)
-    recon = np.max(np.abs((v * w[..., None, :]) @ np.swapaxes(v.conj(), -1, -2) - op.entries),
-                   axis=(-2, -1))
-    excess = recon / np.maximum(np.max(np.abs(w), axis=-1), 1.0)
-    worst = np.argmax(excess)
-    if excess.flat[worst] > 1e-10:
-        raise NumericError(f"eigendecomposition reconstruction error {recon.flat[worst]:.3g}")
-    return EnergyBasis(eigenvalues=w, eigenvectors=v)
+    """Eigendecomposition of a Hermitian operator, or of a stack, by one eigh per block of
+    `_blocks`, each checked for faithful reconstruction against its own scale; the blocks'
+    eigenvalues merge ascending, their eigenvectors are exactly zero off the block, and a
+    real operator takes the real solver."""
+    w, v = np.empty(op.entries.shape[:-1]), np.zeros_like(op.entries)
+    for idx, m in _blocks(op.entries):
+        bw, bv = np.linalg.eigh(m)
+        recon = np.max(np.abs((bv * bw[..., None, :]) @ np.swapaxes(bv.conj(), -1, -2) - m),
+                       axis=(-2, -1))
+        excess = recon / np.maximum(np.max(np.abs(bw), axis=-1), 1.0)
+        worst = np.argmax(excess)
+        if excess.flat[worst] > 1e-10:
+            raise NumericError(f"eigendecomposition reconstruction error {recon.flat[worst]:.3g}")
+        w[..., idx], v[..., idx[:, None], idx] = bw, bv
+    order = np.argsort(w, axis=-1, kind="stable")
+    return EnergyBasis(np.take_along_axis(w, order, -1),
+                       np.take_along_axis(v, order[..., None, :], -1))
 
 
 def thermal_state(basis: EnergyBasis, beta) -> np.ndarray:
@@ -243,7 +266,7 @@ def _block_eigh(h0, x, values):
 class AffinePath:
     """Hamiltonian path H(tau) = h0 + f(tau) x, real f taking an array of times to one of its
     shape (or a constant to a scalar); h0 and x may be stacks (..., d, d) that share f.
-    `blocks` is its one split: propagator and spectrum both work one block at a time."""
+    `blocks` is its one split, by `_blocks`: propagator works one block at a time."""
 
     h0: HermitianOperator
     x: HermitianOperator
@@ -259,34 +282,8 @@ class AffinePath:
 
     @cached_property
     def blocks(self) -> list:
-        """(indices, h0 block, x block) for each set of indices that h0 + f x never couples
-        to the rest, real when h0 and x are: the even and the odd indices of a single path
-        with no entry at an odd distance from the diagonal, where parity never mixes, else
-        the whole path as one block, a stack included."""
-        h0, x = self.h0.entries, self.x.entries
-        n = np.arange(self.h0.dim)
-        odd = (n[:, None] - n) % 2 == 1
-        if h0.ndim > 2 or np.any(h0[odd]) or np.any(x[odd]):
-            return [(n, h0, x)]
-        return [(idx, h0[np.ix_(idx, idx)], x[np.ix_(idx, idx)])
-                for idx in (n[0::2], n[1::2]) if idx.size]
-
-    def spectrum(self, value) -> EnergyBasis:
-        """Energy basis of a single path's h0 + value x at one real value, by one
-        `energy_basis` per block, so each is checked for reconstruction; the eigenvectors are
-        exactly zero between the blocks, and real when h0 and x are."""
-        if np.ndim(value) != 0 or np.asarray(value).dtype.kind not in "iuf":
-            raise InputError(f"spectrum needs one real number, got {value!r}")
-        if self.h0.entries.ndim > 2:
-            raise InputError(f"spectrum reads a single path, got shape {self.h0.entries.shape}")
-        w = np.empty(0)
-        v = np.zeros((self.h0.dim, self.h0.dim), np.result_type(self.h0.entries, self.x.entries))
-        for idx, a, b in self.blocks:
-            block = energy_basis(HermitianOperator(a + value * b))
-            v[idx, w.size:w.size + block.dim] = block.eigenvectors
-            w = np.concatenate((w, block.eigenvalues))
-        order = np.argsort(w, kind="stable")
-        return EnergyBasis(w[order], v[:, order])
+        """(indices, h0 block, x block) for each block of `_blocks(h0, x)`."""
+        return _blocks(self.h0.entries, self.x.entries)
 
 
 def _block_product(h0, x, values, dt):
@@ -408,7 +405,7 @@ def perturbative_amplitude(mass, omega0, knots, values, n: int, m: int,
         raise InputError("knots and values must be 1-d sequences of equal, nonzero length")
     if not (np.all(np.isfinite(knots)) and np.all(np.isfinite(values))):
         raise InputError("knots and values must be finite")
-    if np.any(np.diff(knots) <= 0):
+    if np.any(knots[1:] <= knots[:-1]):
         raise InputError("knots must be strictly increasing")
     if not (np.all(np.isfinite(taus)) and np.all(taus >= 0)):
         raise InputError(f"tau must be finite and non-negative, got {tau}")

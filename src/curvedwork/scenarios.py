@@ -330,7 +330,7 @@ def _rescaled(config: ScenarioConfig, frame: FrameData, times):
     for start in range(0, times.size, Z_CHUNK):
         t = times[start:start + Z_CHUNK]
         frac = t[:, None] / duration
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is a non-finite z
+        with np.errstate(all="ignore"):  # an overflow, or 2 mass^2 at 0, is a non-finite z
             zs[start:start + Z_CHUNK] = time_dilation(frame, FramePoint(tau=t, x=frac * x_end),
                                                       frac * p_end, sysmass)
     if not np.all(np.isfinite(zs)):
@@ -402,7 +402,7 @@ def _desitter_outputs(config: ScenarioConfig, frame: FrameData, path: AffinePath
     mass = float(config.system["mass"])
     # the de Sitter frame is one row, so one eigensystem at its tidal term serves
     # the effective-frequency diagnostic and the exact transition curve
-    spectrum = path.spectrum(path.f(0.0))
+    spectrum = energy_basis(path(0.0))
 
     # effective-frequency diagnostic on the lowest half of the spectrum
     omega_eff = math.sqrt(omega0 ** 2 - hubble ** 2)

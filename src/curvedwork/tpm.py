@@ -179,7 +179,12 @@ def delta_F(h_init: EnergyBasis, h_final: EnergyBasis, beta):
     from their energy bases; an array shaped like the broadcast stack of the bases and beta,
     or a float."""
     beta, _ = _endpoints(h_init, h_final, beta)
-    return -(h_final.gibbs(beta)[1] - h_init.gibbs(beta)[1]) / beta
+    return _free_energy_change(h_init.gibbs(beta)[1], h_final.gibbs(beta)[1], beta)
+
+
+def _free_energy_change(log_z0, log_zt, beta):
+    """delta_F = -(1/beta)(ln Z_T - ln Z_0), the one place its formula is written."""
+    return -(log_zt - log_z0) / beta
 
 
 def _measured_work(first: EnergyBasis, second: EnergyBasis, u: np.ndarray, beta, merge_tol,
@@ -304,11 +309,11 @@ def dissipated_work_thermal(h_init: EnergyBasis, h_final: EnergyBasis, beta):
     floats, or two arrays shaped like the broadcast stack.
     """
     beta, _ = _endpoints(h_init, h_final, beta)
-    e0, et = ((b.gibbs(beta)[0][..., None, :] @ b.eigenvalues[..., :, None])[..., 0, 0]
-              for b in (h_init, h_final))
-    mw = et - e0
+    (p0, log_z0), (pt, log_zt) = h_init.gibbs(beta), h_final.gibbs(beta)
+    mw = ((pt[..., None, :] @ h_final.eigenvalues[..., :, None])
+          - (p0[..., None, :] @ h_init.eigenvalues[..., :, None]))[..., 0, 0]
     mw = float(mw) if mw.ndim == 0 else mw
-    return mw, mw - delta_F(h_init, h_final, beta)
+    return mw, mw - _free_energy_change(log_z0, log_zt, beta)
 
 
 def entropy_production_two_level(zfactor: float, beta_eps: float) -> float:

@@ -167,7 +167,7 @@ def _oscillator(mass, omega0, dim, f):
 def _constant_oscillator(mass, omega0, hubble, dim):
     """Energy basis of the oscillator under the de Sitter tidal term -(mass H^2/2) x^2."""
     tidal = -0.5 * mass * hubble ** 2
-    return _oscillator(mass, omega0, dim, lambda tau: tidal).spectrum(tidal)
+    return energy_basis(_oscillator(mass, omega0, dim, lambda tau: tidal)(0.0))
 
 
 def criterion_perturbation_vs_propagator(level="full"):

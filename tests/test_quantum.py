@@ -94,7 +94,7 @@ class TestOperators:
                      np.complex128, id="complex"),
     ])
     def test_bases_are_float_unless_complex(self, h0, x, dtype):
-        bases = (energy_basis(h0), AffinePath(h0, x, np.sin).spectrum(0.5),
+        bases = (energy_basis(h0), energy_basis(AffinePath(h0, x, np.sin)(0.5)),
                  energy_basis(h0).scaled(-2.0))
         assert [basis.eigenvectors.dtype for basis in bases] == [dtype] * 3
 
@@ -230,6 +230,19 @@ class TestEnergyBasis:
             dense = np.array([(v * np.exp(-1j * w * t)) @ v.conj().T for t in times])
             np.testing.assert_allclose(basis.amplitudes(n, 4, times),
                                        np.moveaxis(dense[:, n, 4], 0, -1), rtol=0, atol=1e-13)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_scaled_levels_past_the_float_range_are_input_errors(self):
+        basis = energy_basis(two_level_hamiltonian(1e300))
+        assert basis.scaled(-1e8).eigenvalues.tolist() == [-1e308, 0.0]
+        with pytest.raises(InputError, match="scaled levels z E overflow the float range"):
+            basis.scaled(np.array([1.0, -1e10]))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_levels_that_span_past_the_float_range_are_ascending(self):
+        # the ascending check compares neighbours: their difference would overflow
+        basis = EnergyBasis([-1.7e308, 1.7e308], np.eye(2))
+        assert basis.eigenvalues.tolist() == [-1.7e308, 1.7e308]
 
 
 def constant_path(h):

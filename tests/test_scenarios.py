@@ -1,20 +1,26 @@
 """Config handling, scenario runners, sampling, CSV/JSON emission, CLI."""
 
+import contextlib
+import copy
 import csv
 import functools
 import hashlib
 import importlib
+import io
 import json
 import math
 import operator
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import curvedwork
 from curvedwork import quantum, scenarios
@@ -159,7 +165,8 @@ WHOLE_LINE_CASES = {
     *(f"{name}-with-{key}" for name, key, _, _ in UNREAD_FIELDS), "missing-keys",
     "output-path-key", "momentum-1e200-newtonian", "momentum-1e200-custom", "far-position",
     "guard-accel-row", "guard-accel", "guard-titj", "accel-overflow", "mass-overflow",
-    "omega0-overflow", "matrix-span-overflow"}
+    "omega0-overflow", "matrix-span-overflow", "mass-underflow", "scaled-levels-overflow",
+    "radius-overflow"}
 
 
 def ci_error_cases():
@@ -224,6 +231,17 @@ def ci_error_cases():
         # z_T = 1 - 40^2/2 + 0.05 = -799, so e^(-beta delta_F) = Z_T / Z_0 is near e^799
         "momentum40": ({**n, "momentum": [40, 0, 0]}, 2,
             "numeric error: e^(-beta delta_F) overflows"),
+        # 2 mass^2 underflows to 0, so p^2 / (2 mass^2) is inf after tau = 0
+        "mass-underflow": ({**n, "system": {**n["system"], "mass": 5e-324},
+                            "momentum": [0.0, 1e150, 0.0]}, 1,
+            "error: non-finite time-dilation factor on the trajectory"),
+        # z eps = -5e299 * 1e300 overflows in the final basis
+        "scaled-levels-overflow": ({**n, "system": {**n["system"], "eps": 1e300},
+                                    "momentum": [0.0, 1e150, 0.0]}, 1,
+            "error: scaled levels z E overflow the float range"),
+        # the radius hypot(0.5, 1.7e308, 1.7e308) overflows
+        "radius-overflow": ({**c, "position": [0.5, 1.7e308, 1.7e308]}, 1,
+            "error: |R| r^2 = nan at r = inf exceeds expansion bound"),
         # p.p overflows, so z is -inf everywhere after tau = 0
         **{f"momentum-1e200-{run['scenario']}": ({**run, "momentum": [1e200, 0.0, 0.0]}, 1,
             "error: non-finite time-dilation factor on the trajectory") for run in (n, c)},
@@ -318,6 +336,33 @@ def extreme_value_runs(config):
             for path in paths:
                 functools.reduce(operator.getitem, path[:-1], data)[path[-1]] = value
             yield field, value, data
+
+
+# the config fuzz: one or two fields of a CI config, at any depth, a whole table or entry
+# included, set to an extreme or an ill-typed value
+FUZZ_VALUES = [*EXTREME_VALUES, math.inf, -math.inf, math.nan, -1, 2, 2 ** 64, 10 ** 400,
+               True, None, "1.0", [], [1.0], {}]
+FUZZ_BASES = json.dumps(ci_configs())
+
+
+@st.composite
+def fuzzed_configs(draw):
+    """(a CI config's scenario, that config with one or two fields set to a value of
+    FUZZ_VALUES): each field is reached from the top, stopping at a dict or list or going
+    on into it."""
+    bases = json.loads(FUZZ_BASES)
+    data = bases[draw(st.sampled_from(sorted(bases)))]
+    scenario = data["scenario"]
+    for _ in range(draw(st.integers(1, 2))):
+        node = data
+        while True:
+            key = draw(st.sampled_from(list(node) if isinstance(node, dict)
+                                       else range(len(node))))
+            if not (isinstance(node[key], (dict, list)) and node[key]) or draw(st.booleans()):
+                node[key] = copy.deepcopy(draw(st.sampled_from(FUZZ_VALUES)))
+                break
+            node = node[key]
+    return scenario, data
 
 
 class TestScenarioConfig:
@@ -674,7 +719,7 @@ class TestRunCustom:
                                           scenarios._frame(config).at(times)[1][:, 0, 0])
         else:  # P(2 <- 0), taken Z_CHUNK times at a time, equals one call on every time
             path = scenarios._oscillator_protocol(config, scenarios._frame(config))[0]
-            whole = path.spectrum(path.f(0.0)).amplitudes(2, 0, times)
+            whole = energy_basis(path(0.0)).amplitudes(2, 0, times)
             assert times.size > scenarios.Z_CHUNK
             np.testing.assert_array_equal(art.curves["p20_exact"], np.abs(whole) ** 2)
 
@@ -873,6 +918,26 @@ class TestCli:
                 escapes.append((field, value, rc, err))
         assert escapes == []
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=800, deadline=None, derandomize=True)
+    @given(fuzzed_configs())
+    def test_fuzzed_configs_end_in_one_line_or_none(self, run):
+        # exit 0 with an empty stderr, or exit 1 or 2 with one typed line; an exception,
+        # a RuntimeWarning under the filter included, fails the example
+        scenario, data = run
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            path = Path(tmp) / "config.json"
+            path.write_text(json.dumps(data))
+            rc = cli_main([scenario, "--config", str(path), "--out", str(Path(tmp) / "o")])
+        lines = err.getvalue().splitlines()
+        if rc == 0:
+            assert lines == []
+        else:
+            assert rc in (1, 2) and len(lines) == 1, (rc, lines)
+            assert lines[0].startswith(("error:", "numeric error:")), lines
+
     def test_sweep_covers_every_field(self):
         fields = {field for config in ci_configs().values()
                   for field, _, _ in extreme_value_runs(config)}
@@ -920,6 +985,15 @@ class TestCli:
             outputs.append([payload] + [(tmp_path / "o" / f"{table}.csv").read_bytes()
                                         for table in ("forward", "reverse", "curves")])
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_table_taus_spanning_the_float_range_run(self, tmp_path, capsys):
+        # the strictly-increasing check on the table taus took their difference, which
+        # overflowed: a RuntimeWarning escaped
+        data = ci_configs()["ci-matrix"]
+        tables = {**data["geometry"]["frame_tables"], "tau": [-1.7e308, 1.7e308]}
+        rc, err = self.stderr_of(tmp_path, capsys, {**data, "geometry": {"frame_tables": tables}})
+        assert rc == 0 and err == [], err
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_broken_jarzynski_relation_is_one_numeric_error_line(self, tmp_path, capsys):

@@ -2,7 +2,6 @@
 per-step loop."""
 
 import math
-import re
 
 import numpy as np
 import pytest
@@ -13,6 +12,7 @@ from curvedwork.spacetimes import desitter_frame
 from curvedwork.quantum import (
     AffinePath,
     HermitianOperator,
+    energy_basis,
     propagator,
     qho_hamiltonian,
     x_squared_matrix,
@@ -153,45 +153,45 @@ class TestBlocks:
         np.testing.assert_allclose(propagator(stack, 0.0, 1.0, 20).entries[0],
                                    propagator(path, 0.0, 1.0, 20).entries, rtol=0, atol=1e-13)
 
-    def test_dense_spectrum_equals_eigh(self):
+    @pytest.mark.parametrize("stack", [False, True], ids=["dense", "stack"])
+    def test_one_block_basis_equals_eigh(self, stack):
+        # a matrix whose parities couple, or a stack, is one block: one eigh call, bit for bit
         rng = np.random.default_rng(4)
-        path = AffinePath(random_hermitian(rng, 4), random_hermitian(rng, 4), smooth)
-        assert len(path.blocks) == 1
-        spectrum = path.spectrum(0.5)
-        w, v = np.linalg.eigh(path.h0.entries + 0.5 * path.x.entries)
-        np.testing.assert_array_equal(spectrum.eigenvalues, w)
-        times = np.array([0.0, 0.4, 1.3])
-        for m in range(4):
-            expected = [((v * np.exp(-1j * w * t)) @ v.conj().T)[:, m] for t in times]
-            np.testing.assert_allclose(spectrum.amplitudes(slice(None), m, times),
-                                       np.transpose(expected), rtol=0, atol=1e-13)
+        entries = random_hermitian(rng, 4).entries + 0.5 * random_hermitian(rng, 4).entries
+        if stack:
+            entries = np.stack([entries, banded_path(5, 4, smooth).h0.entries])
+        h = HermitianOperator(entries)
+        assert len(quantum._blocks(h.entries)) == 1
+        basis = energy_basis(h)
+        w, v = np.linalg.eigh(h.entries)
+        np.testing.assert_array_equal(basis.eigenvalues, w)
+        np.testing.assert_array_equal(basis.eigenvectors, v)
+        if not stack:
+            times = np.array([0.0, 0.4, 1.3])
+            for m in range(4):
+                expected = [((v * np.exp(-1j * w * t)) @ v.conj().T)[:, m] for t in times]
+                np.testing.assert_allclose(basis.amplitudes(slice(None), m, times),
+                                           np.transpose(expected), rtol=0, atol=1e-13)
 
-    @pytest.mark.parametrize("blocks", [1, 2])
-    def test_spectrum_checks_each_solve(self, monkeypatch, blocks):
-        # eigenvector columns reversed against their eigenvalues, a wrong basis
+    @pytest.mark.parametrize("blocks, wrong", [(1, 0), (2, 0), (2, 1)],
+                             ids=["one-block", "even-block", "odd-block"])
+    def test_energy_basis_checks_each_solve(self, monkeypatch, blocks, wrong):
+        # eigenvector columns reversed against their eigenvalues in solve `wrong`, a wrong basis
         rng = np.random.default_rng(4)
         path = (banded_path(6, 5, smooth) if blocks == 2 else
                 AffinePath(random_hermitian(rng, 4), random_hermitian(rng, 4), smooth))
         assert len(path.blocks) == blocks
-        eigh = np.linalg.eigh
+        eigh, solves = np.linalg.eigh, []
 
         def reversed_eigh(m):
             w, v = eigh(m)
-            return w, v[..., ::-1]
+            solves.append(m.shape)
+            return (w, v[..., ::-1]) if len(solves) == wrong + 1 else (w, v)
 
         monkeypatch.setattr(np.linalg, "eigh", reversed_eigh)
         with pytest.raises(NumericError, match="eigendecomposition reconstruction error"):
-            path.spectrum(0.5)
-
-    def test_stack_spectrum_rejected(self):
-        with pytest.raises(InputError, match="single path"):
-            stack_of_one(banded_path(5, 4, smooth)).spectrum(0.5)
-
-    @pytest.mark.parametrize("value", [np.array([0.1, 0.2]), "0.5", None, 0.5j],
-                             ids=["array", "string", "none", "complex"])
-    def test_spectrum_takes_one_real_number(self, value):
-        with pytest.raises(InputError, match=re.escape(f"one real number, got {value!r}")):
-            banded_path(6, 5, smooth).spectrum(value)
+            energy_basis(path(0.5))
+        assert len(solves) == wrong + 1
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(InputError, match="dimension mismatch"):
@@ -213,19 +213,35 @@ class TestParitySelection:
         assert np.all(u[parity[:, None] != parity[None, :]] == 0.0)
         assert unitarity_defect(u) < 1e-12
 
-    def test_spectrum_matches_dense_eigenvalues_and_evolution(self):
+    def test_parity_basis_matches_dense_eigenvalues_and_evolution(self):
         path = banded_path(5, 9, smooth)
-        spectrum = path.spectrum(0.7)
-        w, v = np.linalg.eigh(path.h0.entries + 0.7 * path.x.entries)
-        np.testing.assert_allclose(spectrum.eigenvalues, w, atol=1e-13)
+        h = HermitianOperator(path.h0.entries + 0.7 * path.x.entries)
+        basis = energy_basis(h)
+        w, v = np.linalg.eigh(h.entries)
+        np.testing.assert_allclose(basis.eigenvalues, w, atol=1e-13)
         times = np.array([0.0, 0.4, 1.3])
         for m in range(9):
             expected = [((v * np.exp(-1j * w * t)) @ v.conj().T)[:, m] for t in times]
-            np.testing.assert_allclose(spectrum.amplitudes(slice(None), m, times),
+            np.testing.assert_allclose(basis.amplitudes(slice(None), m, times),
                                        np.transpose(expected), rtol=0, atol=1e-13)
-        # every eigenvector lies in one parity block, exactly zero on the other
-        vectors = spectrum.eigenvectors
-        assert np.all(np.all(vectors[0::2] == 0, axis=0) != np.all(vectors[1::2] == 0, axis=0))
+
+    def test_parity_basis_is_its_blocks_solved_one_at_a_time(self):
+        # per-block eigenpairs bit for bit, merged ascending, each eigenvector exactly zero
+        # on the other parity
+        path = banded_path(7, 9, smooth)
+        h = HermitianOperator(path.h0.entries + 0.7 * path.x.entries)
+        basis = energy_basis(h)
+        [(even, a), (odd, b)] = quantum._blocks(h.entries)
+        (wa, va), (wb, vb) = np.linalg.eigh(a), np.linalg.eigh(b)
+        order = np.argsort(np.concatenate((wa, wb)), kind="stable")
+        assert np.all(np.diff(basis.eigenvalues) >= 0)
+        np.testing.assert_array_equal(basis.eigenvalues, np.concatenate((wa, wb))[order])
+        vectors = basis.eigenvectors
+        in_even = order < wa.size
+        assert np.all(vectors[np.ix_(odd, in_even)] == 0)
+        assert np.all(vectors[np.ix_(even, ~in_even)] == 0)
+        np.testing.assert_array_equal(vectors[np.ix_(even, in_even)], va)
+        np.testing.assert_array_equal(vectors[np.ix_(odd, ~in_even)], vb)
 
 
 def test_catalog_desitter_collapses_to_one_solve_per_sector(monkeypatch):
