@@ -184,8 +184,8 @@ def energy_basis(op: HermitianOperator) -> EnergyBasis:
     """Eigendecomposition of a Hermitian operator, or of a stack, by one eigh per block of
     `_blocks`, each checked for faithful reconstruction against its own scale; the blocks'
     eigenvalues merge ascending, their eigenvectors are exactly zero off the block, and a
-    real operator takes the real solver."""
-    w, v = np.empty(op.entries.shape[:-1]), np.zeros_like(op.entries)
+    real operator takes the real solver.  Every block is solved before the merge allocates."""
+    solved = []
     for idx, m in _blocks(op.entries):
         bw, bv = np.linalg.eigh(m)
         recon = np.max(np.abs((bv * bw[..., None, :]) @ np.swapaxes(bv.conj(), -1, -2) - m),
@@ -194,10 +194,20 @@ def energy_basis(op: HermitianOperator) -> EnergyBasis:
         worst = np.argmax(excess)
         if excess.flat[worst] > 1e-10:
             raise NumericError(f"eigendecomposition reconstruction error {recon.flat[worst]:.3g}")
-        w[..., idx], v[..., idx[:, None], idx] = bw, bv
-    order = np.argsort(w, axis=-1, kind="stable")
-    return EnergyBasis(np.take_along_axis(w, order, -1),
-                       np.take_along_axis(v, order[..., None, :], -1))
+        solved.append((idx, bw, bv))
+    if len(solved) == 1:  # eigh's eigenvalues ascend already
+        return EnergyBasis(*solved[0][1:])
+    # parity blocks, never of a stack: each block's columns go to their sorted places, ties
+    # in index order
+    w = np.empty(op.dim)
+    for idx, bw, _ in solved:
+        w[idx] = bw
+    order = np.argsort(w, kind="stable")
+    place = np.argsort(order)  # the sorted place of each index
+    v = np.zeros_like(op.entries)
+    for idx, _, bv in solved:
+        v[idx[:, None], place[idx]] = bv
+    return EnergyBasis(w[order], v)
 
 
 def thermal_state(basis: EnergyBasis, beta) -> np.ndarray:

@@ -241,12 +241,22 @@ def write_outputs(outdir, files: dict) -> None:
 
 
 def _base_metadata(config: ScenarioConfig) -> dict:
-    """Package version and the SHA-256 of the config's canonical JSON (defaults filled in)."""
-    import hashlib  # loads when a run reports, not when curvedwork is imported
+    """Package version and the SHA-256 of the config's canonical JSON (defaults filled in).
+
+    The digest is CPython's built-in SHA-256, as `random` takes it: `hashlib` would load
+    OpenSSL's libcrypto (≈3.5 MB resident) for this one string, so it is the fallback for
+    an interpreter built without that module.  Imported when a run reports, not when
+    curvedwork is imported."""
+    try:
+        from _sha2 import sha256  # Python 3.12+
+    except ImportError:
+        try:
+            from _sha256 import sha256  # Python 3.10 and 3.11
+        except ImportError:
+            from hashlib import sha256
 
     canonical = json.dumps(vars(config), sort_keys=True, separators=(",", ":"))
-    return {"config_sha256": hashlib.sha256(canonical.encode()).hexdigest(),
-            "version": __version__}
+    return {"config_sha256": sha256(canonical.encode()).hexdigest(), "version": __version__}
 
 
 def _protocol_outputs(b_init, b_final, u, config):

@@ -59,7 +59,8 @@ class WorkDistribution:
             raise InputError(f"{self._row(bad)}probabilities sum to {total[bad]}, not 1")
         if not (probs.min() >= -1e-15 and probs.max() <= 1 + 1e-12):
             raise InputError("probabilities outside [0, 1]")
-        gaps = np.diff(works) > np.reshape(tol, -1)[self._point_rows()[1:]]
+        with np.errstate(over="ignore"):  # a gap past the float range is inf, still a gap
+            gaps = np.diff(works) > np.reshape(tol, -1)[self._point_rows()[1:]]
         gaps[bounds[1:-1] - 1] = True  # a row's first point follows the row before
         if not gaps.all():
             raise InputError("work values must be increasing with gaps above merge_tol")
@@ -119,7 +120,8 @@ class WorkDistribution:
         row = np.repeat(np.arange(counts.size), counts)
         works, probs = works[keep], probs[keep]
         # a chain of neighbours each within merge_tol of the previous one is one group
-        new = np.concatenate(([True], ~(np.diff(works) <= np.reshape(tols, -1)[row[1:]])))
+        with np.errstate(over="ignore"):  # a gap past the float range is inf: a new group
+            new = np.concatenate(([True], ~(np.diff(works) <= np.reshape(tols, -1)[row[1:]])))
         new[np.cumsum(counts)[:-1]] = True
         starts = np.flatnonzero(new)
         p = np.add.reduceat(probs, starts)

@@ -1,6 +1,7 @@
 """Import contract: curvedwork runs on numpy and the standard library only.  No run
-loads scipy, and importing curvedwork adds no hashlib.  Each check runs in a fresh
-interpreter, since this test process may have loaded scipy already."""
+loads scipy, importing curvedwork adds no hashlib, and a scenario run hashes its config
+without loading OpenSSL.  Each check runs in a fresh interpreter, since this test process
+may have loaded scipy and OpenSSL already."""
 
 import json
 import os
@@ -48,15 +49,19 @@ CI_MATRIX = {**CI_CUSTOM, "system": {"kind": "matrix", "entries": [
     [1.0, 0.2, 0.0], [0.2, 0.5, 0.1], [0.0, 0.1, -0.3]]}}
 
 
-def fresh_run(tmp_path, argv=None):
-    """Exit code of cli.main(argv) (None: import only) and the scipy modules then loaded."""
+SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
+def fresh_run(tmp_path, argv=None, loaded=SCIPY_MODULES):
+    """Exit code of cli.main(argv) (None: import only) and the value of the expression
+    `loaded` afterwards: by default, the scipy modules then loaded."""
     script = "\n".join([
         "import io, json, sys, contextlib",
         "from curvedwork import cli",
         f"argv = {argv!r}",
         "with contextlib.redirect_stdout(io.StringIO()):",
         "    rc = None if argv is None else cli.main(argv)",
-        "print(json.dumps([rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))",
+        f"print(json.dumps([rc, {loaded}]))",
     ])
     return fresh_python(tmp_path, script)
 
@@ -114,3 +119,14 @@ def test_oscillator_run_loads_no_scipy(tmp_path, cfg):
     config.write_text(json.dumps(cfg))
     argv = [cfg["scenario"], "--config", str(config), "--out", str(tmp_path / "out")]
     assert fresh_run(tmp_path, argv) == [0, []]
+
+
+@pytest.mark.parametrize("cfg", [README_NEWTONIAN, CI_OSCILLATOR],
+                         ids=["newtonian", "custom_oscillator"])
+def test_scenario_run_loads_no_openssl(tmp_path, cfg):
+    # config_sha256 is CPython's built-in SHA-256; hashlib would load libcrypto (≈3.6 MB).
+    # A run with samples loads it all the same, through numpy.random's secrets and hmac
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg))
+    argv = [cfg["scenario"], "--config", str(config), "--out", str(tmp_path / "out")]
+    assert fresh_run(tmp_path, argv, loaded="'_hashlib' in sys.modules") == [0, False]

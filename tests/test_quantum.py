@@ -1,6 +1,7 @@
 """Operators, thermal states, propagation, perturbation theory."""
 
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -243,6 +244,22 @@ class TestEnergyBasis:
         # the ascending check compares neighbours: their difference would overflow
         basis = EnergyBasis([-1.7e308, 1.7e308], np.eye(2))
         assert basis.eigenvalues.tolist() == [-1.7e308, 1.7e308]
+
+    def test_one_block_holds_at_most_three_matrices(self):
+        # the block is solved and checked before anything else of its size is allocated, and
+        # EnergyBasis's copy of the eigenvectors is the only one: the merge once held a fourth
+        m = np.random.default_rng(5).normal(size=(256, 256))
+        h = HermitianOperator(m + m.T)
+        tracemalloc.start()
+        try:
+            basis = energy_basis(h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * h.entries.nbytes + 64 * 1024
+        w, v = np.linalg.eigh(h.entries)
+        np.testing.assert_array_equal(basis.eigenvalues, w)
+        np.testing.assert_array_equal(basis.eigenvectors, v)
 
 
 def constant_path(h):

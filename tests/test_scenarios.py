@@ -854,6 +854,15 @@ class TestConfigHash:
         assert payload["metadata"]["config_sha256"] == config_sha256(cfg)
         assert (tmp_path / "report.json").stat().st_size < 4096
 
+    def test_hashlib_fallback_gives_the_same_digest(self, monkeypatch):
+        # an interpreter built without CPython's own SHA-256 module hashes through hashlib
+        cfg = self.custom_oscillator(desitter_tables(0.01, n=8))
+        built_in = scenarios._base_metadata(cfg)
+        monkeypatch.setitem(sys.modules, "_sha2", None)
+        monkeypatch.setitem(sys.modules, "_sha256", None)
+        assert scenarios._base_metadata(cfg) == built_in
+        assert built_in["config_sha256"] == config_sha256(cfg)
+
 
 class TestCli:
     def write_config(self, tmp_path, cfg):

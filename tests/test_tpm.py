@@ -426,6 +426,18 @@ class TestWorkDistribution:
         with pytest.raises(InputError, match=message):
             WorkDistribution(np.array(works), np.array(probs), merge_tol=1e-9)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_gap_past_the_float_range_is_a_gap(self):
+        # 1.7e308 - (-1.7e308) overflows to inf, which is above any merge_tol
+        dist = WorkDistribution(np.array([-1.7e308, 1.7e308]), np.array([0.5, 0.5]), 1e-9)
+        assert dist.works.tolist() == [-1.7e308, 1.7e308]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_from_raw_keeps_points_a_gap_past_the_float_range_apart(self):
+        dist = WorkDistribution.from_raw([1.7e308, -1.7e308], [0.25, 0.75], merge_tol=1e-9)
+        assert dist.works.tolist() == [-1.7e308, 1.7e308]
+        assert dist.probs.tolist() == [0.75, 0.25]
+
     @pytest.mark.parametrize("works, probs", [
         ([0.0, 1.0], [math.nan, 1.0]),
         ([0.0, math.inf], [0.5, 0.5]),
