@@ -54,9 +54,11 @@ SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
 
 def fresh_run(tmp_path, argv=None, loaded=SCIPY_MODULES):
     """Exit code of cli.main(argv) (None: import only) and the value of the expression
-    `loaded` afterwards: by default, the scipy modules then loaded."""
+    `loaded` afterwards: by default, the scipy modules then loaded.  `loaded` may read
+    `with_numpy`, the modules loaded once numpy alone is imported."""
     script = "\n".join([
-        "import io, json, sys, contextlib",
+        "import io, json, sys, contextlib, numpy",
+        "with_numpy = set(sys.modules)",
         "from curvedwork import cli",
         f"argv = {argv!r}",
         "with contextlib.redirect_stdout(io.StringIO()):",
@@ -125,8 +127,10 @@ def test_oscillator_run_loads_no_scipy(tmp_path, cfg):
                          ids=["newtonian", "custom_oscillator"])
 def test_scenario_run_loads_no_openssl(tmp_path, cfg):
     # config_sha256 is CPython's built-in SHA-256; hashlib would load libcrypto (≈3.6 MB).
-    # A run with samples loads it all the same, through numpy.random's secrets and hmac
+    # Measured against numpy alone: numpy 1.x loads it on import (numpy.random imports
+    # secrets and hmac), and so does a run with samples on any numpy
     config = tmp_path / "config.json"
     config.write_text(json.dumps(cfg))
     argv = [cfg["scenario"], "--config", str(config), "--out", str(tmp_path / "out")]
-    assert fresh_run(tmp_path, argv, loaded="'_hashlib' in sys.modules") == [0, False]
+    added = "'_hashlib' in set(sys.modules) - with_numpy"
+    assert fresh_run(tmp_path, argv, loaded=added) == [0, False]
