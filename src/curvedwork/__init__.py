@@ -41,7 +41,6 @@ from .tpm import (
     WorkDistribution,
     crooks_check,
     delta_F,
-    dissipated_work_thermal,
     entropy_production_two_level,
     forward_distribution,
     jarzynski_average,

@@ -304,7 +304,8 @@ def _block_product(h0, x, values, dt):
     f-derivative of the factor is at most (dt ||x||)^m; rho = dt ||x|| (max f - min f) / 2
     over the run, ||x|| the largest in the stack, and mu the middle of each node spectrum."""
     block = np.array(np.broadcast_to(np.eye(x.shape[-1], dtype=complex), x.shape))
-    run = max(1, min(NODE_ENTRIES // x.size, math.isqrt(NODE_ENTRIES)))
+    run = (values.size if values.min() == values.max()  # a constant f: one run, one solve
+           else max(1, min(NODE_ENTRIES // x.size, math.isqrt(NODE_ENTRIES))))
     norm = float(np.max(np.sum(np.abs(x), axis=-1)))
     for vals in (values[start:start + run] for start in range(0, values.size, run)):
         lo, hi = float(vals.min()), float(vals.max())

@@ -43,7 +43,6 @@ from .tpm import (
     WorkDistribution,
     crooks_check,
     delta_F,
-    dissipated_work_thermal,
     entropy_production_two_level,
     forward_distribution,
     jarzynski_average,
@@ -349,13 +348,12 @@ def _rescaled(config: ScenarioConfig, frame: FrameData, times):
     return basis.scaled(zs[0]), basis.scaled(zs[-1]), UnitaryOperator(np.eye(h.dim)), zs
 
 
-def _newtonian_outputs(config: ScenarioConfig, b0, bt, zf):
-    """The entropy block at the final z and the entropy curves over the z grid."""
+def _newtonian_outputs(config: ScenarioConfig, zf):
+    """The entropy block at the final z and the closed-form entropy curve over the z grid."""
     g, eps = float(config.geometry["g"]), float(config.system["eps"])
     zgrid = np.asarray(config.zfactor_grid if config.zfactor_grid is not None
                        else np.linspace(0.5, 1.5, 41), dtype=float)
     sigma_formula = np.array([entropy_production_two_level(z, config.beta * eps) for z in zgrid])
-    sigma_oracle = config.beta * dissipated_work_thermal(b0, b0.scaled(zgrid), config.beta)[1]
 
     gx, sysmass = g * float(config.position[0]), float(config.system.get("mass", 1.0))
     p2 = float(np.asarray(config.momentum, dtype=float) @ np.asarray(config.momentum, dtype=float))
@@ -366,10 +364,8 @@ def _newtonian_outputs(config: ScenarioConfig, b0, bt, zf):
         "zfactor_doubled_convention": 1.0 + 2.0 * gx - p2 / (2.0 * sysmass),
         "entropy_closed_form": entropy_production_two_level(zf, config.beta * eps)
         if zf > 0 else None,
-        "entropy_thermal_oracle": config.beta * dissipated_work_thermal(b0, bt, config.beta)[1],
     }}
-    curves = {"zfactor": zgrid, "entropy_closed_form": sigma_formula,
-              "entropy_thermal_oracle": sigma_oracle}
+    curves = {"zfactor": zgrid, "entropy_closed_form": sigma_formula}
     return blocks, curves
 
 
@@ -377,8 +373,15 @@ def _oscillator_protocol(config, frame):
     """Center-of-mass oscillator pipeline over the frame's curvature history R_txtx(tau).
 
     Measurements are projective in the eigenbasis of the unperturbed oscillator, whose
-    populations the curvature term drives, so both endpoint bases are that one.
+    populations the curvature term drives, so both endpoint bases are that one.  The model
+    keeps only the tidal term: an a_x non-zero on [0, duration] is an InputError, read at
+    the rows from the last at or before 0 to the first at or after duration.
     """
+    duration = float(config.duration)
+    first = np.searchsorted(frame.tau, 0.0, side="right") - 1  # tau[0] <= 0: see _frame
+    if np.any(frame.accel[first:np.searchsorted(frame.tau, duration) + 1, 0]):
+        raise InputError(f"frame_tables.accel has a non-zero x-component on [0, {duration}]: "
+                         "the oscillator keeps only the tidal term, not the force m a_x x")
     mass = float(config.system["mass"])
     omega0 = float(config.system["omega0"])
     dim = int(config.system.get("dim", DEFAULT_OSCILLATOR_DIM))
@@ -386,7 +389,7 @@ def _oscillator_protocol(config, frame):
     r_txtx = frame.riemann_titj[:, 0, 0]
     path = AffinePath(h0, x_squared_matrix(mass, omega0, dim),
                       lambda tau: 0.5 * mass * np.interp(tau, frame.tau, r_txtx))
-    u = propagator(path, 0.0, float(config.duration), config.steps)
+    u = propagator(path, 0.0, duration, config.steps)
 
     # truncation guard: evolved thermal populations must not reach the cutoff
     b0 = energy_basis(h0)
@@ -449,7 +452,7 @@ def run_scenario(config: ScenarioConfig) -> RunArtifacts:
         newtonian = config.scenario == "newtonian"
         b_init, b_final, u, zs = _rescaled(config, frame, times[[0, -1]] if newtonian else times)
         if newtonian:
-            blocks, curves = _newtonian_outputs(config, b_init, b_final, zs[-1])
+            blocks, curves = _newtonian_outputs(config, zs[-1])
         else:
             blocks = {"custom": {"zfactor_initial": zs[0], "zfactor_final": zs[-1],
                                  "unitarity_defect": u.unitarity_defect}}

@@ -57,8 +57,9 @@ class TestAcceptance:
         crit = _check(by_name, "A3")
         assert crit["details"]["zero_at_unit_zfactor"]
         assert crit["details"]["sign_matches_zfactor"]
-        # the closed-form/oracle mismatch is expected and must be surfaced
+        # the mismatch of the closed form with the TPM figure is expected and must be surfaced
         assert crit["findings"]
+        assert crit["details"]["max_formula_vs_tpm_mismatch"] > 1e-10
 
     def test_A4_spectral_rescaling(self, by_name):
         crit = _check(by_name, "A4")
@@ -85,6 +86,10 @@ class TestAcceptance:
         crit = _check(by_name, "A8")
         assert crit["details"]["planck_ratio"] == pytest.approx(1e-31, rel=1e-12)
         assert abs(crit["details"]["prefactor_exponent"] - 4.0) <= 0.01
+
+    def test_A11_quench_entropy_is_the_relative_entropy(self, by_name):
+        crit = _check(by_name, "A11")
+        assert crit["details"]["max_relative_entropy_deviation"] < 1e-12
 
     def test_suite_passes_overall(self, summary):
         assert summary["passed"]
@@ -178,6 +183,14 @@ def test_A1_fails_on_bases_that_do_not_diagonalise_the_endpoints(monkeypatch):
     assert a1.details["max_crooks_residual"] < 1e-8 and a2.passed
     assert a1.details["max_mean_work_deviation"] > 1e-10
     assert not a1.passed
+
+
+def test_A11_fails_on_a_shifted_mean_work(monkeypatch):
+    mean_work = verify.mean_work
+    monkeypatch.setattr(verify, "mean_work", lambda fwd: mean_work(fwd) + 1e-9)
+    a3, a11 = verify.criterion_entropy_two_level("full")
+    assert a3.passed and not a11.passed
+    assert a11.details["max_relative_entropy_deviation"] > 1e-10
 
 
 def test_unknown_level_is_an_input_error():

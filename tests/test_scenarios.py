@@ -27,15 +27,15 @@ from curvedwork import quantum, scenarios
 from curvedwork.cli import main as cli_main
 from curvedwork.errors import ConfigError, ConvergenceError, InputError
 from curvedwork.frame import FrameData, FramePoint, time_dilation
-from curvedwork.quantum import (AffinePath, EnergyBasis, energy_basis, propagator,
-                                qho_hamiltonian, thermal_state, x_squared_matrix)
+from curvedwork.quantum import (AffinePath, energy_basis, propagator, qho_hamiltonian,
+                                thermal_state, x_squared_matrix)
 from curvedwork.scenarios import (
     RunArtifacts,
     ScenarioConfig,
     run_scenario,
     sample_work,
 )
-from curvedwork.tpm import WorkDistribution, dissipated_work_thermal, entropy_production_two_level
+from curvedwork.tpm import WorkDistribution, entropy_production_two_level
 
 
 SRC = Path(curvedwork.__file__).resolve().parents[1]
@@ -166,7 +166,7 @@ WHOLE_LINE_CASES = {
     "output-path-key", "momentum-1e200-newtonian", "momentum-1e200-custom", "far-position",
     "guard-accel-row", "guard-accel", "guard-titj", "accel-overflow", "mass-overflow",
     "omega0-overflow", "matrix-span-overflow", "mass-underflow", "scaled-levels-overflow",
-    "radius-overflow"}
+    "radius-overflow", "oscillator-accel"}
 
 
 def ci_error_cases():
@@ -301,6 +301,11 @@ def ci_error_cases():
         # in the Crooks drift: an overflowing exponent weighs 0, and the emptied levels
         # break the Jarzynski relation
         "beta-overflow": ({**d, "beta": 1.7e308}, 2, "numeric error: Jarzynski relation broken"),
+        # the oscillator keeps only the tidal term: a_x rises from 0 to 0.9 over the protocol
+        "oscillator-accel": ({**o, "geometry": {"frame_tables": {
+            **o["geometry"]["frame_tables"], "accel": [[0.0] * 3, [0.9, 0.0, 0.0]]}}}, 1,
+            "error: frame_tables.accel has a non-zero x-component on [0, 5.0]: the oscillator "
+            "keeps only the tidal term, not the force m a_x x"),
         "truncation": ({**d, "beta": 0.05, "geometry": {"hubble": 0.9},
                         "system": {**d["system"], "dim": 4}}, 2,
             "numeric error: top-two-level population"),
@@ -471,24 +476,25 @@ class TestRunNewtonian:
 
     def test_entropy_curve_matches_closed_form(self):
         art = run_scenario(newtonian_config(zfactor_grid=[0.8, 1.0, 1.2]))
-        assert list(art.curves) == ["zfactor", "entropy_closed_form", "entropy_thermal_oracle"]
+        assert list(art.curves) == ["zfactor", "entropy_closed_form"]
         np.testing.assert_array_equal(art.curves["zfactor"], [0.8, 1.0, 1.2])
         expected = [entropy_production_two_level(z, 1.0) for z in (0.8, 1.0, 1.2)]
         np.testing.assert_allclose(art.curves["entropy_closed_form"], expected, atol=1e-14)
 
-    @pytest.mark.parametrize("overrides", [
-        {},
-        {"beta": 0.7, "system": {"kind": "two_level", "eps": 1.3},
-         "zfactor_grid": [0.3, 1.0, 2.5]},
-    ], ids=["default_grid", "custom_grid"])
-    def test_entropy_oracle_curve_equals_one_call_per_grid_point(self, overrides):
-        cfg = newtonian_config(position=[0.0, 0.0, 0.0], **overrides)
-        art = run_scenario(cfg)
-        b0 = EnergyBasis(np.array([0.0, cfg.system["eps"]]), np.eye(2))
-        expected = [cfg.beta * dissipated_work_thermal(b0, b0.scaled(z), cfg.beta)[1]
-                    for z in art.curves["zfactor"]]
-        assert art.curves["zfactor"].size == (3 if overrides else 41)
-        np.testing.assert_array_equal(art.curves["entropy_thermal_oracle"], expected)
+    @pytest.mark.parametrize("momentum, zfactor", [(0.0, 1.05), (2.0, -0.95)],
+                             ids=["ci-newtonian", "negative-final-zfactor"])
+    def test_entropy_production_is_the_relative_entropy(self, momentum, zfactor):
+        # the quench z_0 h -> z_T h from z_0 = 1: beta (<W> - delta_F) = D(rho_0 || rho_T^eq)
+        # = beta eps (z_T - 1) p_1 + ln((1 + e^(-z_T beta eps)) / (1 + e^(-beta eps))), p_1 the
+        # initial excited population 1 / (1 + e^(beta eps))
+        config = {**ci_configs()["ci-newtonian"], "momentum": [momentum, 0.0, 0.0]}
+        art = run_scenario(ScenarioConfig.from_dict(config))
+        zt = art.metadata["newtonian"]["zfactor"]
+        assert zt == pytest.approx(zfactor, abs=1e-15)
+        c = config["beta"] * config["system"]["eps"]
+        expected = (c * (zt - 1.0) / (1.0 + math.exp(c))
+                    + math.log((1.0 + math.exp(-zt * c)) / (1.0 + math.exp(-c))))
+        assert art.report.entropy_production == pytest.approx(expected, rel=0, abs=1e-12)
 
     def test_oscillator_system_rejected(self):
         with pytest.raises(ConfigError):
@@ -748,6 +754,32 @@ class TestRunCustom:
             np.testing.assert_array_equal(
                 art.curves["curvature_tt"].view(np.int64),
                 frame.at(art.curves["t"])[1][..., 0, 0].view(np.int64))
+
+    @pytest.mark.parametrize("taus, a_x, refused", [
+        ([0.0, 5.0], [0.0, 1e-300], True),
+        ([-1.0, 6.0], [0.9, 0.0], True),  # a_x(0) is nonzero between the rows
+        ([-2.0, 0.0, 5.0, 6.0], [0.9, 0.0, 0.0, 0.0], False),  # zero from tau = 0 on
+        ([-2.0, 0.0, 5.0, 6.0], [0.0, 0.0, 0.0, -0.9], False),  # zero up to tau = duration
+        ([-2.0, -1.0, 2.5, 6.0, 7.0], [0.9, 0.0, 0.0, 0.0, 0.9], False),
+        ([-2.0, -1.0, 2.5, 6.0, 7.0], [0.0, 0.0, 0.1, 0.0, 0.0], True),
+    ], ids=["tiny-at-duration", "before-0-reaching-in", "before-0-only", "after-duration-only",
+            "outside-the-bracketing-rows", "at-an-inner-row"])
+    def test_oscillator_refuses_an_acceleration_along_x(self, taus, a_x, refused):
+        # only a_x on [0, duration] is refused: the y and z components, and a_x outside the
+        # protocol, do not reach an oscillator along x
+        o = ci_configs()["ci-oscillator"]
+        n = len(taus)
+        tables = {**o["geometry"]["frame_tables"], "tau": taus,
+                  "accel": [[a, 0.7, -0.7] for a in a_x],
+                  "riemann_titj": [o["geometry"]["frame_tables"]["riemann_titj"][0]] * n,
+                  "riemann_tjik": np.zeros((n, 3, 3, 3)).tolist(),
+                  "riemann_ikjl": np.zeros((n, 3, 3, 3, 3)).tolist()}
+        config = ScenarioConfig.from_dict({**o, "geometry": {"frame_tables": tables}})
+        if refused:
+            with pytest.raises(InputError, match=r"^frame_tables\.accel has a non-zero x-comp"):
+                run_scenario(config)
+        else:
+            assert run_scenario(config).report.crooks_max_residual < 1e-8
 
     def test_empty_tables_rejected(self):
         tables = uniform_gravity_tables()

@@ -16,7 +16,6 @@ from curvedwork.tpm import (
     WorkDistribution,
     crooks_check,
     delta_F,
-    dissipated_work_thermal,
     forward_distribution,
     jarzynski_average,
     mean_work,
@@ -270,9 +269,6 @@ class TestStackEqualsProtocolsOneAtATime:
                 np.testing.assert_array_equal(dist.probs, one.probs)
                 assert dist.merge_tol == one.merge_tol
         assert delta_F(b0, bt, beta).tolist() == [delta_F(*row[:2], row[3]) for row in rows]
-        stacked = dissipated_work_thermal(b0, bt, beta)
-        singles = [dissipated_work_thermal(*row[:2], row[3]) for row in rows]
-        assert [x.tolist() for x in stacked] == [list(pair) for pair in zip(*singles)]
         # the readers: Crooks exactly per row; the segment sums exactly as single calls and
         # within rounding of np.sum's pairwise order
         fwd, rev = (fn(b0, bt, u, beta) for fn in (forward_distribution, reverse_distribution))
