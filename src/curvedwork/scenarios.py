@@ -472,9 +472,9 @@ def sample_work(fwd: WorkDistribution, beta: float, samples: int, seed: int):
     """Seeded empirical estimate of <e^{-beta W}> with its standard error."""
     if samples < 1:
         raise InputError(f"samples must be at least 1, got {samples}")
-    rng = np.random.default_rng(seed)
     if fwd.works.size == 1:
         return float(math.exp(-beta * fwd.works[0])), 0.0
+    rng = np.random.default_rng(seed)
     draws = rng.choice(fwd.works, size=samples, p=fwd.probs / np.sum(fwd.probs))
     vals = np.exp(-beta * draws)
     est = float(np.mean(vals))

@@ -8,6 +8,7 @@ skips the step-halving convergence studies; full runs everything.
 from __future__ import annotations
 
 import math
+import random
 import time
 from dataclasses import dataclass, field, asdict, replace
 
@@ -49,33 +50,39 @@ class CriterionResult:
     findings: list = field(default_factory=list)
 
 
-def _random_symmetric(rng, dim, scale=0.3):
-    m = rng.normal(scale=scale, size=(dim, dim))
-    return 0.5 * (m + m.T)
+def _uniform(rng, shape):
+    """Doubles on [0, 1) of the given shape from one randbytes call: the top 53 bits of
+    each 8 bytes."""
+    n = math.prod(shape)
+    return (np.frombuffer(rng.randbytes(8 * n), "<u8") >> 11).reshape(shape) * 2.0 ** -53
+
+
+def _random_symmetric(rng, shape, scale=0.3):
+    """The symmetric part, over the last two axes, of entries uniform with variance scale**2."""
+    m = scale * math.sqrt(3.0) * (2.0 * _uniform(rng, shape) - 1.0)
+    return 0.5 * (m + np.swapaxes(m, -1, -2))
 
 
 def check_fluctuation_relations(n_protocols=200, seed=7):
     """Shared ensemble for the detailed and integral fluctuation relations.
 
     Protocol i has dimension 2, 4 or 8 in turn, beta, and H(tau) = a + sin(tau) b over
-    [0, 1] with random real-symmetric a and b, drawn in that order.  The protocols of one
-    dimension are one stack: one propagator call, one energy_basis call per endpoint and
-    one call per TPM reader; the relations are then checked on each protocol's own
-    distributions.  Returns the largest Crooks residual, Jarzynski deviation and mean-work
-    deviation |<W> - (Tr(H_T U rho U^dagger) - Tr(H_0 rho))| / max(1, |trace|), rho the
-    Gibbs state of H_0 at beta: the relations hold in any orthonormal endpoint bases, so
-    only the last figure sees bases that do not diagonalise the endpoints.
+    [0, 1] with random real-symmetric a and b.  The protocols of one dimension are one
+    stack, drawn from random.Random(seed) a dimension at a time: its betas, uniform on
+    [0.1, 5), then its a stack and its b stack, one draw each.  Each stack takes one
+    propagator call, one energy_basis call per endpoint and one call per TPM reader; the
+    relations are then checked on each protocol's own distributions.  Returns the largest
+    Crooks residual, Jarzynski deviation and mean-work deviation
+    |<W> - (Tr(H_T U rho U^dagger) - Tr(H_0 rho))| / max(1, |trace|), rho the Gibbs state
+    of H_0 at beta: the relations hold in any orthonormal endpoint bases, so only the
+    last figure sees bases that do not diagonalise the endpoints.
     """
-    rng = np.random.default_rng(seed)
-    dims = [2, 4, 8]
-    draws = {dim: [] for dim in dims}
-    for i in range(n_protocols):
-        dim = dims[i % len(dims)]
-        beta = float(rng.uniform(0.1, 5.0))
-        draws[dim].append((beta, _random_symmetric(rng, dim), _random_symmetric(rng, dim)))
+    rng = random.Random(seed)
     max_crooks = max_jarzynski = max_mean_work = 0.0
-    for protocols in filter(None, draws.values()):
-        betas, a, b = (np.array(column) for column in zip(*protocols))
+    for k, dim in enumerate((2, 4, 8)[:n_protocols]):
+        count = len(range(k, n_protocols, 3))
+        betas = 0.1 + 4.9 * _uniform(rng, (count,))
+        a, b = (_random_symmetric(rng, (count, dim, dim)) for _ in range(2))
         path = AffinePath(HermitianOperator(a), HermitianOperator(b), np.sin)
         u = propagator(path, 0.0, 1.0, 40)
         h0, ht = path(0.0), path(1.0)
@@ -211,9 +218,9 @@ def criterion_propagator_quality(level="full"):
     tidal = 0.5 * mass * desitter_frame(hubble).riemann_titj[0, 0, 0]
     ds_path = _oscillator(mass, omega0, dim, lambda tau: tidal)
     defects["desitter_oscillator"] = propagator(ds_path, 0.0, 10.0, 200).unitarity_defect
-    rng = np.random.default_rng(11)
-    driven_path = AffinePath(HermitianOperator(_random_symmetric(rng, 6, scale=0.5)),
-                             HermitianOperator(_random_symmetric(rng, 6, scale=0.5)),
+    rng = random.Random(11)
+    driven_path = AffinePath(HermitianOperator(_random_symmetric(rng, (6, 6), scale=0.5)),
+                             HermitianOperator(_random_symmetric(rng, (6, 6), scale=0.5)),
                              lambda tau: np.sin(2.0 * tau))
     defects["driven_two_level_family"] = propagator(driven_path, 0.0, 4.0, 200).unitarity_defect
     banded_path = _oscillator(mass, omega0, 12, lambda tau: 0.05 * np.sin(2.0 * tau))

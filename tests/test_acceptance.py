@@ -9,6 +9,7 @@ time.
 
 import json
 import math
+import random
 from functools import cached_property
 
 import numpy as np
@@ -111,26 +112,50 @@ class TestAcceptance:
 
 
 def single_path_ensemble(n_protocols=200, seed=7):
-    """A1's ensemble, drawn in its order, with one propagator and two energy_basis calls
-    per protocol: the two figures and each protocol's forward distribution."""
-    rng = np.random.default_rng(seed)
+    """A1's ensemble, drawn as the criterion draws it, a dimension's stacks at a time, and
+    propagated with one propagator and two energy_basis calls per protocol: the two
+    figures and each protocol's forward distribution, in dimension-major order."""
+    rng = random.Random(seed)
     max_crooks = max_jarzynski = 0.0
     forward = []
-    for i in range(n_protocols):
-        dim = (2, 4, 8)[i % 3]
-        beta = float(rng.uniform(0.1, 5.0))
-        a, b = (HermitianOperator(verify._random_symmetric(rng, dim)) for _ in range(2))
-        path = AffinePath(a, b, np.sin)
-        u = propagator(path, 0.0, 1.0, 40)
-        b0, bt = energy_basis(path(0.0)), energy_basis(path(1.0))
-        fwd = forward_distribution(b0, bt, u, beta)
-        forward.append(fwd)
-        df = delta_F(b0, bt, beta)
-        max_crooks = max(max_crooks, crooks_check(fwd, reverse_distribution(b0, bt, u, beta),
-                                                  beta, df))
-        max_jarzynski = max(max_jarzynski,
-                            abs(jarzynski_average(fwd, beta) - math.exp(-beta * df)))
+    for k, dim in enumerate((2, 4, 8)):
+        count = len(range(k, n_protocols, 3))
+        betas = 0.1 + 4.9 * verify._uniform(rng, (count,))
+        a_stack, b_stack = (verify._random_symmetric(rng, (count, dim, dim)) for _ in range(2))
+        for beta, a, b in zip(betas.tolist(), a_stack, b_stack):
+            path = AffinePath(HermitianOperator(a), HermitianOperator(b), np.sin)
+            u = propagator(path, 0.0, 1.0, 40)
+            b0, bt = energy_basis(path(0.0)), energy_basis(path(1.0))
+            fwd = forward_distribution(b0, bt, u, beta)
+            forward.append(fwd)
+            df = delta_F(b0, bt, beta)
+            max_crooks = max(max_crooks, crooks_check(fwd, reverse_distribution(b0, bt, u, beta),
+                                                      beta, df))
+            max_jarzynski = max(max_jarzynski,
+                                abs(jarzynski_average(fwd, beta) - math.exp(-beta * df)))
     return max_crooks, max_jarzynski, forward
+
+
+def test_uniform_draws_lie_in_the_unit_interval():
+    u = verify._uniform(random.Random(3), (5, 4, 4))
+    assert u.shape == (5, 4, 4) and u.dtype == np.float64
+    assert u.min() >= 0.0 and u.max() < 1.0
+
+
+def test_random_symmetric_is_symmetric_and_seeded():
+    m = verify._random_symmetric(random.Random(3), (7, 5, 5))
+    np.testing.assert_array_equal(m, np.swapaxes(m, -1, -2))
+    np.testing.assert_array_equal(m, verify._random_symmetric(random.Random(3), (7, 5, 5)))
+    assert not np.array_equal(m, verify._random_symmetric(random.Random(4), (7, 5, 5)))
+
+
+def test_random_symmetric_entries_have_variance_scale_squared():
+    # the diagonal keeps the drawn entries; an off-diagonal entry averages two of them
+    scale = 0.3
+    m = verify._random_symmetric(random.Random(5), (2000, 8, 8), scale=scale)
+    upper = np.triu_indices(8, 1)
+    assert np.var(np.diagonal(m, axis1=-2, axis2=-1)) == pytest.approx(scale ** 2, rel=0.03)
+    assert np.var(m[:, upper[0], upper[1]]) == pytest.approx(scale ** 2 / 2, rel=0.03)
 
 
 def test_A1_propagates_one_stack_per_dimension(monkeypatch):
@@ -153,12 +178,11 @@ def test_A1_propagates_one_stack_per_dimension(monkeypatch):
     assert a2.details["max_jarzynski_deviation"] == pytest.approx(max_jarzynski, abs=1e-12)
     # the relations hold in any orthonormal endpoint bases, so the figures alone cannot
     # see a protocol paired with another's slice; its distribution can
-    stack_order = sorted(range(200), key=lambda i: (i % 3, i))
     forward = [dist for stack in results["forward_distribution"] for dist in stack]
-    assert len(forward) == 200
-    for stacked, i in zip(forward, stack_order):
-        np.testing.assert_array_equal(stacked.works, single[i].works)
-        np.testing.assert_allclose(stacked.probs, single[i].probs, rtol=0, atol=1e-12)
+    assert len(forward) == len(single) == 200
+    for stacked, alone in zip(forward, single):
+        np.testing.assert_array_equal(stacked.works, alone.works)
+        np.testing.assert_allclose(stacked.probs, alone.probs, rtol=0, atol=1e-12)
 
 
 def test_A1_checks_unitarity_once_per_stacked_propagator(monkeypatch):

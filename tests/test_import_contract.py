@@ -1,7 +1,8 @@
 """Import contract: curvedwork runs on numpy and the standard library only.  No run
-loads scipy, importing curvedwork adds no hashlib, and a scenario run hashes its config
-without loading OpenSSL.  Each check runs in a fresh interpreter, since this test process
-may have loaded scipy and OpenSSL already."""
+loads scipy, importing curvedwork adds no hashlib, a scenario run hashes its config
+without loading OpenSSL, and only a run that samples loads numpy.random.  Each check runs
+in a fresh interpreter, since this test process may have loaded scipy and OpenSSL
+already."""
 
 import json
 import os
@@ -134,3 +135,25 @@ def test_scenario_run_loads_no_openssl(tmp_path, cfg):
     argv = [cfg["scenario"], "--config", str(config), "--out", str(tmp_path / "out")]
     added = "'_hashlib' in set(sys.modules) - with_numpy"
     assert fresh_run(tmp_path, argv, loaded=added) == [0, False]
+
+
+@pytest.mark.parametrize("level", ["fast", "full"])
+def test_verify_loads_no_numpy_random(tmp_path, level):
+    # A1's ensemble and A6's driven path come from the stdlib random: numpy.random costs
+    # ≈6 MB, mostly OpenSSL (numpy.random.bit_generator imports secrets). Measured
+    # against numpy alone, which on numpy 1.x imports numpy.random itself
+    added = "sorted({'numpy.random', '_hashlib'} & (set(sys.modules) - with_numpy))"
+    argv = ["verify", "--level", level, "--out", str(tmp_path / "out")]
+    assert fresh_run(tmp_path, argv, loaded=added) == [0, []]
+
+
+def test_one_outcome_sampled_run_loads_no_numpy_random(tmp_path):
+    # at the origin z stays 1, so every work is 0 and the estimate needs no draw
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**README_NEWTONIAN, "position": [0.0, 0.0, 0.0],
+                                  "samples": 100, "seed": 5}))
+    argv = ["newtonian", "--config", str(config), "--out", str(tmp_path / "out")]
+    added = "'numpy.random' in set(sys.modules) - with_numpy"
+    assert fresh_run(tmp_path, argv, loaded=added) == [0, False]
+    assert (tmp_path / "out" / "forward.csv").read_text().splitlines() == [
+        "work,probability", "0.0,1.0"]
