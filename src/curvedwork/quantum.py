@@ -93,9 +93,10 @@ class UnitaryOperator:
 
     @cached_property
     def unitarity_defect(self) -> float:
-        """max |U^dagger U - I| over the entries of every matrix in the stack."""
-        m = self.entries
-        return float(np.max(np.abs(np.swapaxes(m.conj(), -1, -2) @ m - np.eye(m.shape[-1]))))
+        """max |U^dagger U - I| over every matrix in the stack, read on each block of `_blocks`:
+        U^dagger U - I is exactly 0 off the blocks of a U with no entry at an odd distance."""
+        return max(float(np.max(np.abs(np.swapaxes(b.conj(), -1, -2) @ b - np.eye(b.shape[-1]))))
+                   for _, b in _blocks(self.entries))
 
 
 @dataclass(frozen=True)
@@ -180,16 +181,22 @@ def _blocks(*matrices) -> list:
             for start in (0, 1) if start < n.size]
 
 
+def _spectral(v, g):
+    """V diag(g) V^dagger from eigenvector columns v (..., d, d) and weights g (..., d)."""
+    return (v * g[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
+
+
 def energy_basis(op: HermitianOperator) -> EnergyBasis:
     """Eigendecomposition of a Hermitian operator, or of a stack, by one eigh per block of
     `_blocks`, each checked for faithful reconstruction against its own scale; the blocks'
     eigenvalues merge ascending, their eigenvectors are exactly zero off the block, and a
-    real operator takes the real solver.  Every block is solved before the merge allocates."""
+    real operator takes the real solver.  Every block is solved before the merge allocates.
+    It is the one eigensolver: the propagator's node stacks and constant-f matrices and
+    every endpoint basis are solved, and checked, here."""
     solved = []
     for idx, m in _blocks(op.entries):
         bw, bv = np.linalg.eigh(m)
-        recon = np.max(np.abs((bv * bw[..., None, :]) @ np.swapaxes(bv.conj(), -1, -2) - m),
-                       axis=(-2, -1))
+        recon = np.max(np.abs(_spectral(bv, bw) - m), axis=(-2, -1))
         excess = recon / np.maximum(np.max(np.abs(bw), axis=-1), 1.0)
         worst = np.argmax(excess)
         if excess.flat[worst] > 1e-10:
@@ -215,9 +222,7 @@ def thermal_state(basis: EnergyBasis, beta) -> np.ndarray:
     of bases gives a stack, with beta a scalar or an array that broadcasts against it."""
     if not isinstance(basis, EnergyBasis):
         raise InputError(f"thermal_state needs an energy_basis, got {type(basis).__name__}")
-    populations = basis.gibbs(beta)[0]
-    v = basis.eigenvectors
-    rho = (v * populations[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
+    rho = _spectral(basis.eigenvectors, basis.gibbs(beta)[0])
     return 0.5 * (rho + np.swapaxes(rho.conj(), -1, -2))
 
 
@@ -259,19 +264,6 @@ def x_squared_matrix(mass: float, omega: float, dim: int) -> HermitianOperator:
     return HermitianOperator(x_squared_element(mass, omega, n[:, None], n[None, :]))
 
 
-def _exp_factor(w, v, t):
-    """exp(-i H t) from the eigenpairs (w, v) of H, or of each H in a stack."""
-    return (v * np.exp(-1j * w * t)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
-
-
-def _block_eigh(h0, x, values):
-    """Eigenpairs of h0 + f x at f = `values`, a scalar or a 1-d stack, each matrix checked
-    Hermitian; h0 and x are one block, a matrix or a stack of them (..., d, d)."""
-    stack = h0 + np.multiply.outer(values, x)
-    _check_hermitian(stack)
-    return np.linalg.eigh(stack)
-
-
 @dataclass(frozen=True)
 class AffinePath:
     """Hamiltonian path H(tau) = h0 + f(tau) x, real f taking an array of times to one of its
@@ -302,7 +294,9 @@ def _block_product(h0, x, values, dt):
     e^(i mu dt) exp(-i H(f) dt) - 1 = V diag(e^(-i (w - mu) dt) - 1) V^dagger at the fewest
     Chebyshev nodes m whose error bound 2 (rho/2)^m / m! is within NODE_TOL, since the m-th
     f-derivative of the factor is at most (dt ||x||)^m; rho = dt ||x|| (max f - min f) / 2
-    over the run, ||x|| the largest in the stack, and mu the middle of each node spectrum."""
+    over the run, ||x|| the largest in the stack, and mu the middle of each node spectrum.
+    The node stack, and a constant run's one matrix, are HermitianOperators diagonalised by
+    `energy_basis`, so a node basis that does not reconstruct its matrix is a NumericError."""
     block = np.array(np.broadcast_to(np.eye(x.shape[-1], dtype=complex), x.shape))
     run = (values.size if values.min() == values.max()  # a constant f: one run, one solve
            else max(1, min(NODE_ENTRIES // x.size, math.isqrt(NODE_ENTRIES))))
@@ -310,7 +304,9 @@ def _block_product(h0, x, values, dt):
     for vals in (values[start:start + run] for start in range(0, values.size, run)):
         lo, hi = float(vals.min()), float(vals.max())
         if lo == hi:  # the factors commute
-            block = _exp_factor(*_block_eigh(h0, x, lo), vals.size * dt) @ block
+            basis = energy_basis(HermitianOperator(h0 + lo * x))
+            phases = np.exp(-1j * basis.eigenvalues * (vals.size * dt))
+            block = _spectral(basis.eigenvectors, phases) @ block
             continue
         rho = dt * (hi - lo) / 2 * norm
         m, bound = 1, rho
@@ -324,11 +320,11 @@ def _block_product(h0, x, values, dt):
             weights = np.cos(np.outer(np.arccos(s), k)) @ (np.cos(np.outer(k, angles))
                                                          * np.where(k, 2 / m, 1 / m)[:, None])
             nodes = (lo + hi) / 2 + (hi - lo) / 2 * np.cos(angles)
-        w, v = _block_eigh(h0, x, nodes)
+        basis = energy_basis(HermitianOperator(h0 + np.multiply.outer(nodes, x)))
+        w = basis.eigenvalues
         mu = (w.min(axis=(0, -1)) + w.max(axis=(0, -1))) / 2
         # as -2 sin^2(t/2) - i sin t: no cancellation
-        bracket = np.expm1(-1j * (w - mu[..., None]) * dt)
-        d = (v * bracket[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
+        d = _spectral(basis.eigenvectors, np.expm1(-1j * (w - mu[..., None]) * dt))
         d = d.reshape(nodes.size, -1).view(float)  # the real weights times (re, im) pairs
         for start in range(0, vals.size, nodes.size):  # m factors per product, as d holds
             rows = slice(start, start + nodes.size)
@@ -349,9 +345,11 @@ def propagator(path: AffinePath, tau0: float, tau1: float, steps: int) -> Unitar
     block is real when h0 and x are.  Each block takes eigendecompositions at a few
     Chebyshev nodes of f's range, or at every midpoint where the interpolation bound asks
     for as many, and interpolates each step factor between them within NODE_TOL; it takes
-    one solve in all when f is equal at every midpoint.  An f that is complex or does not
-    broadcast to the midpoints is an InputError, and a result that is not unitary is a
-    NumericError: the input was a checked path.
+    one solve in all when f is equal at every midpoint.  Every node stack and constant-f
+    matrix is solved by `energy_basis` and checked for reconstruction.  An f that is complex
+    or does not broadcast to the midpoints is an InputError, and a node basis that does not
+    reconstruct its matrix, or a result that is not unitary, is a NumericError: the input
+    was a checked path.
     """
     if not isinstance(path, AffinePath):
         raise InputError(f"propagator needs an AffinePath, got {type(path).__name__}")

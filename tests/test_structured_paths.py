@@ -257,26 +257,46 @@ def test_catalog_desitter_collapses_to_one_solve_per_sector(monkeypatch):
 
 
 def per_step_block_loop(path, tau0, tau1, steps):
-    """The midpoint product with one exp(-i H dt) factor per block and step."""
+    """The midpoint product with one exp(-i H dt) factor per block and step, each from its
+    own eigh."""
     dt = (tau1 - tau0) / steps
     u = np.zeros((path.h0.dim, path.h0.dim), dtype=complex)
     for idx, h0, x in path.blocks:
         block = np.eye(idx.size, dtype=complex)
         for j in range(steps):
-            w, v = quantum._block_eigh(h0, x, path.f(tau0 + (j + 0.5) * dt))
-            block = quantum._exp_factor(w, v, dt) @ block
+            w, v = np.linalg.eigh(h0 + path.f(tau0 + (j + 0.5) * dt) * x)
+            block = ((v * np.exp(-1j * w * dt)) @ v.conj().T) @ block
         u[np.ix_(idx, idx)] = block
     return u
 
 
 def count_node_solves(monkeypatch):
-    """Patch quantum._block_eigh to record the number of f values each call solves at."""
+    """Patch quantum.energy_basis to record the number of f values each call solves at: the
+    first axis of a stacked operator, 1 for a single matrix."""
     solves = []
-    block_eigh = quantum._block_eigh
-    monkeypatch.setattr(quantum, "_block_eigh",
-                        lambda h0, x, values: solves.append(np.size(values))
-                        or block_eigh(h0, x, values))
+    solve = quantum.energy_basis
+    monkeypatch.setattr(quantum, "energy_basis",
+                        lambda op: solves.append(op.entries.shape[0] if op.entries.ndim > 2
+                                                 else 1) or solve(op))
     return solves
+
+
+def test_wrong_node_basis_is_a_numeric_error(monkeypatch):
+    # each node solve returns an orthonormal basis with columns 0 and 1 swapped: a U off by
+    # 0.28 whose unitarity defect is 1.9e-13, unless each solve is checked for reconstruction
+    path = AffinePath(qho_hamiltonian(1.0, 1.0, 12), x_squared_matrix(1.0, 1.0, 12),
+                      lambda tau: 0.05 * np.sin(2.0 * tau))
+    eigh, solves = np.linalg.eigh, []
+
+    def swapped_eigh(m):
+        w, v = eigh(m)
+        solves.append(m.shape)
+        return w, v[..., [1, 0, *range(2, m.shape[-1])]]
+
+    monkeypatch.setattr(np.linalg, "eigh", swapped_eigh)
+    with pytest.raises(NumericError, match="eigendecomposition reconstruction error"):
+        propagator(path, 0.0, 3.0, 40)
+    assert len(solves) == 1 and len(solves[0]) == 3  # the first node stack is refused
 
 
 def bound_node_count(path, tau0, tau1, steps):
